@@ -6,6 +6,8 @@ from a Gauss-quadrature-assembled generalized eigenproblem and wavefunctions
 from finite series whose coefficients obey a three-term recursion.
 """
 
+import importlib
+
 from .errors import ParameterError, SolverError
 from .potential import (
     Crossing,
@@ -32,23 +34,6 @@ from .recursion import (
     nu_energy_independent,
     recursion_coeffs,
 )
-from .solver import (
-    AssembledSystem,
-    BoundSpectrum,
-    PlateauScan,
-    PlateauStat,
-    QuadratureRule,
-    assemble_system,
-    bound_states,
-    build_x_matrix,
-    generalized_spectrum,
-    physical_state_bound,
-    plateau_scan,
-    quadrature_matrix,
-    quadrature_rule,
-    solve_bound_states,
-    symtridiag_eig,
-)
 from .special import (
     JacobiPair,
     SignedLogMagnitude,
@@ -58,7 +43,6 @@ from .special import (
     normalization_c,
     signed_log_gamma,
 )
-from .oracle import IntegrationResult, direct_matrix, direct_matrix_element
 from .wavefunction import (
     WavefunctionTable,
     count_sign_changes,
@@ -66,6 +50,46 @@ from .wavefunction import (
     sample_wavefunction,
     state_coefficients,
 )
+
+# The solver imports scipy.linalg and the oracle scipy.integrate; neither is
+# imported until one of its names (or the submodule itself) is first looked up.
+_LAZY_LAYERS = {
+    "solver": (
+        "AssembledSystem",
+        "BoundSpectrum",
+        "PlateauScan",
+        "PlateauStat",
+        "QuadratureRule",
+        "assemble_system",
+        "bound_states",
+        "build_x_matrix",
+        "generalized_spectrum",
+        "physical_state_bound",
+        "plateau_scan",
+        "quadrature_matrix",
+        "quadrature_rule",
+        "solve_bound_states",
+        "symtridiag_eig",
+    ),
+    "oracle": ("IntegrationResult", "direct_matrix", "direct_matrix_element"),
+}
+_LAZY = {name: layer for layer, names in _LAZY_LAYERS.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import a lazy name's layer on first access (PEP 562) and keep the name."""
+    if name in _LAZY_LAYERS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    layer = importlib.import_module(f".{_LAZY[name]}", __name__)
+    value = globals()[name] = getattr(layer, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

@@ -9,6 +9,7 @@ configurations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -16,16 +17,32 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, SolverError
-from .oracle import direct_matrix
 from .potential import PotentialParams, classify_shape, max_basis_index, potential_value
 from .recursion import BasisParams, auto_nu
-from .solver import (
-    plateau_scan,
-    quadrature_matrix,
-    quadrature_rule,
-    solve_bound_states,
-)
 from .wavefunction import default_r_grid, sample_wavefunction
+
+# Names from the scipy-backed layers, resolved through the package (which
+# imports their layer on first use) so that a command loads only what it
+# runs.  They become module globals when first looked up, and the handlers
+# read them from there at call time, so a caller can replace them with
+# setattr (the benchmark's tracer does).
+_LAZY = ("solve_bound_states", "plateau_scan", "quadrature_rule", "quadrature_matrix",
+         "direct_matrix")
+
+
+def __getattr__(name: str):
+    """Resolve a lazy name on first access (PEP 562) and keep it global."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(__package__), name)
+    return value
+
+
+def _bind(*names: str):
+    """Make lazy names global unless they already are (or were replaced)."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -145,6 +162,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _number(cfg: dict, key: str, kind=float):
+    """cfg[key] as a float (or int), or a ParameterError naming the key."""
+    try:
+        return kind(cfg[key])
+    except ValueError:
+        name = "lambda" if key == "lam" else key.replace("_", "-")
+        noun = "an integer" if kind is int else "a number"
+        raise ParameterError(f"{name} must be {noun}, got {cfg[key]!r}") from None
+
+
 def _resolve(args: argparse.Namespace, extra_defaults: dict | None = None) -> dict:
     """Merge hard defaults, config-file values and explicit flags."""
     merged: dict = dict(_COMMON_DEFAULTS)
@@ -164,20 +191,18 @@ def _resolve(args: argparse.Namespace, extra_defaults: dict | None = None) -> di
     for key in ("A", "B", "C"):
         if merged[key] is None:
             raise ParameterError(f"--{key} is required (flag or config file)")
-        merged[key] = float(merged[key])
-    merged["lam"] = float(merged["lam"])
-    merged["basis_degree"] = int(merged["basis_degree"])
-    merged["mu"] = float(merged["mu"])
+        merged[key] = _number(merged, key)
+    merged["lam"] = _number(merged, "lam")
+    merged["basis_degree"] = _number(merged, "basis_degree", int)
+    merged["mu"] = _number(merged, "mu")
     return merged
 
 
 def _resolve_nu(cfg: dict) -> float:
     nu = cfg["nu"]
-    if isinstance(nu, str):
-        if nu.strip().lower() == "auto":
-            return auto_nu(cfg["mu"], cfg["basis_degree"])
-        return float(nu)
-    return float(nu)
+    if isinstance(nu, str) and nu.strip().lower() == "auto":
+        return auto_nu(cfg["mu"], cfg["basis_degree"])
+    return _number(cfg, "nu")
 
 
 def _as_bool(value) -> bool:
@@ -210,6 +235,7 @@ def _params_block(cfg: dict, nu: float) -> dict:
 
 
 def _cmd_spectrum(args) -> int:
+    _bind("solve_bound_states")
     cfg = _resolve(args, {"consistent_potential": False})
     nu = _resolve_nu(cfg)
     _validate_basis(cfg["mu"], nu, cfg["basis_degree"])
@@ -263,8 +289,8 @@ def _shape_doc(p: PotentialParams) -> dict:
 
 def _cmd_potential(args) -> int:
     cfg = _resolve(args, {"r_min": 0.05, "r_max": 10.0, "samples": 400})
-    r_min, r_max = float(cfg["r_min"]), float(cfg["r_max"])
-    samples = int(cfg["samples"])
+    r_min, r_max = _number(cfg, "r_min"), _number(cfg, "r_max")
+    samples = _number(cfg, "samples", int)
     if not (0.0 < r_min < r_max):
         raise ParameterError(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
     if samples < 2:
@@ -296,11 +322,12 @@ def _cmd_potential(args) -> int:
 
 
 def _cmd_wavefunction(args) -> int:
+    _bind("solve_bound_states")
     cfg = _resolve(args, {"state": 0, "r_min": None, "r_max": None, "samples": 2000,
                           "consistent_potential": False})
     nu = _resolve_nu(cfg)
     _validate_basis(cfg["mu"], nu, cfg["basis_degree"])
-    k = int(cfg["state"])
+    k = _number(cfg, "state", int)
     consistent = _as_bool(cfg["consistent_potential"])
     p = PotentialParams(A=cfg["A"], B=cfg["B"], C=cfg["C"], lam=cfg["lam"])
     spectrum = solve_bound_states(p, cfg["basis_degree"], mu=cfg["mu"], nu=nu,
@@ -308,12 +335,12 @@ def _cmd_wavefunction(args) -> int:
     if not 0 <= k < len(spectrum):
         raise ParameterError(
             f"state {k} out of range: {len(spectrum)} bound state(s) available")
-    samples = int(cfg["samples"])
+    samples = _number(cfg, "samples", int)
     if cfg["r_min"] is None and cfg["r_max"] is None:
         grid = default_r_grid(p.lam, samples)
     else:
-        r_min = float(cfg["r_min"]) if cfg["r_min"] is not None else 1e-3 / p.lam
-        r_max = float(cfg["r_max"]) if cfg["r_max"] is not None else 15.0 / p.lam
+        r_min = _number(cfg, "r_min") if cfg["r_min"] is not None else 1e-3 / p.lam
+        r_max = _number(cfg, "r_max") if cfg["r_max"] is not None else 15.0 / p.lam
         if not (0.0 < r_min < r_max):
             raise ParameterError(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
         grid = np.geomspace(r_min, r_max, samples)
@@ -347,10 +374,11 @@ def _cmd_wavefunction(args) -> int:
 
 
 def _cmd_plateau(args) -> int:
+    _bind("plateau_scan")
     cfg = _resolve(args, {"mu_min": 1.0, "mu_max": 2.0, "mu_steps": 11,
                           "consistent_potential": False})
-    mu_min, mu_max = float(cfg["mu_min"]), float(cfg["mu_max"])
-    steps = int(cfg["mu_steps"])
+    mu_min, mu_max = _number(cfg, "mu_min"), _number(cfg, "mu_max")
+    steps = _number(cfg, "mu_steps", int)
     if steps < 1 or (steps == 1 and mu_min != mu_max) or mu_min > mu_max:
         raise ParameterError("invalid mu grid specification")
     grid = np.linspace(mu_min, mu_max, steps)
@@ -396,8 +424,9 @@ def _cmd_plateau(args) -> int:
 
 
 def _cmd_check_quadrature(args) -> int:
+    _bind("quadrature_rule", "quadrature_matrix", "direct_matrix")
     cfg = _resolve(args, {"max_degree": 5})
-    max_degree = int(cfg["max_degree"])
+    max_degree = _number(cfg, "max_degree", int)
     if max_degree > 8:
         raise ParameterError(f"max degree is capped at 8, got {max_degree}")
     if max_degree < 2:

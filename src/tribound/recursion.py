@@ -186,8 +186,8 @@ def associated_params(B: float, C: float) -> AssociatedParams:
     return AssociatedParams(theta=math.acosh(B / C), z=-math.sqrt(B * B - C * C))
 
 
-def h_polynomial_sequence(assoc: AssociatedParams, basis: BasisParams,
-                          B: float, C: float, n_max: int) -> np.ndarray:
+def h_polynomial_sequence(basis: BasisParams, B: float, C: float,
+                          n_max: int) -> np.ndarray:
     """H_0 .. H_n_max solving the recursion with H_0 = 1, H_{-1} = 0.
 
     H_1 = (B + G_0 - C F_0) / (C D_0) and
@@ -203,7 +203,6 @@ def h_polynomial_sequence(assoc: AssociatedParams, basis: BasisParams,
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
     if n_max > basis.N:
         raise ParameterError(f"n_max = {n_max} exceeds basis degree {basis.N}")
-    del assoc  # identification bookkeeping only; recursion runs on B, C, F, D, G
     h = np.empty(n_max + 1, dtype=float)
     h[0] = 1.0
     if n_max == 0:
@@ -225,7 +224,7 @@ def h_polynomial_sequence(assoc: AssociatedParams, basis: BasisParams,
     return h
 
 
-def expansion_coefficients(energy: EnergyParams, A: float, B: float, C: float,
+def expansion_coefficients(energy: EnergyParams, B: float, C: float,
                            n_max: int) -> np.ndarray:
     """Wavefunction expansion coefficients f_0 .. f_n_max at a bound-state energy.
 
@@ -233,11 +232,10 @@ def expansion_coefficients(energy: EnergyParams, A: float, B: float, C: float,
     pair (mu_k, nu_k); normalization is modulo an overall constant (f_0 = 1).
     Requires mu_k + nu_k < -2 n_max - 1 so every term is square integrable.
     """
-    del A  # already folded into energy.nu_k
-    assoc = associated_params(B, C)
+    associated_params(B, C)  # enforces B >= C > 0
     if not (energy.mu_k + energy.nu_k < -2.0 * n_max - 1.0):
         raise ParameterError(
             f"series of length {n_max + 1} is not square integrable: "
             f"mu_k + nu_k = {energy.mu_k + energy.nu_k} >= {-2.0 * n_max - 1.0}")
     basis = BasisParams(mu=energy.mu_k, nu=energy.nu_k, N=n_max)
-    return h_polynomial_sequence(assoc, basis, B, C, n_max)
+    return h_polynomial_sequence(basis, B, C, n_max)

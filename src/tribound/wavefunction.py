@@ -92,7 +92,7 @@ def state_coefficients(k: int, epsilon_k: float, A: float, B: float, C: float,
     if n_max < 0:
         raise ParameterError("series needs at least one term")
     energy = energy_params(epsilon_k, A)
-    f = expansion_coefficients(energy, A, B, C, n_max)
+    f = expansion_coefficients(energy, B, C, n_max)
     c = _series_normalizations(energy, n_max)
     return energy, f, c
 

@@ -14,7 +14,6 @@ from tribound.oracle import direct_matrix
 from tribound.potential import PotentialParams, classify_shape, u_of_x
 from tribound.recursion import (
     BasisParams,
-    associated_params,
     auto_nu,
     h_polynomial_sequence,
 )
@@ -196,7 +195,7 @@ def test_criterion_5_recursion_consistency():
         count += 1
         C = rng.uniform(0.2, 4.0)
         B = C * rng.uniform(1.0, 3.0)
-        h = h_polynomial_sequence(associated_params(B, C), basis, B, C, n_top)
+        h = h_polynomial_sequence(basis, B, C, n_top)
         worst = max(worst, recursion_residual(h, mu, nu, B, C))
     ok = worst < 1e-10
     assert report("5 recursion-consistency", ok, f"worst residual {worst:.2e}")

@@ -106,6 +106,11 @@ class TestSpectrumCommand:
         assert code == 2
         assert "mu + nu" in err
 
+    def test_non_numeric_nu_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", *REFERENCE_ARGS, "--nu", "abc")
+        assert code == 2 and out == ""
+        assert err == "error: nu must be a number, got 'abc'\n"
+
     def test_missing_parameter_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--A", "-300", "--B", "5")
         assert code == 2
@@ -157,6 +162,19 @@ class TestConfigFile:
         rows = out.strip().splitlines()[1:]
         assert len(rows) == 8
         assert abs(float(rows[0].split(",")[1]) - 794.613) < 5e-3
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("A", "abc", "A must be a number, got 'abc'"),
+        ("basis_degree", "1.5", "basis-degree must be an integer, got '1.5'"),
+        ("samples", "many", "samples must be an integer, got 'many'"),
+    ])
+    def test_non_numeric_value_is_config_error(self, capsys, tmp_path, key, value, message):
+        values = {"A": "-300", "B": "5", "C": "3", key: value}
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        code, out, err = run_cli(capsys, "wavefunction", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_missing_config_file(self, capsys):
         code, _, _ = run_cli(capsys, "spectrum", *REFERENCE_ARGS, "--config", "/no/such/file")

@@ -153,13 +153,13 @@ class TestAssociatedParams:
 class TestHPolynomialSequence:
     def test_h0_is_one(self):
         basis = BasisParams(mu=1.0, nu=-5.0, N=1)
-        h = h_polynomial_sequence(associated_params(5.0, 3.0), basis, 5.0, 3.0, 0)
+        h = h_polynomial_sequence(basis, 5.0, 3.0, 0)
         assert h.tolist() == [1.0]
 
     def test_h1_hand_value(self):
         # B=5, C=3, mu=1, nu=-5: G_0=2, F_0=3, D_0=-sqrt(8)
         basis = BasisParams(mu=1.0, nu=-5.0, N=1)
-        h = h_polynomial_sequence(associated_params(5.0, 3.0), basis, 5.0, 3.0, 1)
+        h = h_polynomial_sequence(basis, 5.0, 3.0, 1)
         assert h[1] == pytest.approx(1.0 / (3.0 * math.sqrt(2.0)), rel=1e-14)
         # brute-force solve of the first recursion row for f_1
         (f0,), (g0,) = _f_g_arrays(1.0, -5.0, 1)
@@ -169,9 +169,8 @@ class TestHPolynomialSequence:
 
     def test_general_step_matches_low_order_instance(self):
         basis = BasisParams(mu=1.5, nu=-25.5, N=4)
-        assoc = associated_params(5.0, 3.0)
         c = recursion_coeffs(basis)
-        h = h_polynomial_sequence(assoc, basis, 5.0, 3.0, 2)
+        h = h_polynomial_sequence(basis, 5.0, 3.0, 2)
         h2_hand = ((5.0 + c.G[1] - 3.0 * c.F[1]) * h[1] - 3.0 * c.D[0] * h[0]) / (3.0 * c.D[1])
         assert h[2] == h2_hand  # same arithmetic path, bit for bit
 
@@ -185,7 +184,7 @@ class TestHPolynomialSequence:
             count += 1
             C = rng.uniform(0.2, 4.0)
             B = C * rng.uniform(1.0, 3.0)
-            h = h_polynomial_sequence(associated_params(B, C), basis, B, C, basis.N)
+            h = h_polynomial_sequence(basis, B, C, basis.N)
             res = recursion_residual(h, basis.mu, basis.nu, B, C)
             assert res < 1e-10
 
@@ -198,7 +197,7 @@ class TestHPolynomialSequence:
         basis = BasisParams.from_size(mu, nu, size)
         C = 1e-4
         B = 5.0 * C
-        h = h_polynomial_sequence(associated_params(B, C), basis, B, C, basis.N)
+        h = h_polynomial_sequence(basis, B, C, basis.N)
         assert np.all(np.isfinite(h))
         assert np.max(np.abs(h)) <= 1e150 * (1.0 + 1e-12)
         # entries rescaled into the denormal range cannot satisfy the
@@ -217,30 +216,30 @@ class TestHPolynomialSequence:
     def test_degenerate_step_rejected(self):
         basis = BasisParams(mu=1.0, nu=-5.0, N=1)
         with pytest.raises(ParameterError):
-            h_polynomial_sequence(associated_params(5.0, 3.0), basis, 5.0, 1e-20, 1)
+            h_polynomial_sequence(basis, 5.0, 1e-20, 1)
 
 
 class TestExpansionCoefficients:
     def test_single_term(self):
         e = energy_params(REFERENCE_GROUND_EPS, -300.0)
-        f = expansion_coefficients(e, -300.0, 5.0, 3.0, 0)
+        f = expansion_coefficients(e, 5.0, 3.0, 0)
         assert f.tolist() == [1.0]
 
     def test_reference_state_residual(self):
         e = energy_params(REFERENCE_GROUND_EPS, -300.0)
-        f = expansion_coefficients(e, -300.0, 5.0, 3.0, 4)
+        f = expansion_coefficients(e, 5.0, 3.0, 4)
         assert recursion_residual(f, e.mu_k, e.nu_k, 5.0, 3.0) < 1e-10
 
     def test_square_integrability_guard(self):
         e = energy_params(REFERENCE_GROUND_EPS, -300.0)
         # mu_k + nu_k ~ -13.35 allows n_max <= 6 only
         with pytest.raises(ParameterError):
-            expansion_coefficients(e, -300.0, 5.0, 3.0, 7)
+            expansion_coefficients(e, 5.0, 3.0, 7)
 
     def test_association_guard(self):
         e = energy_params(REFERENCE_GROUND_EPS, -300.0)
         with pytest.raises(ParameterError):
-            expansion_coefficients(e, -300.0, 2.0, 3.0, 2)
+            expansion_coefficients(e, 2.0, 3.0, 2)
 
 
 def test_associated_params_dataclass_defaults():
