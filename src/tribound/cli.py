@@ -3,14 +3,18 @@
 Subcommands: spectrum | potential | wavefunction | plateau | check-quadrature.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  All
 numeric output uses decimal notation with 10 significant digits; identical
-configurations produce byte-identical output.
+configurations produce byte-identical output.  Each command builds one
+document of unrounded values and hands it to `_emit`, which rounds only as it
+writes the JSON or CSV.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,7 +23,7 @@ import numpy as np
 from .errors import ParameterError, SolverError
 from .potential import PotentialParams, classify_shape, max_basis_index, potential_value
 from .recursion import BasisParams, auto_nu
-from .wavefunction import default_r_grid, sample_wavefunction
+from .wavefunction import sample_wavefunction
 
 # Names from the scipy-backed layers, resolved through the package (which
 # imports their layer on first use) so that a command loads only what it
@@ -61,8 +65,22 @@ def fmt(v: float) -> str:
     return f"{float(v):.10g}"
 
 
-def _round10(v: float):
-    return float(fmt(v))
+def _rounded(obj):
+    """obj with every float replaced by the value fmt prints, for JSON."""
+    if isinstance(obj, float):
+        return float(fmt(obj))
+    if isinstance(obj, dict):
+        return {key: _rounded(v) for key, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(v) for v in obj]
+    return obj
+
+
+def _csv_cell(v) -> str:
+    """fmt for a float, str for anything else; a list spreads over columns."""
+    if isinstance(v, list):
+        return ",".join(map(_csv_cell, v))
+    return fmt(v) if isinstance(v, float) else str(v)
 
 
 def _write_out(text: str, out: str | None):
@@ -72,8 +90,26 @@ def _write_out(text: str, out: str | None):
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _emit(cfg: dict, doc: dict, rows_key: str, columns: tuple, side=None, header=None):
+    """Write one command's document as JSON or as CSV.
+
+    doc holds raw values, with doc[rows_key] a list of row tuples whose cells
+    follow columns.  JSON writes doc with each row as an object keyed by
+    columns.  CSV writes the header (default: columns) and the rows to the
+    output, then the side report to stderr: a string as is, anything else as
+    one line of JSON.
+    """
+    if cfg["format"] == "json":
+        doc = {**doc, rows_key: [dict(zip(columns, row)) for row in doc[rows_key]]}
+        _write_out(json.dumps(_rounded(doc), indent=2) + "\n", cfg["out"])
+        return
+    lines = [",".join(header or columns)]
+    lines += [",".join(map(_csv_cell, row)) for row in doc[rows_key]]
+    _write_out("\n".join(lines) + "\n", cfg["out"])
+    if isinstance(side, str):
+        print(side, file=sys.stderr)
+    elif side is not None:
+        print(json.dumps(_rounded(side)), file=sys.stderr)
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -163,13 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _number(cfg: dict, key: str, kind=float):
-    """cfg[key] as a float (or int), or a ParameterError naming the key."""
+    """cfg[key] as a finite float (or int), or a ParameterError naming the key."""
+    name = "lambda" if key == "lam" else key.replace("_", "-")
     try:
-        return kind(cfg[key])
+        value = kind(cfg[key])
     except ValueError:
-        name = "lambda" if key == "lam" else key.replace("_", "-")
         noun = "an integer" if kind is int else "a number"
         raise ParameterError(f"{name} must be {noun}, got {cfg[key]!r}") from None
+    if not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {cfg[key]!r}")
+    return value
 
 
 def _resolve(args: argparse.Namespace, extra_defaults: dict | None = None) -> dict:
@@ -226,150 +265,103 @@ def _validate_basis(mu: float, nu: float, size: int):
             f"mu + nu = {fmt(mu + nu)} violates mu + nu < -2*{size} - 1")
 
 
-def _params_block(cfg: dict, nu: float) -> dict:
-    return {
-        "A": _round10(cfg["A"]), "B": _round10(cfg["B"]), "C": _round10(cfg["C"]),
-        "lambda": _round10(cfg["lam"]), "basis_size": cfg["basis_degree"],
-        "mu": _round10(cfg["mu"]), "nu": _round10(nu),
-    }
+def _potential(cfg: dict) -> PotentialParams:
+    return PotentialParams(A=cfg["A"], B=cfg["B"], C=cfg["C"], lam=cfg["lam"])
 
 
-def _cmd_spectrum(args) -> int:
+def _solve(cfg: dict):
+    """Potential, bound spectrum and JSON params block for spectrum and wavefunction."""
     _bind("solve_bound_states")
-    cfg = _resolve(args, {"consistent_potential": False})
     nu = _resolve_nu(cfg)
     _validate_basis(cfg["mu"], nu, cfg["basis_degree"])
     consistent = _as_bool(cfg["consistent_potential"])
-    p = PotentialParams(A=cfg["A"], B=cfg["B"], C=cfg["C"], lam=cfg["lam"])
+    p = _potential(cfg)
     spectrum = solve_bound_states(p, cfg["basis_degree"], mu=cfg["mu"], nu=nu,
                                   consistent_potential=consistent)
+    params = {"A": p.A, "B": p.B, "C": p.C, "lambda": p.lam,
+              "basis_size": cfg["basis_degree"], "mu": cfg["mu"], "nu": nu,
+              "consistent_potential": consistent}
+    return p, spectrum, params
+
+
+def _r_grid(cfg: dict, lam: float, min_samples: int) -> np.ndarray:
+    """Geometric r grid; an unset bound takes default_r_grid's 1e-3/lambda or 15/lambda."""
+    r_min = 1e-3 / lam if cfg["r_min"] is None else _number(cfg, "r_min")
+    r_max = 15.0 / lam if cfg["r_max"] is None else _number(cfg, "r_max")
+    samples = _number(cfg, "samples", int)
+    if not (0.0 < r_min < r_max):
+        raise ParameterError(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
+    if samples < min_samples:
+        raise ParameterError(f"samples must be at least {min_samples}, got {samples}")
+    return np.geomspace(r_min, r_max, samples)
+
+
+def _cmd_spectrum(args) -> int:
+    cfg = _resolve(args, {"consistent_potential": False})
+    _, spectrum, params = _solve(cfg)
     note = None
     if cfg["A"] > -0.5:
         note = f"A = {fmt(cfg['A'])} > -1/2 admits no bound states"
     n_max = max_basis_index(cfg["A"])
-    if cfg["format"] == "json":
-        params = _params_block(cfg, nu)
-        params["consistent_potential"] = consistent
-        doc = {
-            "command": "spectrum",
-            "params": params,
-            "states": [
-                {"n": i, "minus_epsilon": _round10(-e),
-                 "E_over_half_lambda_sq": _round10(e)}
-                for i, e in enumerate(spectrum.epsilons)
-            ],
-            "diagnostics": {
-                "discarded_count": spectrum.discarded_count,
-                "max_residual": _round10(spectrum.max_residual),
-                "bound_state_limit": None if n_max is None else n_max + 1,
-                "note": note,
-            },
-        }
-        _write_out(_json_dump(doc), cfg["out"])
-    else:
-        lines = ["n,minus_epsilon,E_over_half_lambda_sq"]
-        for i, e in enumerate(spectrum.epsilons):
-            lines.append(f"{i},{fmt(-e)},{fmt(e)}")
-        _write_out("\n".join(lines) + "\n", cfg["out"])
-        if note:
-            print(note, file=sys.stderr)
-    return EXIT_OK
-
-
-def _shape_doc(p: PotentialParams) -> dict:
-    report = classify_shape(p)
-    return {
-        "crossings": [{"x": _round10(c.x), "r": _round10(c.r)} for c in report.crossings],
-        "extrema": [{"x": _round10(e.x), "r": _round10(e.r), "value": _round10(e.value)}
-                    for e in report.extrema],
-        "admits_bound_states": report.admits_bound_states,
-        "satisfies_B_ge_C": report.satisfies_B_ge_C,
+    doc = {
+        "command": "spectrum",
+        "params": params,
+        "states": [(i, -e, e) for i, e in enumerate(spectrum.epsilons.tolist())],
+        "diagnostics": {
+            "discarded_count": spectrum.discarded_count,
+            "max_residual": spectrum.max_residual,
+            "bound_state_limit": None if n_max is None else n_max + 1,
+            "note": note,
+        },
     }
+    _emit(cfg, doc, "states", ("n", "minus_epsilon", "E_over_half_lambda_sq"), note)
+    return EXIT_OK
 
 
 def _cmd_potential(args) -> int:
     cfg = _resolve(args, {"r_min": 0.05, "r_max": 10.0, "samples": 400})
-    r_min, r_max = _number(cfg, "r_min"), _number(cfg, "r_max")
-    samples = _number(cfg, "samples", int)
-    if not (0.0 < r_min < r_max):
-        raise ParameterError(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
-    if samples < 2:
-        raise ParameterError(f"need at least 2 samples, got {samples}")
-    p = PotentialParams(A=cfg["A"], B=cfg["B"], C=cfg["C"], lam=cfg["lam"])
+    p = _potential(cfg)
+    r = _r_grid(cfg, p.lam, 2)
     if p.C == 0.0:
         raise ParameterError("potential command needs C != 0 (figure units are lambda^2 C / 2)")
-    r = np.geomspace(r_min, r_max, samples)
     # V in units lambda^2 C / 2
     v = potential_value(p, r) / (0.5 * p.lam**2 * p.C)
-    shape = _shape_doc(p)
-    if cfg["format"] == "json":
-        doc = {
-            "command": "potential",
-            "params": {"A": _round10(p.A), "B": _round10(p.B), "C": _round10(p.C),
-                       "lambda": _round10(p.lam), "gamma": _round10(p.gamma),
-                       "xi": _round10(p.xi)},
-            "shape": shape,
-            "samples": [{"r": _round10(ri), "V_over_half_lambda_sq_C": _round10(vi)}
-                        for ri, vi in zip(r, v)],
-        }
-        _write_out(_json_dump(doc), cfg["out"])
-    else:
-        lines = ["r,V_over_half_lambda_sq_C"]
-        lines += [f"{fmt(ri)},{fmt(vi)}" for ri, vi in zip(r, v)]
-        _write_out("\n".join(lines) + "\n", cfg["out"])
-        print(json.dumps(shape), file=sys.stderr)
+    doc = {
+        "command": "potential",
+        "params": {"A": p.A, "B": p.B, "C": p.C, "lambda": p.lam,
+                   "gamma": p.gamma, "xi": p.xi},
+        "shape": dataclasses.asdict(classify_shape(p)),
+        "samples": list(zip(r.tolist(), v.tolist())),
+    }
+    _emit(cfg, doc, "samples", ("r", "V_over_half_lambda_sq_C"), doc["shape"])
     return EXIT_OK
 
 
 def _cmd_wavefunction(args) -> int:
-    _bind("solve_bound_states")
     cfg = _resolve(args, {"state": 0, "r_min": None, "r_max": None, "samples": 2000,
                           "consistent_potential": False})
-    nu = _resolve_nu(cfg)
-    _validate_basis(cfg["mu"], nu, cfg["basis_degree"])
     k = _number(cfg, "state", int)
-    consistent = _as_bool(cfg["consistent_potential"])
-    p = PotentialParams(A=cfg["A"], B=cfg["B"], C=cfg["C"], lam=cfg["lam"])
-    spectrum = solve_bound_states(p, cfg["basis_degree"], mu=cfg["mu"], nu=nu,
-                                  consistent_potential=consistent)
+    p, spectrum, params = _solve(cfg)
     if not 0 <= k < len(spectrum):
         raise ParameterError(
             f"state {k} out of range: {len(spectrum)} bound state(s) available")
-    samples = _number(cfg, "samples", int)
-    if cfg["r_min"] is None and cfg["r_max"] is None:
-        grid = default_r_grid(p.lam, samples)
-    else:
-        r_min = _number(cfg, "r_min") if cfg["r_min"] is not None else 1e-3 / p.lam
-        r_max = _number(cfg, "r_max") if cfg["r_max"] is not None else 15.0 / p.lam
-        if not (0.0 < r_min < r_max):
-            raise ParameterError(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
-        grid = np.geomspace(r_min, r_max, samples)
+    grid = _r_grid(cfg, p.lam, 1)
     table = sample_wavefunction(k, float(spectrum.epsilons[k]), p, grid)
-    meta = {
-        "state": k,
-        "epsilon": _round10(table.epsilon),
-        "minus_epsilon": _round10(-table.epsilon),
-        "mu_k": _round10(table.mu_k),
-        "nu_k": _round10(table.nu_k),
-        "terms_used": table.terms_used,
-        "clamped_count": table.clamped_count,
+    doc = {
+        "command": "wavefunction",
+        "params": params,
+        "state": {
+            "state": k,
+            "epsilon": table.epsilon,
+            "minus_epsilon": -table.epsilon,
+            "mu_k": table.mu_k,
+            "nu_k": table.nu_k,
+            "terms_used": table.terms_used,
+            "clamped_count": table.clamped_count,
+        },
+        "samples": list(zip(table.r_grid.tolist(), table.psi.tolist())),
     }
-    if cfg["format"] == "json":
-        params = _params_block(cfg, nu)
-        params["consistent_potential"] = consistent
-        doc = {
-            "command": "wavefunction",
-            "params": params,
-            "state": meta,
-            "samples": [{"r": _round10(ri), "psi": _round10(pi)}
-                        for ri, pi in zip(table.r_grid, table.psi)],
-        }
-        _write_out(_json_dump(doc), cfg["out"])
-    else:
-        lines = ["r,psi"]
-        lines += [f"{fmt(ri)},{fmt(pi)}" for ri, pi in zip(table.r_grid, table.psi)]
-        _write_out("\n".join(lines) + "\n", cfg["out"])
-        print(json.dumps(meta), file=sys.stderr)
+    _emit(cfg, doc, "samples", ("r", "psi"), doc["state"])
     return EXIT_OK
 
 
@@ -387,39 +379,18 @@ def _cmd_plateau(args) -> int:
         nu_m = auto_nu(float(m), size)
         if not (float(m) > -1.0 and float(m) + nu_m < -2.0 * size - 1.0):
             raise ParameterError(f"grid point mu = {fmt(m)} violates the basis constraints")
-    p = PotentialParams(A=cfg["A"], B=cfg["B"], C=cfg["C"], lam=cfg["lam"])
-    scan = plateau_scan(p, size, grid,
-                        consistent_potential=_as_bool(cfg["consistent_potential"]))
-    k = scan.state_count
-    table = scan.table()
-    stats = [
-        {"state": s.state,
-         "delta": None if s.delta is None else _round10(s.delta),
-         "mu_lo": _round10(s.mu_lo), "mu_hi": _round10(s.mu_hi),
-         "points": s.points}
-        for s in scan.stats
-    ]
-    if cfg["format"] == "json":
-        doc = {
-            "command": "plateau",
-            "params": {"A": _round10(p.A), "B": _round10(p.B), "C": _round10(p.C),
-                       "lambda": _round10(p.lam), "basis_size": size,
-                       "consistent_potential": _as_bool(cfg["consistent_potential"])},
-            "grid": [
-                {"mu": _round10(m),
-                 "minus_epsilons": [_round10(v) for v in table[i, :]]}
-                for i, m in enumerate(grid)
-            ],
-            "plateaus": stats,
-        }
-        _write_out(_json_dump(doc), cfg["out"])
-    else:
-        header = "mu," + ",".join(f"minus_eps_{j}" for j in range(k))
-        lines = [header]
-        for i, m in enumerate(grid):
-            lines.append(",".join([fmt(m)] + [fmt(v) for v in table[i, :]]))
-        _write_out("\n".join(lines) + "\n", cfg["out"])
-        print(json.dumps(stats), file=sys.stderr)
+    consistent = _as_bool(cfg["consistent_potential"])
+    p = _potential(cfg)
+    scan = plateau_scan(p, size, grid, consistent_potential=consistent)
+    doc = {
+        "command": "plateau",
+        "params": {"A": p.A, "B": p.B, "C": p.C, "lambda": p.lam, "basis_size": size,
+                   "consistent_potential": consistent},
+        "grid": list(zip(grid.tolist(), scan.table().tolist())),
+        "plateaus": [dataclasses.asdict(s) for s in scan.stats],
+    }
+    header = ["mu"] + [f"minus_eps_{j}" for j in range(scan.state_count)]
+    _emit(cfg, doc, "grid", ("mu", "minus_epsilons"), doc["plateaus"], header)
     return EXIT_OK
 
 
@@ -437,26 +408,12 @@ def _cmd_check_quadrature(args) -> int:
         basis = BasisParams.from_size(mu, auto_nu(mu, size), size)
         rule = quadrature_rule(basis)
         for name, w in _KERNELS:
-            approx = quadrature_matrix(rule, w)
-            exact = direct_matrix(basis, w)
-            diff = np.abs(approx - exact)
-            rows.append({
-                "size": size,
-                "kernel": name,
-                "max_abs_diff": _round10(diff.max()),
-                "low_block_abs_diff": _round10(diff[:2, :2].max()),
-            })
-    if cfg["format"] == "json":
-        doc = {"command": "check_quadrature",
-               "params": {"mu": _round10(mu), "max_degree": max_degree},
-               "rows": rows}
-        _write_out(_json_dump(doc), cfg["out"])
-    else:
-        lines = ["size,kernel,max_abs_diff,low_block_abs_diff"]
-        for r in rows:
-            lines.append(f"{r['size']},{r['kernel']},{fmt(r['max_abs_diff'])},"
-                         f"{fmt(r['low_block_abs_diff'])}")
-        _write_out("\n".join(lines) + "\n", cfg["out"])
+            diff = np.abs(quadrature_matrix(rule, w) - direct_matrix(basis, w))
+            rows.append((size, name, diff.max(), diff[:2, :2].max()))
+    doc = {"command": "check_quadrature",
+           "params": {"mu": mu, "max_degree": max_degree},
+           "rows": rows}
+    _emit(cfg, doc, "rows", ("size", "kernel", "max_abs_diff", "low_block_abs_diff"))
     return EXIT_OK
 
 

@@ -357,22 +357,19 @@ def _longest_plateau(values: np.ndarray) -> tuple[int, int]:
 
 
 def plateau_scan(p: PotentialParams, size: int, mu_grid: Sequence[float],
-                 nu_rule: Callable[[float], float] | None = None,
                  consistent_potential: bool = False) -> PlateauScan:
     """Scan the unphysical basis parameter mu and locate stability plateaus.
 
-    Computes the bound spectrum at every grid point with nu = nu_rule(mu)
-    (default -2*size - mu - 2).  An empty plateau for a state is reported
-    with delta = None rather than raised.
+    Computes the bound spectrum at every grid point with
+    nu = auto_nu(mu, size) = -2*size - mu - 2.  An empty plateau for a state
+    is reported with delta = None rather than raised.
     """
     grid = np.asarray(mu_grid, dtype=float)
     if grid.size == 0:
         raise ParameterError("mu grid must not be empty")
     if np.any(np.diff(grid) <= 0.0):
         raise ParameterError("mu grid must be strictly ascending")
-    if nu_rule is None:
-        nu_rule = lambda m: auto_nu(m, size)
-    spectra = [solve_bound_states(p, size, mu=float(m), nu=float(nu_rule(float(m))),
+    spectra = [solve_bound_states(p, size, mu=float(m), nu=auto_nu(float(m), size),
                                   consistent_potential=consistent_potential)
                for m in grid]
     scan = PlateauScan(mu_grid=grid, spectra=spectra)

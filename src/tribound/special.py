@@ -163,28 +163,41 @@ def _log_cn_squared_gammas(pair: JacobiPair, n: int) -> SignedLogMagnitude:
     return SignedLogMagnitude(-log_abs, sign)
 
 
+def log_gamma_ratio(pair: JacobiPair, n: int) -> SignedLogMagnitude:
+    """ln|t Gamma(n+1) Gamma(n+mu+nu+1) / (Gamma(n+mu+1) Gamma(n+nu+1))| and its sign.
+
+    t = 2n + mu + nu + 1.  This is c_n^2 up to a factor that does not depend
+    on n; the wavefunction series normalizations use it as it stands.
+    """
+    mu, nu = pair.mu, pair.nu
+    ga = signed_log_gamma(n + 1.0)
+    gb = signed_log_gamma(n + mu + nu + 1.0)
+    gc = signed_log_gamma(n + mu + 1.0)
+    gd = signed_log_gamma(n + nu + 1.0)
+    t = 2.0 * n + mu + nu + 1.0
+    sign = ga.sign * gb.sign * gc.sign * gd.sign * (1 if t > 0 else -1)
+    return SignedLogMagnitude(
+        math.log(abs(t)) + ga.log_abs + gb.log_abs - gc.log_abs - gd.log_abs, sign)
+
+
 def _log_cn_squared_sines(pair: JacobiPair, n: int) -> SignedLogMagnitude:
     """log(c_n^2) from the sine-ratio closed form of the diagonal norm.
 
     diag_n = 2^(mu+nu+1)/(2n+mu+nu+1)
              * Gamma(n+mu+1) Gamma(n+nu+1) / (Gamma(n+1) Gamma(n+mu+nu+1))
-             * sin(pi nu) / sin(pi (mu+nu+1)).
+             * sin(pi nu) / sin(pi (mu+nu+1)),
+    so c_n^2 = 1/diag_n is log_gamma_ratio times sin(pi (mu+nu+1))
+    / (2^(mu+nu+1) sin(pi nu)).
     """
     mu, nu = pair.mu, pair.nu
-    t = 2.0 * n + mu + nu + 1.0
     s_nu, sg_nu = _sinpi(nu)
     s_mn, sg_mn = _sinpi(mu + nu + 1.0)
     if s_nu == 0.0 or s_mn == 0.0:
         raise ParameterError("sine-ratio norm undefined at integer nu or mu + nu")
-    ga = signed_log_gamma(n + mu + 1.0)
-    gb = signed_log_gamma(n + nu + 1.0)
-    gc = signed_log_gamma(n + 1.0)
-    gd = signed_log_gamma(n + mu + nu + 1.0)
-    sign = (1 if t > 0 else -1) * ga.sign * gb.sign * gc.sign * gd.sign * sg_nu * sg_mn
-    log_abs = ((mu + nu + 1.0) * math.log(2.0) - math.log(abs(t))
-               + ga.log_abs + gb.log_abs - gc.log_abs - gd.log_abs
-               + math.log(s_nu) - math.log(s_mn))
-    return SignedLogMagnitude(-log_abs, sign)
+    ratio = log_gamma_ratio(pair, n)
+    log_abs = (ratio.log_abs - (mu + nu + 1.0) * math.log(2.0)
+               - math.log(s_nu) + math.log(s_mn))
+    return SignedLogMagnitude(log_abs, ratio.sign * sg_nu * sg_mn)
 
 
 def normalization_c(pair: JacobiPair, n: int) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ParameterError
 from .potential import PotentialParams
 from .recursion import EnergyParams, energy_params, expansion_coefficients
-from .special import JacobiPair, jacobi_sequence, signed_log_gamma
+from .special import JacobiPair, jacobi_sequence, log_gamma_ratio
 
 # Magnitudes with ln|psi| below this emit exact 0.0.
 LOG_UNDERFLOW = -700.0
@@ -60,17 +60,10 @@ def _series_normalizations(energy: EnergyParams, n_max: int) -> np.ndarray:
     the overall normalization); a mixed-sign sequence signals an invalid
     state and is rejected.
     """
-    mu, nu = energy.mu_k, energy.nu_k
-    logs = np.empty(n_max + 1)
-    signs = np.empty(n_max + 1, dtype=int)
-    for n in range(n_max + 1):
-        ga = signed_log_gamma(n + 1.0)
-        gb = signed_log_gamma(n + mu + nu + 1.0)
-        gc = signed_log_gamma(n + mu + 1.0)
-        gd = signed_log_gamma(n + nu + 1.0)
-        t = 2.0 * n + mu + nu + 1.0
-        signs[n] = ga.sign * gb.sign * gc.sign * gd.sign * (1 if t > 0 else -1)
-        logs[n] = math.log(abs(t)) + ga.log_abs + gb.log_abs - gc.log_abs - gd.log_abs
+    pair = JacobiPair(energy.mu_k, energy.nu_k)
+    ratios = [log_gamma_ratio(pair, n) for n in range(n_max + 1)]
+    logs = np.array([r.log_abs for r in ratios])
+    signs = np.array([r.sign for r in ratios])
     if np.any(signs != signs[0]):
         raise ParameterError(
             "series normalizations have mixed signs; state parameters invalid")

@@ -181,6 +181,23 @@ class TestConfigFile:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["potential", "--A", "-6", "--B", "6", "--C", "3", "--samples", "3", "--r-max", "inf"],
+     "r-max must be finite, got inf"),
+    (["wavefunction", *REFERENCE_ARGS, "--basis-degree", "30", "--r-max", "inf"],
+     "r-max must be finite, got inf"),
+    (["plateau", *REFERENCE_ARGS, "--basis-degree", "20", "--mu-max", "inf"],
+     "mu-max must be finite, got inf"),
+    (["wavefunction", *REFERENCE_ARGS, "--basis-degree", "30", "--samples", "-1"],
+     "samples must be at least 1, got -1"),
+], ids=["potential-r-max-inf", "wavefunction-r-max-inf", "plateau-mu-max-inf",
+        "wavefunction-negative-samples"])
+def test_out_of_range_number_is_config_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 class TestPotentialCommand:
     def test_csv_with_shape_on_stderr(self, capsys):
         code, out, err = run_cli(capsys, "potential", "--A", "-6", "--B", "6", "--C", "3",
