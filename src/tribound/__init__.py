@@ -62,14 +62,12 @@ _LAZY_LAYERS = {
         "QuadratureRule",
         "assemble_system",
         "bound_states",
-        "build_x_matrix",
         "generalized_spectrum",
         "physical_state_bound",
         "plateau_scan",
         "quadrature_matrix",
         "quadrature_rule",
         "solve_bound_states",
-        "symtridiag_eig",
     ),
     "oracle": ("IntegrationResult", "direct_matrix", "direct_matrix_element"),
 }
@@ -117,7 +115,6 @@ __all__ = [
     "associated_params",
     "auto_nu",
     "bound_states",
-    "build_x_matrix",
     "classify_shape",
     "count_sign_changes",
     "default_r_grid",
@@ -144,7 +141,6 @@ __all__ = [
     "signed_log_gamma",
     "solve_bound_states",
     "state_coefficients",
-    "symtridiag_eig",
     "u_of_x",
     "x_of_r",
 ]

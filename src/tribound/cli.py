@@ -237,10 +237,11 @@ def _resolve(args: argparse.Namespace, extra_defaults: dict | None = None) -> di
     return merged
 
 
-def _resolve_nu(cfg: dict) -> float:
+def _resolve_nu(cfg: dict) -> float | None:
+    """The nu setting as a number, or None for 'auto'."""
     nu = cfg["nu"]
     if isinstance(nu, str) and nu.strip().lower() == "auto":
-        return auto_nu(cfg["mu"], cfg["basis_degree"])
+        return None
     return _number(cfg, "nu")
 
 
@@ -257,12 +258,21 @@ def _as_bool(value) -> bool:
     return bool(value)
 
 
-def _validate_basis(mu: float, nu: float, size: int):
+def _basis_nu(mu: float, nu: float | None, size: int) -> float:
+    """nu (None: auto_nu) once mu > -1 and mu + nu < -2*size - 1 hold.
+
+    With auto_nu, mu + nu is -2*size - 2 in exact arithmetic; it fails the
+    check only when float64 loses the size term to a large mu, so the error
+    names mu rather than a sum the user never set.
+    """
     if not mu > -1.0:
         raise ParameterError(f"mu must exceed -1, got {mu}")
-    if not (mu + nu < -2.0 * size - 1.0):
-        raise ParameterError(
-            f"mu + nu = {fmt(mu + nu)} violates mu + nu < -2*{size} - 1")
+    used = auto_nu(mu, size) if nu is None else nu
+    if not mu + used < -2.0 * size - 1.0:
+        if nu is None:
+            raise ParameterError(f"mu = {fmt(mu)} is too large for a basis of {size} functions")
+        raise ParameterError(f"mu + nu = {fmt(mu + nu)} violates mu + nu < -2*{size} - 1")
+    return used
 
 
 def _potential(cfg: dict) -> PotentialParams:
@@ -272,8 +282,7 @@ def _potential(cfg: dict) -> PotentialParams:
 def _solve(cfg: dict):
     """Potential, bound spectrum and JSON params block for spectrum and wavefunction."""
     _bind("solve_bound_states")
-    nu = _resolve_nu(cfg)
-    _validate_basis(cfg["mu"], nu, cfg["basis_degree"])
+    nu = _basis_nu(cfg["mu"], _resolve_nu(cfg), cfg["basis_degree"])
     consistent = _as_bool(cfg["consistent_potential"])
     p = _potential(cfg)
     spectrum = solve_bound_states(p, cfg["basis_degree"], mu=cfg["mu"], nu=nu,
@@ -376,9 +385,7 @@ def _cmd_plateau(args) -> int:
     grid = np.linspace(mu_min, mu_max, steps)
     size = cfg["basis_degree"]
     for m in grid:
-        nu_m = auto_nu(float(m), size)
-        if not (float(m) > -1.0 and float(m) + nu_m < -2.0 * size - 1.0):
-            raise ParameterError(f"grid point mu = {fmt(m)} violates the basis constraints")
+        _basis_nu(float(m), None, size)
     consistent = _as_bool(cfg["consistent_potential"])
     p = _potential(cfg)
     scan = plateau_scan(p, size, grid, consistent_potential=consistent)

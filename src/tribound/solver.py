@@ -2,9 +2,11 @@
 
 The spectrum is computed in a basis whose parameters (mu, nu) are free
 computational choices rather than energy-dependent.  The coordinate operator
-x is tridiagonal in that basis (matrix X); diagonalizing the truncated X
-gives Gauss nodes tau_n and an orthogonal transform Lambda, and any
-multiplication operator w(x) is approximated by Lambda diag(w(tau)) Lambda^T.
+x is tridiagonal in that basis: the truncated matrix X has the recursion
+coefficients F_n on its diagonal and D_n beside it.  Its eigendecomposition
+(Golub-Welsch) gives Gauss nodes tau_n and an orthogonal transform Lambda,
+and any multiplication operator w(x) is approximated by
+Lambda diag(w(tau)) Lambda^T.
 The Hamiltonian (in units lambda^2/2) and the overlap then assemble from a
 few such pieces, and bound states come out of the generalized symmetric
 eigenproblem H f = eps omega f.
@@ -63,7 +65,7 @@ class AssembledSystem:
 
     H: np.ndarray
     omega: np.ndarray
-    rule: QuadratureRule | None = None
+    rule: QuadratureRule
 
 
 @dataclass(frozen=True)
@@ -85,47 +87,27 @@ class BoundSpectrum:
         return self.epsilons.shape[0]
 
 
-def build_x_matrix(basis: BasisParams) -> np.ndarray:
-    """Tridiagonal matrix of the coordinate operator in the basis."""
-    coeffs = recursion_coeffs(basis)
-    x = np.diag(coeffs.F)
-    if basis.size > 1:
-        x += np.diag(coeffs.D, 1) + np.diag(coeffs.D, -1)
-    return x
+def quadrature_rule(basis: BasisParams) -> QuadratureRule:
+    """Gauss rule of the basis: eigendecomposition of its tridiagonal X.
 
-
-def symtridiag_eig(x: np.ndarray) -> QuadratureRule:
-    """Full eigendecomposition of a symmetric tridiagonal matrix.
-
-    Delegates to LAPACK's tridiagonal solver and enforces the residual
-    contract ||X Lam - Lam diag(tau)||_max < 1e-10 ||X||_max.
+    Delegates to LAPACK's tridiagonal solver on the recursion coefficients
+    and enforces the residual contract
+    ||X Lam - Lam diag(tau)||_max < 1e-10 ||X||_max.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ParameterError(f"expected a square matrix, got shape {x.shape}")
-    m = x.shape[0]
-    if m > 2 and np.abs(x - np.diag(np.diag(x)) - np.diag(np.diag(x, 1), 1)
-                        - np.diag(np.diag(x, -1), -1)).max() > 0.0:
-        raise ParameterError("matrix is not tridiagonal")
-    if np.abs(np.diag(x, 1) - np.diag(x, -1)).max(initial=0.0) > 0.0:
-        raise ParameterError("matrix is not symmetric")
-    if m == 1:
-        return QuadratureRule(tau=np.diag(x).copy(), Lam=np.ones((1, 1)))
+    c = recursion_coeffs(basis)
     try:
-        tau, lam = scipy.linalg.eigh_tridiagonal(np.diag(x).copy(), np.diag(x, 1).copy())
+        tau, lam = scipy.linalg.eigh_tridiagonal(c.F, c.D)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"tridiagonal eigensolve failed to converge: {exc}") from exc
-    scale = np.abs(x).max()
-    residual = np.abs(x @ lam - lam * tau).max()
+    x_lam = c.F[:, None] * lam
+    x_lam[:-1] += c.D[:, None] * lam[1:]
+    x_lam[1:] += c.D[:, None] * lam[:-1]
+    residual = np.abs(x_lam - lam * tau).max()
+    scale = max(np.abs(c.F).max(), np.abs(c.D).max(initial=0.0))
     if residual > TRIDIAG_RESIDUAL_TOL * max(scale, 1.0):
         raise SolverError(
             f"tridiagonal eigensolve residual {residual:.3e} exceeds contract")
     return QuadratureRule(tau=tau, Lam=lam)
-
-
-def quadrature_rule(basis: BasisParams) -> QuadratureRule:
-    """Gauss rule of the basis: eigendecomposition of its X matrix."""
-    return symtridiag_eig(build_x_matrix(basis))
 
 
 def quadrature_matrix(rule: QuadratureRule, w: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -168,6 +150,7 @@ def assemble_system(basis: BasisParams, p: PotentialParams,
     finite-difference solution of the radial equation).
     """
     mu, nu = basis.mu, basis.nu
+    c = recursion_coeffs(basis)
     rule = quadrature_rule(basis)
     tau = rule.tau
     if np.any(tau <= 1.0):
@@ -178,7 +161,7 @@ def assemble_system(basis: BasisParams, p: PotentialParams,
     n = np.arange(basis.size, dtype=float)
     diag = 0.25 - p.B - (n + 0.5 * (mu + nu + 1.0)) ** 2
     h = (np.diag(diag)
-         + p.C * build_x_matrix(basis)
+         + p.C * (np.diag(c.F) + np.diag(c.D, 1) + np.diag(c.D, -1))
          + (mu * mu / 2.0) * quadrature_matrix(rule, lambda t: 1.0 / (1.0 - t))
          + ((nu * nu + a_pole) / 2.0) * quadrature_matrix(rule, lambda t: 1.0 / (1.0 + t)))
     omega = quadrature_matrix(rule, lambda t: 1.0 / (t * t - 1.0))
@@ -208,44 +191,27 @@ def _refine_pair(h: np.ndarray, omega: np.ndarray, lam: float,
     return lam, f
 
 
-def _generalized_eigen(sys: AssembledSystem) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigenvalues (ascending), eigenvectors (columns, unit 2-norm), max residual.
+def _generalized_eigen(sys: AssembledSystem) -> tuple[np.ndarray, float]:
+    """Eigenvalues (ascending) and the max relative eigenpair residual.
 
-    Reduces H f = eps omega f to an ordinary symmetric problem through a
-    factorization omega = S S^T, back-transforms, and refines any pair whose
-    residual ||H f - eps omega f|| approaches the 1e-8 ||H|| contract (the
-    plain reduction loses accuracy when omega is ill conditioned at large
-    sizes).
+    omega = Lam diag(g) Lam^T exactly, g = 1/(tau^2 - 1) > 0, so the
+    whitening S = Lam diag(sqrt g) inverts in closed form and reduces
+    H f = eps omega f to an ordinary symmetric problem; this stays accurate
+    where a numerical factorization of the ill-conditioned omega does not.  Any
+    pair whose residual ||H f - eps omega f|| approaches the 1e-8 ||H||
+    contract is refined.
     """
-    h, omega = sys.H, sys.omega
-    m = h.shape[0]
-    if sys.rule is not None:
-        # omega = Lam diag(g) Lam^T exactly, g = 1/(tau^2 - 1) > 0, so the
-        # whitening S = Lam diag(sqrt g) inverts in closed form; this stays
-        # accurate where a Cholesky reduction of the ill-conditioned omega
-        # does not.
-        if np.any(sys.rule.tau ** 2 <= 1.0):
-            raise SolverError("overlap factorization needs all tau > 1")
-        g_isqrt = np.sqrt(sys.rule.tau ** 2 - 1.0)
-        reduced = (g_isqrt[:, None] * (sys.rule.Lam.T @ h @ sys.rule.Lam)
-                   * g_isqrt[None, :])
-        back = sys.rule.Lam * g_isqrt
-    else:
-        try:
-            s = np.linalg.cholesky(omega)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"overlap matrix is not positive definite: {exc}") from exc
-        inv_s_h = scipy.linalg.solve_triangular(s, h, lower=True, check_finite=False)
-        reduced = scipy.linalg.solve_triangular(s, inv_s_h.T, lower=True,
-                                                check_finite=False)
-        back = scipy.linalg.solve_triangular(s.T, np.eye(m), lower=False,
-                                             check_finite=False)
+    h, omega, rule = sys.H, sys.omega, sys.rule
+    if np.any(rule.tau ** 2 <= 1.0):
+        raise SolverError("overlap factorization needs all tau > 1")
+    g_isqrt = np.sqrt(rule.tau ** 2 - 1.0)
+    reduced = g_isqrt[:, None] * (rule.Lam.T @ h @ rule.Lam) * g_isqrt[None, :]
     reduced = 0.5 * (reduced + reduced.T)
     try:
         eigs, y = np.linalg.eigh(reduced)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"symmetric eigensolve failed: {exc}") from exc
-    vecs = back @ y
+    vecs = (rule.Lam * g_isqrt) @ y
     vecs /= np.linalg.norm(vecs, axis=0)
 
     h_norm = np.linalg.norm(h, 2)
@@ -260,8 +226,7 @@ def _generalized_eigen(sys: AssembledSystem) -> tuple[np.ndarray, np.ndarray, fl
         raise SolverError(
             f"generalized eigenpair residual {residuals.max():.3e} exceeds "
             f"{tol:.3e} after refinement")
-    order = np.argsort(eigs, kind="stable")
-    return eigs[order], vecs[:, order], float(residuals.max() / max(h_norm, 1.0))
+    return np.sort(eigs, kind="stable"), float(residuals.max() / max(h_norm, 1.0))
 
 
 def generalized_spectrum(sys: AssembledSystem) -> np.ndarray:
@@ -269,8 +234,7 @@ def generalized_spectrum(sys: AssembledSystem) -> np.ndarray:
 
     Values are eps = 2E/lambda^2 because H is stored pre-scaled.
     """
-    eigs, _, _ = _generalized_eigen(sys)
-    return eigs
+    return _generalized_eigen(sys)[0]
 
 
 def bound_states(eigs: Sequence[float], basis: BasisParams,
@@ -305,7 +269,7 @@ def solve_bound_states(p: PotentialParams, size: int, mu: float = 1.5,
         nu = auto_nu(mu, size)
     basis = BasisParams.from_size(mu, nu, size)
     sys = assemble_system(basis, p, consistent_potential=consistent_potential)
-    eigs, _, max_res = _generalized_eigen(sys)
+    eigs, max_res = _generalized_eigen(sys)
     return bound_states(eigs, basis, max_residual=max_res)
 
 
@@ -369,28 +333,17 @@ def plateau_scan(p: PotentialParams, size: int, mu_grid: Sequence[float],
         raise ParameterError("mu grid must not be empty")
     if np.any(np.diff(grid) <= 0.0):
         raise ParameterError("mu grid must be strictly ascending")
-    spectra = [solve_bound_states(p, size, mu=float(m), nu=auto_nu(float(m), size),
+    spectra = [solve_bound_states(p, size, mu=float(m),
                                   consistent_potential=consistent_potential)
                for m in grid]
     scan = PlateauScan(mu_grid=grid, spectra=spectra)
-    stats: list[PlateauStat] = []
-    table = scan.table()
-    for k in range(scan.state_count):
-        col = table[:, k]
-        if grid.size < 2:
-            stats.append(PlateauStat(state=k, delta=None, mu_lo=float(grid[0]),
-                                     mu_hi=float(grid[0]), points=1))
-            continue
+    for k, col in enumerate(scan.table().T):
         lo, hi = _longest_plateau(col)
-        if hi - lo < 2:
-            stats.append(PlateauStat(state=k, delta=None, mu_lo=float(grid[lo]),
-                                     mu_hi=float(grid[lo]), points=1))
-            continue
         seg = col[lo:hi]
-        stats.append(PlateauStat(state=k, delta=float(seg.max() - seg.min()),
-                                 mu_lo=float(grid[lo]), mu_hi=float(grid[hi - 1]),
-                                 points=hi - lo))
-    return PlateauScan(mu_grid=grid, spectra=spectra, stats=stats)
+        scan.stats.append(PlateauStat(
+            state=k, delta=float(seg.max() - seg.min()) if hi - lo > 1 else None,
+            mu_lo=float(grid[lo]), mu_hi=float(grid[hi - 1]), points=hi - lo))
+    return scan
 
 
 def physical_state_bound(p: PotentialParams) -> int | None:

@@ -198,6 +198,22 @@ def test_out_of_range_number_is_config_error(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+# With nu = auto, mu + nu = -2*size - 2 exactly; a large mu loses the size
+# term in float64, and the error must name mu, not a cancelled sum.
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", *REFERENCE_ARGS, "--basis-degree", "10", "--mu", "1e300"],
+     "mu = 1e+300 is too large for a basis of 10 functions"),
+    (["plateau", *REFERENCE_ARGS, "--mu-min", "1e17", "--mu-max", "2e17", "--mu-steps", "2"],
+     "mu = 1e+17 is too large for a basis of 100 functions"),
+    (["plateau", *REFERENCE_ARGS, "--mu-min", "-2"],
+     "mu must exceed -1, got -2.0"),
+], ids=["spectrum-huge-mu", "plateau-huge-mu", "plateau-mu-below-minus-one"])
+def test_auto_nu_basis_error_names_mu(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 class TestPotentialCommand:
     def test_csv_with_shape_on_stderr(self, capsys):
         code, out, err = run_cli(capsys, "potential", "--A", "-6", "--B", "6", "--C", "3",

@@ -79,10 +79,13 @@ def test_public_names_resolve_lazily():
         "scope = {}\n"
         "exec('from tribound import *', scope)\n"
         "unbound = sorted(set(names) - set(scope))\n"
-        "print(json.dumps([len(names), missing, listed, unbound, tribound.oracle.__name__]))")
-    count, missing, listed, unbound, oracle = json.loads(out)
-    assert count == 53
-    assert missing == [] and listed == [] and unbound == []
+        "stale = [n for layer, lazy in tribound._LAZY_LAYERS.items() for n in lazy\n"
+        "         if not hasattr(getattr(tribound, layer), n)]\n"
+        "print(json.dumps([len(names), missing, listed, unbound, stale,\n"
+        "                  tribound.oracle.__name__]))")
+    count, missing, listed, unbound, stale, oracle = json.loads(out)
+    assert count == 51
+    assert missing == [] and listed == [] and unbound == [] and stale == []
     assert oracle == "tribound.oracle"
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from tribound.errors import ParameterError, SolverError
 from tribound.oracle import direct_matrix, direct_matrix_element
-from tribound.recursion import BasisParams, auto_nu
-from tribound.solver import build_x_matrix, quadrature_matrix, quadrature_rule
+from tribound.recursion import BasisParams, auto_nu, recursion_coeffs
+from tribound.solver import quadrature_matrix, quadrature_rule
 
 
 def basis_of_size(size, mu=1.5):
@@ -48,7 +48,8 @@ class TestAgainstQuadrature:
     def test_coordinate_kernel_exact(self):
         for size in (2, 4, 5):
             basis = basis_of_size(size)
-            x = build_x_matrix(basis)
+            c = recursion_coeffs(basis)
+            x = np.diag(c.F) + np.diag(c.D, 1) + np.diag(c.D, -1)
             direct = direct_matrix(basis, lambda t: t)
             assert np.abs(x - direct).max() < 1e-8
 

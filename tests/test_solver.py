@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tribound.errors import ParameterError, SolverError
 from tribound.oracle import direct_matrix
@@ -9,16 +10,15 @@ from tribound.potential import PotentialParams
 from tribound.recursion import BasisParams, auto_nu, recursion_coeffs
 from tribound.solver import (
     AssembledSystem,
+    QuadratureRule,
     assemble_system,
     bound_states,
-    build_x_matrix,
     generalized_spectrum,
     physical_state_bound,
     plateau_scan,
     quadrature_matrix,
     quadrature_rule,
     solve_bound_states,
-    symtridiag_eig,
 )
 
 REFERENCE_POTENTIAL = PotentialParams(A=-300.0, B=5.0, C=3.0)
@@ -28,58 +28,66 @@ def sized_basis(size, mu=1.5):
     return BasisParams.from_size(mu, auto_nu(mu, size), size)
 
 
+def x_matrix(basis):
+    """Dense coordinate matrix X: F_n on the diagonal, D_n beside it."""
+    c = recursion_coeffs(basis)
+    return np.diag(c.F) + np.diag(c.D, 1) + np.diag(c.D, -1)
+
+
+def diagonal_pencil(h, g):
+    """(H, omega = diag(g)) with the rule that factors omega: Lam = I, tau = sqrt(1 + 1/g)."""
+    g = np.asarray(g, dtype=float)
+    rule = QuadratureRule(tau=np.sqrt(1.0 + 1.0 / g), Lam=np.eye(g.size))
+    return AssembledSystem(H=np.asarray(h, dtype=float), omega=np.diag(g), rule=rule)
+
+
 class TestXMatrix:
     def test_scalar_basis(self):
         basis = BasisParams(mu=1.5, nu=-25.5, N=0)
-        x = build_x_matrix(basis)
+        x = x_matrix(basis)
         c = recursion_coeffs(basis)
         assert x.shape == (1, 1) and x[0, 0] == c.F[0]
 
     def test_first_diagonal_entry(self):
-        x = build_x_matrix(BasisParams(mu=1.5, nu=-25.5, N=10))
+        x = x_matrix(BasisParams(mu=1.5, nu=-25.5, N=10))
         assert x[0, 0] == pytest.approx(648.0 / 528.0, rel=1e-14)
-
-    def test_symmetric_tridiagonal_structure(self):
-        x = build_x_matrix(sized_basis(6))
-        assert np.array_equal(x, x.T)
-        assert np.all(np.triu(x, 2) == 0.0)
 
     def test_matches_integration_oracle(self):
         basis = sized_basis(4)
-        x = build_x_matrix(basis)
+        x = x_matrix(basis)
         direct = direct_matrix(basis, lambda x_: x_)
         assert np.abs(x - direct).max() < 1e-8
 
 
 class TestSymtridiagEig:
-    def test_one_by_one(self):
-        rule = symtridiag_eig(np.array([[3.7]]))
-        assert rule.tau.tolist() == [3.7]
-        assert rule.Lam.tolist() == [[1.0]]
+    """The Gauss rule: symmetric tridiagonal eigendecomposition of X."""
 
-    def test_two_by_two_antidiagonal(self):
-        rule = symtridiag_eig(np.array([[0.0, 2.5], [2.5, 0.0]]))
-        assert rule.tau == pytest.approx([-2.5, 2.5], rel=1e-14)
+    def test_one_by_one(self):
+        basis = BasisParams(mu=1.5, nu=-25.5, N=0)
+        rule = quadrature_rule(basis)
+        assert rule.tau.tolist() == recursion_coeffs(basis).F.tolist()
+        assert rule.Lam.tolist() == [[1.0]]
 
     def test_rule_contracts(self):
         basis = sized_basis(10)
-        x = build_x_matrix(basis)
-        rule = symtridiag_eig(x)
+        x = x_matrix(basis)
+        rule = quadrature_rule(basis)
         m = rule.size
         assert np.abs(rule.Lam.T @ rule.Lam - np.eye(m)).max() < 1e-10
         assert np.abs((rule.Lam * rule.tau) @ rule.Lam.T - x).max() < 1e-10
         assert np.all(np.diff(rule.tau) > 0.0)
         assert rule.tau.min() > 1.0
 
-    def test_rejects_non_tridiagonal(self):
-        bad = np.ones((4, 4))
-        with pytest.raises(ParameterError):
-            symtridiag_eig(bad)
+    def test_residual_contract_enforced(self, monkeypatch):
+        eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
 
-    def test_rejects_asymmetric(self):
-        bad = np.diag(np.ones(3)) + np.diag([1.0, 2.0], 1) + np.diag([1.0, 1.0], -1)
-        with pytest.raises(ParameterError):
-            symtridiag_eig(bad)
+        def perturbed(d, e):
+            tau, lam = eigh_tridiagonal(d, e)
+            return tau, lam + 1e-6
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
+        with pytest.raises(SolverError, match="exceeds contract"):
+            quadrature_rule(sized_basis(10))
 
     def test_node_positivity_randomized(self):
         rng = np.random.default_rng(23)
@@ -102,7 +110,7 @@ class TestQuadratureMatrix:
         basis = sized_basis(8)
         rule = quadrature_rule(basis)
         q = quadrature_matrix(rule, lambda t: t)
-        assert np.abs(q - build_x_matrix(basis)).max() < 1e-12
+        assert np.abs(q - x_matrix(basis)).max() < 1e-12
 
     def test_polynomial_exactness_against_oracle(self):
         # Gauss rule of size M integrates degree <= 2M-1 exactly, so entries
@@ -152,16 +160,15 @@ class TestAssembly:
 
 class TestGeneralizedSpectrum:
     def test_identity_pencil(self):
-        m = np.eye(4)
-        sys = AssembledSystem(H=m, omega=m)
+        sys = diagonal_pencil(np.eye(4), np.ones(4))
         assert generalized_spectrum(sys) == pytest.approx(np.ones(4), rel=1e-12)
 
     def test_one_by_one(self):
-        sys = AssembledSystem(H=np.array([[6.0]]), omega=np.array([[2.0]]))
+        sys = diagonal_pencil([[6.0]], [2.0])
         assert generalized_spectrum(sys)[0] == pytest.approx(3.0, rel=1e-14)
 
     def test_non_definite_overlap_rejected(self):
-        sys = AssembledSystem(H=np.eye(2), omega=np.diag([1.0, -1.0]))
+        sys = diagonal_pencil(np.eye(2), [1.0, -1.0])
         with pytest.raises(SolverError):
             generalized_spectrum(sys)
 
