@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError, SolverError
 from .potential import PotentialParams, classify_shape, max_basis_index, potential_value
-from .recursion import BasisParams, auto_nu
+from .recursion import BasisParams, basis_nu
 from .wavefunction import sample_wavefunction
 
 # Names from the scipy-backed layers, resolved through the package (which
@@ -245,6 +245,13 @@ def _resolve_nu(cfg: dict) -> float | None:
     return _number(cfg, "nu")
 
 
+def _require_auto_nu(cfg: dict, command: str):
+    """Refuse an explicit nu for the commands that always use auto_nu."""
+    if _resolve_nu(cfg) is not None:
+        raise ParameterError(f"{command} always uses nu = auto "
+                             f"(-2*basis_degree - mu - 2), got nu = {cfg['nu']}")
+
+
 def _as_bool(value) -> bool:
     if isinstance(value, bool):
         return value
@@ -258,23 +265,6 @@ def _as_bool(value) -> bool:
     return bool(value)
 
 
-def _basis_nu(mu: float, nu: float | None, size: int) -> float:
-    """nu (None: auto_nu) once mu > -1 and mu + nu < -2*size - 1 hold.
-
-    With auto_nu, mu + nu is -2*size - 2 in exact arithmetic; it fails the
-    check only when float64 loses the size term to a large mu, so the error
-    names mu rather than a sum the user never set.
-    """
-    if not mu > -1.0:
-        raise ParameterError(f"mu must exceed -1, got {mu}")
-    used = auto_nu(mu, size) if nu is None else nu
-    if not mu + used < -2.0 * size - 1.0:
-        if nu is None:
-            raise ParameterError(f"mu = {fmt(mu)} is too large for a basis of {size} functions")
-        raise ParameterError(f"mu + nu = {fmt(mu + nu)} violates mu + nu < -2*{size} - 1")
-    return used
-
-
 def _potential(cfg: dict) -> PotentialParams:
     return PotentialParams(A=cfg["A"], B=cfg["B"], C=cfg["C"], lam=cfg["lam"])
 
@@ -282,7 +272,7 @@ def _potential(cfg: dict) -> PotentialParams:
 def _solve(cfg: dict):
     """Potential, bound spectrum and JSON params block for spectrum and wavefunction."""
     _bind("solve_bound_states")
-    nu = _basis_nu(cfg["mu"], _resolve_nu(cfg), cfg["basis_degree"])
+    nu = basis_nu(cfg["mu"], _resolve_nu(cfg), cfg["basis_degree"])
     consistent = _as_bool(cfg["consistent_potential"])
     p = _potential(cfg)
     spectrum = solve_bound_states(p, cfg["basis_degree"], mu=cfg["mu"], nu=nu,
@@ -378,14 +368,13 @@ def _cmd_plateau(args) -> int:
     _bind("plateau_scan")
     cfg = _resolve(args, {"mu_min": 1.0, "mu_max": 2.0, "mu_steps": 11,
                           "consistent_potential": False})
+    _require_auto_nu(cfg, "plateau")
     mu_min, mu_max = _number(cfg, "mu_min"), _number(cfg, "mu_max")
     steps = _number(cfg, "mu_steps", int)
     if steps < 1 or (steps == 1 and mu_min != mu_max) or mu_min > mu_max:
         raise ParameterError("invalid mu grid specification")
     grid = np.linspace(mu_min, mu_max, steps)
     size = cfg["basis_degree"]
-    for m in grid:
-        _basis_nu(float(m), None, size)
     consistent = _as_bool(cfg["consistent_potential"])
     p = _potential(cfg)
     scan = plateau_scan(p, size, grid, consistent_potential=consistent)
@@ -404,6 +393,7 @@ def _cmd_plateau(args) -> int:
 def _cmd_check_quadrature(args) -> int:
     _bind("quadrature_rule", "quadrature_matrix", "direct_matrix")
     cfg = _resolve(args, {"max_degree": 5})
+    _require_auto_nu(cfg, "check-quadrature")
     max_degree = _number(cfg, "max_degree", int)
     if max_degree > 8:
         raise ParameterError(f"max degree is capped at 8, got {max_degree}")
@@ -412,7 +402,7 @@ def _cmd_check_quadrature(args) -> int:
     mu = cfg["mu"]
     rows = []
     for size in range(2, max_degree + 1):
-        basis = BasisParams.from_size(mu, auto_nu(mu, size), size)
+        basis = BasisParams.from_size(mu, basis_nu(mu, None, size), size)
         rule = quadrature_rule(basis)
         for name, w in _KERNELS:
             diff = np.abs(quadrature_matrix(rule, w) - direct_matrix(basis, w))

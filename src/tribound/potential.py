@@ -81,6 +81,18 @@ class ShapeReport:
     satisfies_B_ge_C: bool = False
 
 
+def _coth_pieces(lam: float, r):
+    """-2t, e^{-2t} and 1 - e^{-2t} for t = lambda r, r already checked positive.
+
+    coth t - 1 = 2 e^{-2t} / (1 - e^{-2t}) and the hyperbolic ratios of V are
+    stable in these for all t > 0; x_of_r, potential_value and
+    sample_wavefunction share them, one exp and one expm1 per point.
+    """
+    m2t = lam * r
+    m2t *= -2.0
+    return m2t, np.exp(m2t), -np.expm1(m2t)
+
+
 def x_of_r(lam: float, r):
     """x = coth(lambda r); strictly decreasing in r with limit 1 at infinity.
 
@@ -92,10 +104,8 @@ def x_of_r(lam: float, r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
         raise ParameterError("r must be positive and finite")
-    t = lam * r
-    # coth t - 1 = 2 e^{-2t} / (1 - e^{-2t}), stable for all t > 0
-    em = -np.expm1(-2.0 * t)
-    x = 1.0 + 2.0 * np.exp(-2.0 * t) / em
+    _, q, em = _coth_pieces(lam, r)
+    x = 1.0 + 2.0 * q / em
     return x if x.shape else float(x)
 
 
@@ -125,12 +135,11 @@ def potential_value(p: PotentialParams, r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
         raise ParameterError("r must be positive and finite")
-    t = p.lam * r
-    q = np.exp(-2.0 * t)
-    em = -np.expm1(-2.0 * t)          # 1 - e^{-2t}
+    _, q, em = _coth_pieces(p.lam, r)
+    q4 = 4.0 * q
     coth_m1 = 2.0 * q / em
-    inv_sinh2 = 4.0 * q / em**2
-    cosh_over_sinh3 = 4.0 * q * (1.0 + q) / em**3
+    inv_sinh2 = q4 / em**2
+    cosh_over_sinh3 = q4 * (1.0 + q) / em**3
     v = 0.5 * p.lam**2 * (p.A * coth_m1 - p.B * inv_sinh2 + p.C * cosh_over_sinh3)
     return v if v.shape else float(v)
 

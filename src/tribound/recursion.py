@@ -77,6 +77,23 @@ def auto_nu(mu: float, size: int) -> float:
     return -2.0 * size - mu - 2.0
 
 
+def basis_nu(mu: float, nu: float | None, size: int) -> float:
+    """nu (None: auto_nu) once mu > -1 and mu + nu < -2*size - 1 hold.
+
+    With auto_nu, mu + nu is -2*size - 2 in exact arithmetic; it fails the
+    check only when float64 loses the size term to a large mu, so the error
+    names mu rather than a sum the caller never set.
+    """
+    if not mu > -1.0:
+        raise ParameterError(f"mu must exceed -1, got {mu}")
+    used = auto_nu(mu, size) if nu is None else nu
+    if not mu + used < -2.0 * size - 1.0:
+        if nu is None:
+            raise ParameterError(f"mu = {mu:.10g} is too large for a basis of {size} functions")
+        raise ParameterError(f"mu + nu = {mu + nu:.10g} violates mu + nu < -2*{size} - 1")
+    return used
+
+
 def nu_energy_independent(mu: float, A: float) -> float:
     """The optional nu-elimination rule nu = -sqrt(mu^2 - 2A).
 

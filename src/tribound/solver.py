@@ -27,7 +27,7 @@ import scipy.linalg
 
 from .errors import ParameterError, SolverError
 from .potential import PotentialParams, max_basis_index
-from .recursion import BasisParams, auto_nu, recursion_coeffs
+from .recursion import BasisParams, basis_nu, recursion_coeffs
 
 # Eigenvalues above this are discarded as continuum-discretization artifacts.
 BOUND_STATE_CUTOFF = -1e-10
@@ -262,11 +262,11 @@ def solve_bound_states(p: PotentialParams, size: int, mu: float = 1.5,
                        consistent_potential: bool = False) -> BoundSpectrum:
     """End-to-end spectrum for a basis of `size` functions.
 
-    nu defaults to the stability-plateau choice -2*size - mu - 2.  See
+    nu defaults to the stability-plateau choice -2*size - mu - 2; a mu too
+    large for that choice in float64 is refused with an error naming mu.  See
     assemble_system for the meaning of consistent_potential.
     """
-    if nu is None:
-        nu = auto_nu(mu, size)
+    nu = basis_nu(mu, nu, size)
     basis = BasisParams.from_size(mu, nu, size)
     sys = assemble_system(basis, p, consistent_potential=consistent_potential)
     eigs, max_res = _generalized_eigen(sys)

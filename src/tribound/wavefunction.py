@@ -16,12 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .potential import PotentialParams
+from .potential import PotentialParams, _coth_pieces
 from .recursion import EnergyParams, energy_params, expansion_coefficients
 from .special import JacobiPair, jacobi_sequence, log_gamma_ratio
 
 # Magnitudes with ln|psi| below this emit exact 0.0.
 LOG_UNDERFLOW = -700.0
+
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -96,8 +98,12 @@ def sample_wavefunction(k: int, epsilon_k: float, p: PotentialParams,
     """Evaluate psi_k on a strictly ascending positive grid.
 
     The prefactor is evaluated in log space (it spans hundreds of orders over
-    the default grid) and combined with the series value only where the
-    latter is nonzero; anything below exp(-700) flushes to exact 0.0.
+    the default grid): ln(x - 1) = ln 2 - 2t - ln(1 - e^{-2t}) and
+    ln(x + 1) = ln 2 - ln(1 - e^{-2t}) share the coth pieces of V(r).  It is
+    combined with the series on the whole grid at once: ln|psi| = ln|series|
+    + ln(prefactor), exponentiated and given the series' sign.  Points with
+    ln|psi| below -700 flush to exact 0.0 and count as clamped, as do NaN
+    series values; a zero series value gives an exact 0.0 and is not counted.
     """
     r = np.asarray(r_grid, dtype=float)
     if r.ndim != 1 or r.size == 0:
@@ -107,24 +113,32 @@ def sample_wavefunction(k: int, epsilon_k: float, p: PotentialParams,
     energy, f, c = state_coefficients(k, epsilon_k, p.A, p.B, p.C, n_terms)
     n_max = f.shape[0] - 1
 
-    t = p.lam * r
-    em = -np.expm1(-2.0 * t)                       # 1 - e^{-2t}
-    x = 1.0 + 2.0 * np.exp(-2.0 * t) / em          # coth(t)
-    ln_xm1 = math.log(2.0) - 2.0 * t - np.log(em)  # ln(x - 1)
-    ln_xp1 = math.log(2.0) - np.log(em)            # ln(x + 1)
-    ln_pref = 0.5 * energy.mu_k * ln_xm1 + 0.5 * energy.nu_k * ln_xp1
+    # The buffers of -2t and e^{-2t} become ln_pref and x in place.  Every
+    # float operation keeps the order of the direct formulas (ln(x - 1) is
+    # (ln 2 - 2t) - ln(em), not ln(x + 1) - 2t), so psi is bit-identical.
+    ln_pref, x, em = _coth_pieces(p.lam, r)
+    ln_em = np.log(em)
+    x *= 2.0                                       # coth t = 1 + 2e^{-2t}/em
+    x /= em
+    x += 1.0
+    ln_pref += _LN2                                # ln(x - 1)
+    ln_pref -= ln_em
+    np.subtract(_LN2, ln_em, out=ln_em)            # ln(x + 1)
+    ln_pref *= 0.5 * energy.mu_k
+    ln_em *= 0.5 * energy.nu_k
+    ln_pref += ln_em
 
     poly = jacobi_sequence(JacobiPair(energy.mu_k, energy.nu_k), n_max, x)
     series = (c * f) @ poly.reshape(n_max + 1, -1)
-    series = series.reshape(x.shape)
 
-    psi = np.zeros_like(x)
-    nz = series != 0.0
-    ln_mag = ln_pref[nz] + np.log(np.abs(series[nz]))
-    keep = ln_mag >= LOG_UNDERFLOW
-    vals = np.zeros(ln_mag.shape)
-    vals[keep] = np.sign(series[nz][keep]) * np.exp(ln_mag[keep])
-    psi[nz] = vals
+    with np.errstate(divide="ignore", under="ignore"):
+        psi = np.log(np.abs(series))
+        psi += ln_pref                             # ln|psi|; -inf where series = 0
+        keep = psi >= LOG_UNDERFLOW
+        np.exp(psi, out=psi)
+        np.copysign(psi, series, out=psi)
+    clamped = int(np.count_nonzero(series) - np.count_nonzero(keep))
+    psi[~keep] = 0.0
     return WavefunctionTable(
         state_index=k,
         r_grid=r,
@@ -133,7 +147,7 @@ def sample_wavefunction(k: int, epsilon_k: float, p: PotentialParams,
         mu_k=energy.mu_k,
         nu_k=energy.nu_k,
         terms_used=n_max + 1,
-        clamped_count=int(np.size(keep) - np.count_nonzero(keep)),
+        clamped_count=clamped,
     )
 
 

@@ -214,6 +214,38 @@ def test_auto_nu_basis_error_names_mu(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+# plateau and check-quadrature always use auto_nu; an explicit nu, from a
+# flag or a config file, is refused rather than silently ignored.
+@pytest.mark.parametrize("argv, config, command", [
+    (["plateau", *REFERENCE_ARGS, "--basis-degree", "10", "--mu-steps", "2", "--nu=-5"],
+     None, "plateau"),
+    (["check-quadrature", *REFERENCE_ARGS, "--max-degree", "3", "--nu=-5"],
+     None, "check-quadrature"),
+    (["plateau", *REFERENCE_ARGS, "--basis-degree", "10", "--mu-steps", "2"],
+     "nu = -5\n", "plateau"),
+    (["check-quadrature", *REFERENCE_ARGS, "--max-degree", "3"],
+     "nu = -5\n", "check-quadrature"),
+], ids=["plateau-flag", "check-quadrature-flag", "plateau-config", "check-quadrature-config"])
+def test_explicit_nu_refused(capsys, tmp_path, argv, config, command):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (f"error: {command} always uses nu = auto "
+                   "(-2*basis_degree - mu - 2), got nu = -5\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["plateau", *REFERENCE_ARGS, "--basis-degree", "10", "--mu-steps", "1",
+     "--mu-max", "1", "--nu", "auto"],
+    ["check-quadrature", *REFERENCE_ARGS, "--max-degree", "2", "--nu", "auto"],
+], ids=["plateau", "check-quadrature"])
+def test_auto_nu_flag_accepted(capsys, argv):
+    assert run_cli(capsys, *argv)[0] == 0
+
+
 class TestPotentialCommand:
     def test_csv_with_shape_on_stderr(self, capsys):
         code, out, err = run_cli(capsys, "potential", "--A", "-6", "--B", "6", "--C", "3",

@@ -119,6 +119,41 @@ class TestCoordinateMap:
             r_of_x(1.0, 0.5)
 
 
+def direct_coth_pieces(p, r):
+    """x_of_r and potential_value by the direct formulas, each piece computing
+    its own exp(-2t) and expm1(-2t): the reference that the shared pieces
+    must match bit for bit."""
+    r = np.asarray(r, dtype=float)
+    t = p.lam * r
+    em = -np.expm1(-2.0 * t)
+    x = 1.0 + 2.0 * np.exp(-2.0 * t) / em
+    q = np.exp(-2.0 * t)
+    coth_m1 = 2.0 * q / em
+    inv_sinh2 = 4.0 * q / em**2
+    cosh_over_sinh3 = 4.0 * q * (1.0 + q) / em**3
+    v = 0.5 * p.lam**2 * (p.A * coth_m1 - p.B * inv_sinh2 + p.C * cosh_over_sinh3)
+    return (x, v) if x.shape else (float(x), float(v))
+
+
+@pytest.mark.parametrize("p", [
+    PotentialParams(A=-300.0, B=5.0, C=3.0),
+    PotentialParams(A=-20.0, B=5.0, C=3.0, lam=0.7),
+    PotentialParams(A=-2000.0, B=40.0, C=1.0, lam=2.5),
+    PotentialParams(A=1.5, B=-2.0, C=7.0, lam=1e-3),
+])
+def test_shared_coth_pieces_bit_identical_to_direct_form(p):
+    for r in (np.geomspace(1e-6, 400.0, 5000), np.linspace(0.05, 10.0, 400),
+              np.geomspace(1e-3, 15.0, 10**5)):
+        x, v = direct_coth_pieces(p, r)
+        assert np.array_equal(x_of_r(p.lam, r), x)
+        assert np.array_equal(potential_value(p, r), v)
+    for r in (1e-8, 0.3, 1.0, 17.0, 350.0):
+        x, v = direct_coth_pieces(p, r)
+        got_x, got_v = x_of_r(p.lam, r), potential_value(p, r)
+        assert type(got_x) is float and type(got_v) is float
+        assert (got_x, got_v) == (x, v)
+
+
 class TestClassifyShape:
     def test_single_admissible_crossing(self):
         # gamma = 2, xi = -2: x_+ = (1 + sqrt(17))/2, the x_- root is < 1

@@ -218,6 +218,20 @@ class TestBoundStates:
         assert len(spectrum) == 0
 
 
+# With nu = auto, mu + nu = -2*size - 2 exactly; float64 loses the size term
+# once mu is large, and the library must name mu, not the cancelled sum.
+@pytest.mark.parametrize("call, message", [
+    (lambda: solve_bound_states(REFERENCE_POTENTIAL, 10, mu=1e300),
+     "mu = 1e+300 is too large for a basis of 10 functions"),
+    (lambda: plateau_scan(REFERENCE_POTENTIAL, 100, [1e17, 2e17]),
+     "mu = 1e+17 is too large for a basis of 100 functions"),
+], ids=["solve_bound_states", "plateau_scan"])
+def test_auto_nu_basis_error_names_mu(call, message):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestPlateauScan:
     def test_single_point_grid(self):
         scan = plateau_scan(REFERENCE_POTENTIAL, 20, [1.5])

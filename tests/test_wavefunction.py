@@ -8,7 +8,9 @@ import pytest
 from tribound.errors import ParameterError
 from tribound.potential import PotentialParams
 from tribound.solver import solve_bound_states
+from tribound.special import JacobiPair, jacobi_sequence
 from tribound.wavefunction import (
+    LOG_UNDERFLOW,
     count_sign_changes,
     default_r_grid,
     sample_wavefunction,
@@ -129,6 +131,48 @@ class TestSampleWavefunction:
         assert table.terms_used == 2
         assert table.epsilon == eps1
         assert table.mu_k == pytest.approx(math.sqrt(-eps1), rel=1e-14)
+
+
+def masked_index_sampler(k, epsilon_k, p, r):
+    """psi and clamped count by the direct formulas, combined only at the
+    nonzero series values through masked copies: the reference that the
+    whole-array sampler must match bit for bit."""
+    energy, f, c = state_coefficients(k, epsilon_k, p.A, p.B, p.C)
+    n_max = f.shape[0] - 1
+    t = p.lam * r
+    em = -np.expm1(-2.0 * t)
+    x = 1.0 + 2.0 * np.exp(-2.0 * t) / em
+    ln_xm1 = math.log(2.0) - 2.0 * t - np.log(em)
+    ln_xp1 = math.log(2.0) - np.log(em)
+    ln_pref = 0.5 * energy.mu_k * ln_xm1 + 0.5 * energy.nu_k * ln_xp1
+    poly = jacobi_sequence(JacobiPair(energy.mu_k, energy.nu_k), n_max, x)
+    series = (c * f) @ poly.reshape(n_max + 1, -1)
+    psi = np.zeros_like(x)
+    nz = series != 0.0
+    ln_mag = ln_pref[nz] + np.log(np.abs(series[nz]))
+    keep = ln_mag >= LOG_UNDERFLOW
+    vals = np.zeros(ln_mag.shape)
+    vals[keep] = np.sign(series[nz][keep]) * np.exp(ln_mag[keep])
+    psi[nz] = vals
+    return psi, int(np.size(keep) - np.count_nonzero(keep))
+
+
+@pytest.mark.parametrize("consistent", [False, True], ids=["reference", "consistent"])
+@pytest.mark.parametrize("grid, clamps", [
+    (np.geomspace(1e-3, 15.0, 10**5), False),
+    (np.geomspace(1e-6, 400.0, 5000), True),
+], ids=["states-grid", "wide-grid"])
+def test_sampler_bit_identical_to_masked_index_form(consistent, grid, clamps):
+    spectrum = solve_bound_states(REFERENCE_POTENTIAL, 50, consistent_potential=consistent)
+    assert len(spectrum) == (8 if consistent else 5)
+    clamped_total = 0
+    for k, eps in enumerate(spectrum.epsilons.tolist()):
+        table = sample_wavefunction(k, eps, REFERENCE_POTENTIAL, grid)
+        psi, clamped = masked_index_sampler(k, eps, REFERENCE_POTENTIAL, grid)
+        assert np.array_equal(table.psi, psi)
+        assert table.clamped_count == clamped
+        clamped_total += clamped
+    assert (clamped_total > 0) == clamps
 
 
 def test_default_grid_spans_singularity_and_tail():
