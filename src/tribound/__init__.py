@@ -22,33 +22,18 @@ from .potential import (
     x_of_r,
 )
 from .recursion import (
-    AssociatedParams,
     BasisParams,
-    EnergyParams,
-    RecursionCoeffs,
-    associated_params,
     auto_nu,
-    energy_params,
     expansion_coefficients,
     h_polynomial_sequence,
-    nu_energy_independent,
     recursion_coeffs,
 )
-from .special import (
-    JacobiPair,
-    SignedLogMagnitude,
-    jacobi_derivative,
-    jacobi_eval,
-    jacobi_sequence,
-    normalization_c,
-    signed_log_gamma,
-)
+from .special import JacobiPair, jacobi_sequence
 from .wavefunction import (
     WavefunctionTable,
     count_sign_changes,
     default_r_grid,
     sample_wavefunction,
-    state_coefficients,
 )
 
 # The solver imports scipy.linalg and the oracle scipy.integrate; neither is
@@ -62,14 +47,12 @@ _LAZY_LAYERS = {
         "QuadratureRule",
         "assemble_system",
         "bound_states",
-        "generalized_spectrum",
-        "physical_state_bound",
         "plateau_scan",
         "quadrature_matrix",
         "quadrature_rule",
         "solve_bound_states",
     ),
-    "oracle": ("IntegrationResult", "direct_matrix", "direct_matrix_element"),
+    "oracle": ("direct_matrix",),
 }
 _LAZY = {name: layer for layer, names in _LAZY_LAYERS.items() for name in names}
 
@@ -93,44 +76,30 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssembledSystem",
-    "AssociatedParams",
     "BasisParams",
     "BoundSpectrum",
     "Crossing",
-    "EnergyParams",
     "Extremum",
-    "IntegrationResult",
     "JacobiPair",
     "ParameterError",
     "PlateauScan",
     "PlateauStat",
     "PotentialParams",
     "QuadratureRule",
-    "RecursionCoeffs",
     "ShapeReport",
-    "SignedLogMagnitude",
     "SolverError",
     "WavefunctionTable",
     "assemble_system",
-    "associated_params",
     "auto_nu",
     "bound_states",
     "classify_shape",
     "count_sign_changes",
     "default_r_grid",
     "direct_matrix",
-    "direct_matrix_element",
-    "energy_params",
     "expansion_coefficients",
-    "generalized_spectrum",
     "h_polynomial_sequence",
-    "jacobi_derivative",
-    "jacobi_eval",
     "jacobi_sequence",
     "max_basis_index",
-    "normalization_c",
-    "nu_energy_independent",
-    "physical_state_bound",
     "plateau_scan",
     "potential_value",
     "quadrature_matrix",
@@ -138,9 +107,7 @@ __all__ = [
     "r_of_x",
     "recursion_coeffs",
     "sample_wavefunction",
-    "signed_log_gamma",
     "solve_bound_states",
-    "state_coefficients",
     "u_of_x",
     "x_of_r",
 ]

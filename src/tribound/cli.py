@@ -324,7 +324,11 @@ def _cmd_potential(args) -> int:
     if p.C == 0.0:
         raise ParameterError("potential command needs C != 0 (figure units are lambda^2 C / 2)")
     # V in units lambda^2 C / 2
-    v = potential_value(p, r) / (0.5 * p.lam**2 * p.C)
+    v = potential_value(p, r)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v /= 0.5 * p.lam**2 * p.C
+    if not np.all(np.isfinite(v)):
+        raise ParameterError(f"V / (lambda^2 C / 2) overflows float64 at lambda = {p.lam:.6g}")
     doc = {
         "command": "potential",
         "params": {"A": p.A, "B": p.B, "C": p.C, "lambda": p.lam,

@@ -32,6 +32,9 @@ _T_HI = 692.0
 # 1e7-evaluation budget.
 _LIMIT = 1500
 
+# Absolute and relative tolerance every element must meet.
+_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class IntegrationResult:
@@ -40,13 +43,13 @@ class IntegrationResult:
     evaluations: int
 
 
-def direct_matrix_element(basis: BasisParams, w, n: int, m: int,
-                          tol: float = 1e-10) -> IntegrationResult:
+def direct_matrix_element(basis: BasisParams, w, n: int, m: int) -> IntegrationResult:
     """Adaptive-quadrature matrix element of the kernel w between states n, m.
 
-    Raises SolverError when the error estimate cannot be brought below tol
-    within the evaluation budget.  Kernels singular at x = 1 need mu large
-    enough for an integrable product (mu > 0 for a simple 1/(x-1) pole).
+    Raises SolverError when the error estimate cannot be brought below
+    1e-10 max(1, |value|) within the evaluation budget.  Kernels singular at
+    x = 1 need mu large enough for an integrable product (mu > 0 for a
+    simple 1/(x-1) pole).
     """
     if basis.N > 8:
         raise ParameterError(
@@ -54,8 +57,6 @@ def direct_matrix_element(basis: BasisParams, w, n: int, m: int,
             "with the oscillation of the polynomials)")
     if not (0 <= n <= basis.N and 0 <= m <= basis.N):
         raise ParameterError(f"indices must lie in 0..{basis.N}, got ({n}, {m})")
-    if tol < 1e-12:
-        raise ParameterError(f"tolerance below 1e-12 is not supported, got {tol}")
     mu, nu = basis.mu, basis.nu
     pair = JacobiPair(mu, nu)
     log_c = (math.log(normalization_c(pair, n))
@@ -81,27 +82,24 @@ def direct_matrix_element(basis: BasisParams, w, n: int, m: int,
               if _T_LO < t < _T_HI]
     try:
         value, err, info = integrate.quad(
-            integrand, _T_LO, _T_HI, epsabs=tol, epsrel=tol,
+            integrand, _T_LO, _T_HI, epsabs=_TOL, epsrel=_TOL,
             limit=_LIMIT, points=points, full_output=True)[:3]
     except Exception as exc:  # quadpack signals hard failures as exceptions
         raise SolverError(f"direct integration failed: {exc}") from exc
     evaluations = int(info["neval"])
-    if not math.isfinite(value) or err > tol * max(1.0, abs(value)):
+    if not math.isfinite(value) or err > _TOL * max(1.0, abs(value)):
         raise SolverError(
             f"direct integration did not converge: value = {value}, "
-            f"error estimate = {err:.3e} with tol = {tol:.3e}")
+            f"error estimate = {err:.3e} with tol = {_TOL:.3e}")
     return IntegrationResult(value=float(value), abs_error_estimate=float(err),
                              evaluations=evaluations)
 
 
-def direct_matrix(basis: BasisParams, w, size: int | None = None,
-                  tol: float = 1e-10) -> np.ndarray:
-    """Symmetric matrix of direct elements for indices 0..size-1."""
-    k = basis.size if size is None else size
-    if not 1 <= k <= basis.size:
-        raise ParameterError(f"size must lie in 1..{basis.size}, got {k}")
+def direct_matrix(basis: BasisParams, w) -> np.ndarray:
+    """Symmetric matrix of direct elements over the whole basis."""
+    k = basis.size
     out = np.empty((k, k))
     for i in range(k):
         for j in range(i, k):
-            out[i, j] = out[j, i] = direct_matrix_element(basis, w, i, j, tol).value
+            out[i, j] = out[j, i] = direct_matrix_element(basis, w, i, j).value
     return out

@@ -22,6 +22,9 @@ from .errors import ParameterError
 # (x = 1 is r = infinity).
 ROOT_ADMISSIBLE_TOL = 1e-12
 
+# Smallest lambda r whose coth(lambda r) ~ 1/(lambda r) is a finite float64.
+LAMBDA_R_MIN = float(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class PotentialParams:
@@ -86,10 +89,16 @@ def _coth_pieces(lam: float, r):
 
     coth t - 1 = 2 e^{-2t} / (1 - e^{-2t}) and the hyperbolic ratios of V are
     stable in these for all t > 0; x_of_r, potential_value and
-    sample_wavefunction share them, one exp and one expm1 per point.
+    sample_wavefunction share them, one exp and one expm1 per point.  A
+    lambda r that overflows is r = infinity (x = 1); one below LAMBDA_R_MIN
+    is refused.
     """
-    m2t = lam * r
-    m2t *= -2.0
+    with np.errstate(over="ignore"):
+        m2t = lam * r
+        m2t *= -2.0
+    if np.max(m2t) > -2.0 * LAMBDA_R_MIN:
+        raise ParameterError(f"lambda * r = {-0.5 * np.max(m2t):.6g} is below {LAMBDA_R_MIN:.6g}, "
+                             f"where coth(lambda r) overflows float64 (lambda = {lam:.6g})")
     return m2t, np.exp(m2t), -np.expm1(m2t)
 
 
@@ -114,7 +123,10 @@ def r_of_x(lam: float, x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 1.0):
         raise ParameterError("inverse map needs x > 1 (x = 1 is r = infinity)")
-    r = 0.5 / lam * np.log((x + 1.0) / (x - 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = 0.5 / lam * np.log((x + 1.0) / (x - 1.0))
+    if not np.all(np.isfinite(r)):
+        raise ParameterError(f"r = arccoth(x)/lambda overflows float64 at lambda = {lam:.6g}")
     return r if r.shape else float(r)
 
 
@@ -130,17 +142,27 @@ def potential_value(p: PotentialParams, r):
 
     Evaluated from exp(-2 lambda r) rewrites of the hyperbolic ratios, which
     are exact identities and neither overflow nor lose precision at large
-    lambda r (direct sinh^3 overflows near lambda r ~ 237).
+    lambda r (direct sinh^3 overflows near lambda r ~ 237).  A V that is not
+    a finite float64 raises a ParameterError naming lambda and r.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
         raise ParameterError("r must be positive and finite")
+    try:
+        scale = 0.5 * p.lam**2
+    except OverflowError:
+        raise ParameterError(f"lambda = {p.lam:.6g} is too large: lambda^2 overflows") from None
     _, q, em = _coth_pieces(p.lam, r)
-    q4 = 4.0 * q
-    coth_m1 = 2.0 * q / em
-    inv_sinh2 = q4 / em**2
-    cosh_over_sinh3 = q4 * (1.0 + q) / em**3
-    v = 0.5 * p.lam**2 * (p.A * coth_m1 - p.B * inv_sinh2 + p.C * cosh_over_sinh3)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q4 = 4.0 * q
+        coth_m1 = 2.0 * q / em
+        inv_sinh2 = q4 / em**2
+        cosh_over_sinh3 = q4 * (1.0 + q) / em**3
+        v = scale * (p.A * coth_m1 - p.B * inv_sinh2 + p.C * cosh_over_sinh3)
+    finite = np.isfinite(v)
+    if not np.all(finite):
+        raise ParameterError(f"V(r) overflows float64 at r = {r.flat[np.argmin(finite)]:.6g}, "
+                             f"lambda = {p.lam:.6g}")
     return v if v.shape else float(v)
 
 

@@ -17,7 +17,7 @@ known).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,14 +57,6 @@ class BasisParams:
     def size(self) -> int:
         return self.N + 1
 
-    @property
-    def alpha(self) -> float:
-        return self.mu / 2.0
-
-    @property
-    def beta(self) -> float:
-        return -self.nu / 2.0
-
     @classmethod
     def from_size(cls, mu: float, nu: float, size: int) -> "BasisParams":
         if size < 1:
@@ -92,19 +84,6 @@ def basis_nu(mu: float, nu: float | None, size: int) -> float:
             raise ParameterError(f"mu = {mu:.10g} is too large for a basis of {size} functions")
         raise ParameterError(f"mu + nu = {mu + nu:.10g} violates mu + nu < -2*{size} - 1")
     return used
-
-
-def nu_energy_independent(mu: float, A: float) -> float:
-    """The optional nu-elimination rule nu = -sqrt(mu^2 - 2A).
-
-    Ties nu to mu through the strength A instead of leaving it free.  Not
-    used by default: it caps the admissible basis size at roughly
-    (sqrt(mu^2 - 2A) - mu - 1)/2, which is far too small for converged
-    spectra.  Exposed for experimentation only.
-    """
-    if mu * mu - 2.0 * A < 0.0:
-        raise ParameterError("nu elimination needs mu^2 - 2A >= 0")
-    return -math.sqrt(mu * mu - 2.0 * A)
 
 
 @dataclass(frozen=True)
@@ -183,26 +162,6 @@ def recursion_coeffs(basis: BasisParams) -> RecursionCoeffs:
     return RecursionCoeffs(F=F, D=D, G=G)
 
 
-@dataclass(frozen=True)
-class AssociatedParams:
-    """Bookkeeping parameters of the coefficient polynomial family.
-
-    cosh(theta) = B/C and z = -sqrt(B^2 - C^2) identify the recursion with
-    that family; sigma is pinned at -1/4.  The B = C boundary gives
-    theta = 0, z = 0 and is allowed: the recursion itself never divides by z.
-    """
-
-    theta: float
-    z: float
-    sigma: float = field(default=-0.25)
-
-
-def associated_params(B: float, C: float) -> AssociatedParams:
-    if not (C > 0.0 and B >= C):
-        raise ParameterError(f"association needs B >= C > 0, got B = {B}, C = {C}")
-    return AssociatedParams(theta=math.acosh(B / C), z=-math.sqrt(B * B - C * C))
-
-
 def h_polynomial_sequence(basis: BasisParams, B: float, C: float,
                           n_max: int) -> np.ndarray:
     """H_0 .. H_n_max solving the recursion with H_0 = 1, H_{-1} = 0.
@@ -249,7 +208,8 @@ def expansion_coefficients(energy: EnergyParams, B: float, C: float,
     pair (mu_k, nu_k); normalization is modulo an overall constant (f_0 = 1).
     Requires mu_k + nu_k < -2 n_max - 1 so every term is square integrable.
     """
-    associated_params(B, C)  # enforces B >= C > 0
+    if not (C > 0.0 and B >= C):
+        raise ParameterError(f"association needs B >= C > 0, got B = {B}, C = {C}")
     if not (energy.mu_k + energy.nu_k < -2.0 * n_max - 1.0):
         raise ParameterError(
             f"series of length {n_max + 1} is not square integrable: "

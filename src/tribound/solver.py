@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ParameterError, SolverError
-from .potential import PotentialParams, max_basis_index
+from .potential import PotentialParams
 from .recursion import BasisParams, basis_nu, recursion_coeffs
 
 # Eigenvalues above this are discarded as continuum-discretization artifacts.
@@ -78,8 +78,6 @@ class BoundSpectrum:
     epsilons: np.ndarray
     report_units: np.ndarray
     basis_size: int
-    mu_used: float
-    nu_used: float
     discarded_count: int = 0
     max_residual: float = 0.0
 
@@ -153,10 +151,8 @@ def assemble_system(basis: BasisParams, p: PotentialParams,
     c = recursion_coeffs(basis)
     rule = quadrature_rule(basis)
     tau = rule.tau
-    if np.any(tau <= 1.0):
-        raise SolverError(f"quadrature node <= 1 (min tau = {tau.min()})")
-    if np.any(np.abs(1.0 - tau) < 1e-12) or np.any(np.abs(1.0 + tau) < 1e-12):
-        raise SolverError("quadrature node collides with a kernel pole at x = +-1")
+    if np.any(tau - 1.0 < 1e-12):
+        raise SolverError(f"quadrature node at the kernel pole x = 1 (min tau = {tau.min()})")
     a_pole = 2.0 * p.A if consistent_potential else p.A
     n = np.arange(basis.size, dtype=float)
     diag = 0.25 - p.B - (n + 0.5 * (mu + nu + 1.0)) ** 2
@@ -229,14 +225,6 @@ def _generalized_eigen(sys: AssembledSystem) -> tuple[np.ndarray, float]:
     return np.sort(eigs, kind="stable"), float(residuals.max() / max(h_norm, 1.0))
 
 
-def generalized_spectrum(sys: AssembledSystem) -> np.ndarray:
-    """All generalized eigenvalues of (H, omega), ascending.
-
-    Values are eps = 2E/lambda^2 because H is stored pre-scaled.
-    """
-    return _generalized_eigen(sys)[0]
-
-
 def bound_states(eigs: Sequence[float], basis: BasisParams,
                  max_residual: float = 0.0) -> BoundSpectrum:
     """Keep eigenvalues below the bound-state cutoff; count what was dropped.
@@ -250,8 +238,6 @@ def bound_states(eigs: Sequence[float], basis: BasisParams,
         epsilons=keep,
         report_units=-keep,
         basis_size=basis.size,
-        mu_used=basis.mu,
-        nu_used=basis.nu,
         discarded_count=int(eigs.size - keep.size),
         max_residual=max_residual,
     )
@@ -344,9 +330,3 @@ def plateau_scan(p: PotentialParams, size: int, mu_grid: Sequence[float],
             state=k, delta=float(seg.max() - seg.min()) if hi - lo > 1 else None,
             mu_lo=float(grid[lo]), mu_hi=float(grid[hi - 1]), points=hi - lo))
     return scan
-
-
-def physical_state_bound(p: PotentialParams) -> int | None:
-    """Upper bound on the number of bound states, max_basis_index(A) + 1."""
-    n = max_basis_index(p.A)
-    return None if n is None else n + 1

@@ -108,50 +108,28 @@ def jacobi_sequence(pair: JacobiPair, n_max: int, x) -> np.ndarray:
     return out
 
 
-def jacobi_eval(pair: JacobiPair, n: int, x: float) -> float:
-    """P_n^(mu,nu)(x) for a scalar x."""
-    return float(jacobi_sequence(pair, n, x)[n])
-
-
-def jacobi_derivative(pair: JacobiPair, n: int, x: float) -> float:
-    """dP_n/dx via the first-order differential relation.
-
-    (1 - x^2) P_n' = -n (x + (nu-mu)/(2n+mu+nu)) P_n
-                     + 2 (n+mu)(n+nu)/(2n+mu+nu) P_{n-1},
-    rearranged for P_n'; fails at x = +-1 where 1 - x^2 vanishes.
-    """
-    if n == 0:
-        return 0.0
-    mu, nu = pair.mu, pair.nu
-    if x * x == 1.0:
-        raise ParameterError("derivative relation is singular at x = +-1")
-    if n == 1:
-        return (mu + nu + 2.0) / 2.0
-    s = 2.0 * n + mu + nu
-    if abs(s) < DEGENERATE_DENOM_TOL:
-        raise ParameterError(f"degenerate denominator 2n + mu + nu ~ 0 at n = {n}")
-    p = jacobi_sequence(pair, n, x)
-    rhs = (-n * (x + (nu - mu) / s) * p[n]
-           + 2.0 * (n + mu) * (n + nu) / s * p[n - 1])
-    return float(rhs / (1.0 - x * x))
-
-
 def _log_cn_squared_gammas(pair: JacobiPair, n: int) -> SignedLogMagnitude:
     """log(c_n^2) from the pure-gamma closed form of the diagonal norm.
 
     diag_n = (-1)^(n+1) 2^(mu+nu+1)/(2n+mu+nu+1)
              * Gamma(n+mu+1) Gamma(n+nu+1) Gamma(-n-mu-nu)
              / (Gamma(n+1) Gamma(-nu) Gamma(nu+1)),
-    and c_n^2 = 1/diag_n.
+    and c_n^2 = 1/diag_n.  At integer nu both Gamma(n+nu+1) and Gamma(nu+1)
+    sit on poles; their ratio is then taken as the finite product
+    (nu+1)(nu+2)...(nu+n).
     """
     mu, nu = pair.mu, pair.nu
     t = 2.0 * n + mu + nu + 1.0
-    num = [signed_log_gamma(n + mu + 1.0),
-           signed_log_gamma(n + nu + 1.0),
-           signed_log_gamma(-n - mu - nu)]
-    den = [signed_log_gamma(n + 1.0),
-           signed_log_gamma(-nu),
-           signed_log_gamma(nu + 1.0)]
+    num = [signed_log_gamma(n + mu + 1.0)]
+    den = [signed_log_gamma(n + 1.0), signed_log_gamma(-nu)]
+    if nu + 1.0 <= 0.0 and abs(nu - round(nu)) < GAMMA_POLE_TOL:
+        factors = nu + np.arange(1.0, n + 1.0)
+        num.append(SignedLogMagnitude(float(np.log(np.abs(factors)).sum()),
+                                      int(np.prod(np.sign(factors)))))
+    else:
+        num.append(signed_log_gamma(n + nu + 1.0))
+        den.append(signed_log_gamma(nu + 1.0))
+    num.append(signed_log_gamma(-n - mu - nu))  # summed below in the closed form's order
     sign = (-1) ** (n + 1) * (1 if t > 0 else -1)
     log_abs = (mu + nu + 1.0) * math.log(2.0) - math.log(abs(t))
     for g in num:

@@ -72,29 +72,23 @@ def _series_normalizations(energy: EnergyParams, n_max: int) -> np.ndarray:
     return np.exp(0.5 * logs)
 
 
-def state_coefficients(k: int, epsilon_k: float, A: float, B: float, C: float,
-                       n_terms: int | None = None
+def state_coefficients(k: int, epsilon_k: float, A: float, B: float, C: float
                        ) -> tuple[EnergyParams, np.ndarray, np.ndarray]:
     """Energy parameters, series coefficients f_n and normalizations c_n.
 
-    The series for state k runs over n = 0..k by default; n_terms overrides
-    the length for experimentation, capped by square integrability
-    (mu_k + nu_k < -2n - 1 for every term used).
+    The series for state k runs over n = 0..k; every term must be square
+    integrable (mu_k + nu_k < -2k - 1).
     """
     if k < 0:
         raise ParameterError(f"state index must be >= 0, got {k}")
-    n_max = k if n_terms is None else n_terms - 1
-    if n_max < 0:
-        raise ParameterError("series needs at least one term")
     energy = energy_params(epsilon_k, A)
-    f = expansion_coefficients(energy, B, C, n_max)
-    c = _series_normalizations(energy, n_max)
+    f = expansion_coefficients(energy, B, C, k)
+    c = _series_normalizations(energy, k)
     return energy, f, c
 
 
 def sample_wavefunction(k: int, epsilon_k: float, p: PotentialParams,
-                        r_grid: np.ndarray, n_terms: int | None = None
-                        ) -> WavefunctionTable:
+                        r_grid: np.ndarray) -> WavefunctionTable:
     """Evaluate psi_k on a strictly ascending positive grid.
 
     The prefactor is evaluated in log space (it spans hundreds of orders over
@@ -102,16 +96,16 @@ def sample_wavefunction(k: int, epsilon_k: float, p: PotentialParams,
     ln(x + 1) = ln 2 - ln(1 - e^{-2t}) share the coth pieces of V(r).  It is
     combined with the series on the whole grid at once: ln|psi| = ln|series|
     + ln(prefactor), exponentiated and given the series' sign.  Points with
-    ln|psi| below -700 flush to exact 0.0 and count as clamped, as do NaN
-    series values; a zero series value gives an exact 0.0 and is not counted.
+    ln|psi| below -700 flush to exact 0.0 and count as clamped; a zero series
+    value gives an exact 0.0 and is not counted.  Where coth(lambda r) or the
+    series is not a finite float64, a ParameterError names r and lambda.
     """
     r = np.asarray(r_grid, dtype=float)
     if r.ndim != 1 or r.size == 0:
         raise ParameterError("r grid must be a non-empty 1-d array")
     if np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0):
         raise ParameterError("r grid must be positive and strictly ascending")
-    energy, f, c = state_coefficients(k, epsilon_k, p.A, p.B, p.C, n_terms)
-    n_max = f.shape[0] - 1
+    energy, f, c = state_coefficients(k, epsilon_k, p.A, p.B, p.C)
 
     # The buffers of -2t and e^{-2t} become ln_pref and x in place.  Every
     # float operation keeps the order of the direct formulas (ln(x - 1) is
@@ -128,15 +122,18 @@ def sample_wavefunction(k: int, epsilon_k: float, p: PotentialParams,
     ln_em *= 0.5 * energy.nu_k
     ln_pref += ln_em
 
-    poly = jacobi_sequence(JacobiPair(energy.mu_k, energy.nu_k), n_max, x)
-    series = (c * f) @ poly.reshape(n_max + 1, -1)
-
-    with np.errstate(divide="ignore", under="ignore"):
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        poly = jacobi_sequence(JacobiPair(energy.mu_k, energy.nu_k), k, x)
+        series = (c * f) @ poly.reshape(k + 1, -1)
         psi = np.log(np.abs(series))
         psi += ln_pref                             # ln|psi|; -inf where series = 0
         keep = psi >= LOG_UNDERFLOW
         np.exp(psi, out=psi)
         np.copysign(psi, series, out=psi)
+    finite = np.isfinite(series)
+    if not np.all(finite):
+        raise ParameterError(f"the series of state {k} overflows float64 at "
+                             f"r = {r[np.argmin(finite)]:.6g}, lambda = {p.lam:.6g}")
     clamped = int(np.count_nonzero(series) - np.count_nonzero(keep))
     psi[~keep] = 0.0
     return WavefunctionTable(
@@ -146,7 +143,7 @@ def sample_wavefunction(k: int, epsilon_k: float, p: PotentialParams,
         epsilon=epsilon_k,
         mu_k=energy.mu_k,
         nu_k=energy.nu_k,
-        terms_used=n_max + 1,
+        terms_used=k + 1,
         clamped_count=clamped,
     )
 

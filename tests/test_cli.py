@@ -198,6 +198,34 @@ def test_out_of_range_number_is_config_error(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+# lambda and r whose V, coth(lambda r) or series is not a finite float64 are
+# refused with one error line naming them: no numpy warning, no nan or
+# infinite row, no traceback.
+@pytest.mark.parametrize("argv, message", [
+    (["potential", "--A", "-6", "--B", "6", "--C", "3", "--lambda", "1e-320",
+      "--r-min", "1e-10", "--r-max", "1", "--samples", "3"],
+     "lambda * r = 0 is below 2.22507e-308, where coth(lambda r) overflows float64 "
+     "(lambda = 9.99989e-321)"),
+    (["potential", "--A", "-6", "--B", "6", "--C", "3",
+      "--r-min", "1e-110", "--r-max", "1", "--samples", "3"],
+     "V(r) overflows float64 at r = 1e-110, lambda = 1"),
+    (["potential", *REFERENCE_ARGS, "--samples", "3", "--lambda", "1e200"],
+     "lambda = 1e+200 is too large: lambda^2 overflows"),
+    (["wavefunction", *REFERENCE_ARGS, "--basis-degree", "20",
+      "--r-min", "1e-320", "--r-max", "1", "--samples", "3"],
+     "lambda * r = 9.99989e-321 is below 2.22507e-308, where coth(lambda r) overflows "
+     "float64 (lambda = 1)"),
+    (["potential", "--A", "-6", "--B", "6", "--C", "3", "--lambda", "1e-170",
+      "--r-min", "1e160", "--r-max", "1e170", "--samples", "3"],
+     "V / (lambda^2 C / 2) overflows float64 at lambda = 1e-170"),
+], ids=["potential-tiny-lambda", "potential-tiny-r", "potential-huge-lambda",
+        "wavefunction-tiny-r", "potential-figure-units-underflow"])
+def test_unrepresentable_lambda_r_is_config_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 # With nu = auto, mu + nu = -2*size - 2 exactly; a large mu loses the size
 # term in float64, and the error must name mu, not a cancelled sum.
 @pytest.mark.parametrize("argv, message", [

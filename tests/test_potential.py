@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from tribound.errors import ParameterError
@@ -16,6 +18,8 @@ from tribound.potential import (
     u_of_x,
     x_of_r,
 )
+from tribound.solver import solve_bound_states
+from tribound.wavefunction import sample_wavefunction
 
 
 class TestPotentialValue:
@@ -215,3 +219,36 @@ class TestMaxBasisIndex:
 
     def test_below_threshold(self):
         assert max_basis_index(-0.4) is None
+
+
+# log-uniform over [1e-320, 1e300]: denormal lambda r up to overflowing lambda^2
+LOG_UNIFORM = st.floats(-320.0, 300.0).map(lambda e: 10.0**e)
+
+
+@pytest.fixture(scope="module")
+def reference_ground_eps():
+    return float(solve_bound_states(PotentialParams(A=-300.0, B=5.0, C=3.0), 20).epsilons[0])
+
+
+def shape_radii(p):
+    shape = classify_shape(p)
+    return [v.r for v in (*shape.crossings, *shape.extrema)]
+
+
+@given(lam=LOG_UNIFORM, r=LOG_UNIFORM)
+def test_extreme_lambda_r_finite_or_refused(reference_ground_eps, lam, r):
+    # every value is a finite float64, or the call raises ParameterError;
+    # a numpy warning fails the test through the suite's warning filter
+    p = PotentialParams(A=-300.0, B=5.0, C=3.0, lam=lam)
+    calls = (
+        lambda: potential_value(p, r),
+        lambda: x_of_r(lam, r),
+        lambda: shape_radii(p),
+        lambda: sample_wavefunction(0, reference_ground_eps, p, np.array([r])).psi,
+    )
+    for call in calls:
+        try:
+            values = call()
+        except ParameterError:
+            continue
+        assert np.all(np.isfinite(values))

@@ -7,16 +7,13 @@ import pytest
 
 from tribound.errors import ParameterError
 from tribound.recursion import (
-    AssociatedParams,
     BasisParams,
     _d_array,
     _f_g_arrays,
-    associated_params,
     auto_nu,
     energy_params,
     expansion_coefficients,
     h_polynomial_sequence,
-    nu_energy_independent,
     recursion_coeffs,
 )
 
@@ -125,29 +122,6 @@ class TestRecursionCoeffs:
         basis = BasisParams.from_size(1.5, auto_nu(1.5, 10), 10)
         assert basis.N == 9 and basis.size == 10
         assert basis.nu == -23.5
-        assert basis.alpha == 0.75 and basis.beta == 11.75
-
-    def test_nu_energy_independent(self):
-        assert nu_energy_independent(1.5, -300.0) == pytest.approx(-math.sqrt(602.25))
-
-
-class TestAssociatedParams:
-    def test_reference_values(self):
-        a = associated_params(5.0, 3.0)
-        assert a.theta == pytest.approx(math.log(3.0), rel=1e-14)
-        assert a.z == pytest.approx(-4.0, rel=1e-14)
-        assert a.sigma == -0.25
-        assert math.cosh(a.theta) == pytest.approx(5.0 / 3.0, rel=1e-12)
-
-    def test_equality_boundary(self):
-        a = associated_params(3.0, 3.0)
-        assert a.theta == 0.0 and a.z == 0.0
-
-    def test_rejects_B_below_C(self):
-        with pytest.raises(ParameterError):
-            associated_params(2.0, 3.0)
-        with pytest.raises(ParameterError):
-            associated_params(2.0, -1.0)
 
 
 class TestHPolynomialSequence:
@@ -237,11 +211,8 @@ class TestExpansionCoefficients:
             expansion_coefficients(e, 5.0, 3.0, 7)
 
     def test_association_guard(self):
+        # the recursion's polynomial family needs B >= C > 0
         e = energy_params(REFERENCE_GROUND_EPS, -300.0)
-        with pytest.raises(ParameterError):
-            expansion_coefficients(e, 2.0, 3.0, 2)
-
-
-def test_associated_params_dataclass_defaults():
-    a = AssociatedParams(theta=0.3, z=-1.0)
-    assert a.sigma == -0.25
+        for B, C in ((2.0, 3.0), (2.0, -1.0)):
+            with pytest.raises(ParameterError, match="B >= C > 0"):
+                expansion_coefficients(e, B, C, 2)

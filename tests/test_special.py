@@ -12,8 +12,6 @@ from tribound.special import (
     JacobiPair,
     _log_cn_squared_gammas,
     _log_cn_squared_sines,
-    jacobi_derivative,
-    jacobi_eval,
     jacobi_sequence,
     normalization_c,
     signed_log_gamma,
@@ -59,18 +57,19 @@ def weighted_product_integral(mu, nu, n, m, tol=1e-10):
 
 class TestJacobiEval:
     def test_degree_zero_is_one(self):
-        assert jacobi_eval(JacobiPair(1.5, -25.5), 0, 3.0) == 1.0
+        assert jacobi_sequence(JacobiPair(1.5, -25.5), 0, 3.0)[0] == 1.0
 
     def test_degree_one_hand_value(self):
         # (mu+nu+2)x/2 + (mu-nu)/2 at (2, -10), x = 3
-        assert jacobi_eval(JacobiPair(2.0, -10.0), 1, 3.0) == pytest.approx(-3.0, abs=1e-14)
+        p1 = jacobi_sequence(JacobiPair(2.0, -10.0), 1, 3.0)[1]
+        assert p1 == pytest.approx(-3.0, abs=1e-14)
         assert hypergeometric_oracle(2.0, -10.0, 1, 3.0) == pytest.approx(-3.0, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_matches_hypergeometric_sum(self, n):
         for mu, nu in ((1.5, -25.5), (0.3, -9.2), (2.0, -30.0)):
             for x in (1.0, 1.5, 4.0):
-                got = jacobi_eval(JacobiPair(mu, nu), n, x)
+                got = jacobi_sequence(JacobiPair(mu, nu), n, x)[n]
                 want = hypergeometric_oracle(mu, nu, n, x)
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9 * abs(want) + 1e-12)
 
@@ -82,36 +81,18 @@ class TestJacobiEval:
             nu = rng.uniform(-30.0, -19.0)
             n = int(rng.integers(0, 9))
             x = rng.uniform(1.0, 5.0)
-            lhs = jacobi_eval(JacobiPair(mu, nu), n, x)
-            rhs = (-1.0) ** n * jacobi_eval(JacobiPair(nu, mu), n, -x)
+            lhs = jacobi_sequence(JacobiPair(mu, nu), n, x)[n]
+            rhs = (-1.0) ** n * jacobi_sequence(JacobiPair(nu, mu), n, -x)[n]
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
     def test_rejects_non_finite_argument(self):
         with pytest.raises(ParameterError):
-            jacobi_eval(JacobiPair(1.5, -25.5), 2, math.inf)
+            jacobi_sequence(JacobiPair(1.5, -25.5), 2, math.inf)
 
     def test_rejects_degenerate_denominator(self):
         # 2n + mu + nu = 0 exactly at n = 2
         with pytest.raises(ParameterError):
-            jacobi_eval(JacobiPair(1.0, -5.0), 3, 2.0)
-
-
-class TestJacobiDerivative:
-    def test_degree_zero(self):
-        assert jacobi_derivative(JacobiPair(1.5, -25.5), 0, 7.0) == 0.0
-
-    def test_degree_one_is_constant_slope(self):
-        for mu, nu in ((1.5, -25.5), (0.2, -8.0)):
-            got = jacobi_derivative(JacobiPair(mu, nu), 1, 3.7)
-            assert got == pytest.approx((mu + nu + 2.0) / 2.0, rel=1e-14)
-
-    def test_against_central_difference(self):
-        pair = JacobiPair(1.5, -25.5)
-        h = 1e-6
-        for n, x in ((5, 2.0), (3, 1.3), (7, 6.0)):
-            fd = (jacobi_eval(pair, n, x + h) - jacobi_eval(pair, n, x - h)) / (2 * h)
-            got = jacobi_derivative(pair, n, x)
-            assert got == pytest.approx(fd, rel=1e-6)
+            jacobi_sequence(JacobiPair(1.0, -5.0), 3, 2.0)
 
     def test_differential_equation_residual(self):
         # (1-x^2) P'' - [(mu+nu+2)x + mu - nu] P' + n(n+mu+nu+1) P = 0
@@ -119,9 +100,9 @@ class TestJacobiDerivative:
         h = 1e-4
         for n in (2, 4, 6):
             for x in np.linspace(1.01, 10.0, 7):
-                p = jacobi_eval(pair, n, x)
-                pp = jacobi_eval(pair, n, x + h)
-                pm = jacobi_eval(pair, n, x - h)
+                p = jacobi_sequence(pair, n, x)[n]
+                pp = jacobi_sequence(pair, n, x + h)[n]
+                pm = jacobi_sequence(pair, n, x - h)[n]
                 d1 = (pp - pm) / (2 * h)
                 d2 = (pp - 2 * p + pm) / (h * h)
                 t1 = (1.0 - x * x) * d2
@@ -129,10 +110,6 @@ class TestJacobiDerivative:
                 t3 = n * (n + pair.mu + pair.nu + 1.0) * p
                 scale = abs(t1) + abs(t2) + abs(t3)
                 assert abs(t1 + t2 + t3) < 1e-6 * max(scale, 1.0)
-
-    def test_singular_at_unit_argument(self):
-        with pytest.raises(ParameterError):
-            jacobi_derivative(JacobiPair(1.5, -25.5), 3, 1.0)
 
 
 class TestSignedLogGamma:

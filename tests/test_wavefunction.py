@@ -39,14 +39,6 @@ class TestStateCoefficients:
             _, f, _ = state_coefficients(k, float(eps), -300.0, 5.0, 3.0)
             assert f[0] == 1.0
 
-    def test_term_override_capped_by_square_integrability(self, reference_spectrum):
-        eps0 = float(reference_spectrum.epsilons[0])
-        # mu_0 + nu_0 ~ -13.35 supports at most 7 terms
-        _, f, c = state_coefficients(0, eps0, -300.0, 5.0, 3.0, n_terms=6)
-        assert f.shape == (6,) and c.shape == (6,)
-        with pytest.raises(ParameterError):
-            state_coefficients(0, eps0, -300.0, 5.0, 3.0, n_terms=8)
-
     def test_invalid_index(self):
         with pytest.raises(ParameterError):
             state_coefficients(-1, -10.0, -300.0, 5.0, 3.0)
