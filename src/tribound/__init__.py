@@ -24,11 +24,10 @@ from .potential import (
 from .recursion import (
     BasisParams,
     auto_nu,
-    expansion_coefficients,
     h_polynomial_sequence,
     recursion_coeffs,
 )
-from .special import JacobiPair, jacobi_sequence
+from .special import jacobi_sequence
 from .wavefunction import (
     WavefunctionTable,
     count_sign_changes,
@@ -80,7 +79,6 @@ __all__ = [
     "BoundSpectrum",
     "Crossing",
     "Extremum",
-    "JacobiPair",
     "ParameterError",
     "PlateauScan",
     "PlateauStat",
@@ -96,7 +94,6 @@ __all__ = [
     "count_sign_changes",
     "default_r_grid",
     "direct_matrix",
-    "expansion_coefficients",
     "h_polynomial_sequence",
     "jacobi_sequence",
     "max_basis_index",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError, SolverError
 from .potential import PotentialParams, classify_shape, max_basis_index, potential_value
-from .recursion import BasisParams, basis_nu
+from .recursion import BasisParams
 from .wavefunction import sample_wavefunction
 
 # Names from the scipy-backed layers, resolved through the package (which
@@ -130,23 +130,23 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-_COMMON_DEFAULTS = {
-    "A": None, "B": None, "C": None, "lam": 1.0,
-    "basis_degree": 100, "mu": 1.5, "nu": "auto",
-    "format": "csv", "out": None,
+# The common options, dest -> (flag, type, default, help); each command
+# registers all but those it does not read.
+_COMMON = {
+    "A": ("--A", float, None, "strength of the 1/r term"),
+    "B": ("--B", float, None, "strength of the 1/r^2 term (enters with a minus sign)"),
+    "C": ("--C", float, None, "strength of the 1/r^3 term"),
+    "lam": ("--lambda", float, 1.0, "range scale (default 1.0)"),
+    "basis_degree": ("--basis-degree", int, 100, "number of basis functions (matrix dimension, default 100)"),
+    "mu": ("--mu", float, 1.5, "computational basis parameter (default 1.5)"),
+    "nu": ("--nu", str, "auto", "computational basis parameter; 'auto' means -2*basis_degree - mu - 2"),
 }
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--A", type=float, default=None, help="strength of the 1/r term")
-    p.add_argument("--B", type=float, default=None, help="strength of the 1/r^2 term (enters with a minus sign)")
-    p.add_argument("--C", type=float, default=None, help="strength of the 1/r^3 term")
-    p.add_argument("--lambda", dest="lam", type=float, default=None, help="range scale (default 1.0)")
-    p.add_argument("--basis-degree", type=int, default=None,
-                   help="number of basis functions (matrix dimension, default 100)")
-    p.add_argument("--mu", type=float, default=None, help="computational basis parameter (default 1.5)")
-    p.add_argument("--nu", default=None,
-                   help="computational basis parameter; 'auto' means -2*basis_degree - mu - 2")
+def _add_common(p: argparse.ArgumentParser, *unread: str):
+    for dest, (flag, kind, _, text) in _COMMON.items():
+        if dest not in unread:
+            p.add_argument(flag, dest=dest, type=kind, default=None, help=text)
     p.add_argument("--format", choices=("csv", "json"), default=None, help="output format (default csv)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--config", default=None, help="flat key-value config file; flags override it")
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help=consistent_help)
 
     pp = sub.add_parser("potential", help="sample the potential and classify its shape")
-    _add_common(pp)
+    _add_common(pp, "basis_degree", "mu", "nu")
     pp.add_argument("--r-min", type=float, default=None)
     pp.add_argument("--r-max", type=float, default=None)
     pp.add_argument("--samples", type=int, default=None)
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     wp.add_argument("--samples", type=int, default=None)
 
     lp = sub.add_parser("plateau", help="scan mu for the stability plateau")
-    _add_common(lp)
+    _add_common(lp, "mu")
     lp.add_argument("--consistent-potential", action="store_true", default=None,
                     help=consistent_help)
     lp.add_argument("--mu-min", type=float, default=None)
@@ -192,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cq = sub.add_parser("check-quadrature",
                         help="compare quadrature matrices against direct integration")
-    _add_common(cq)
+    # A, B and C are taken, though not read, so one potential's flags fit every command
+    _add_common(cq, "lam", "basis_degree")
     cq.add_argument("--max-degree", type=int, default=None,
                     help="largest basis size checked, 2..8 (default 5)")
     return ap
@@ -212,8 +213,10 @@ def _number(cfg: dict, key: str, kind=float):
 
 
 def _resolve(args: argparse.Namespace, extra_defaults: dict | None = None) -> dict:
-    """Merge hard defaults, config-file values and explicit flags."""
-    merged: dict = dict(_COMMON_DEFAULTS)
+    """Merge hard defaults, config-file values and explicit flags; only the
+    command's registered options have defaults, so other config keys are unknown."""
+    merged: dict = {dest: _COMMON[dest][2] for dest in _COMMON if hasattr(args, dest)}
+    merged.update(format="csv", out=None)
     if extra_defaults:
         merged.update(extra_defaults)
     if getattr(args, "config", None):
@@ -227,13 +230,15 @@ def _resolve(args: argparse.Namespace, extra_defaults: dict | None = None) -> di
         val = getattr(args, dest, None)
         if val is not None:
             merged[dest] = val
+    if merged["format"] not in ("csv", "json"):
+        raise ParameterError(f"format must be csv or json, got {merged['format']!r}")
     for key in ("A", "B", "C"):
         if merged[key] is None:
             raise ParameterError(f"--{key} is required (flag or config file)")
         merged[key] = _number(merged, key)
-    merged["lam"] = _number(merged, "lam")
-    merged["basis_degree"] = _number(merged, "basis_degree", int)
-    merged["mu"] = _number(merged, "mu")
+    for key, kind in (("lam", float), ("basis_degree", int), ("mu", float)):
+        if key in merged:
+            merged[key] = _number(merged, key, kind)
     return merged
 
 
@@ -272,13 +277,13 @@ def _potential(cfg: dict) -> PotentialParams:
 def _solve(cfg: dict):
     """Potential, bound spectrum and JSON params block for spectrum and wavefunction."""
     _bind("solve_bound_states")
-    nu = basis_nu(cfg["mu"], _resolve_nu(cfg), cfg["basis_degree"])
+    basis = BasisParams.from_size(cfg["mu"], _resolve_nu(cfg), cfg["basis_degree"])
     consistent = _as_bool(cfg["consistent_potential"])
     p = _potential(cfg)
-    spectrum = solve_bound_states(p, cfg["basis_degree"], mu=cfg["mu"], nu=nu,
+    spectrum = solve_bound_states(p, cfg["basis_degree"], mu=cfg["mu"], nu=basis.nu,
                                   consistent_potential=consistent)
     params = {"A": p.A, "B": p.B, "C": p.C, "lambda": p.lam,
-              "basis_size": cfg["basis_degree"], "mu": cfg["mu"], "nu": nu,
+              "basis_size": cfg["basis_degree"], "mu": cfg["mu"], "nu": basis.nu,
               "consistent_potential": consistent}
     return p, spectrum, params
 
@@ -406,7 +411,7 @@ def _cmd_check_quadrature(args) -> int:
     mu = cfg["mu"]
     rows = []
     for size in range(2, max_degree + 1):
-        basis = BasisParams.from_size(mu, basis_nu(mu, None, size), size)
+        basis = BasisParams.from_size(mu, None, size)
         rule = quadrature_rule(basis)
         for name, w in _KERNELS:
             diff = np.abs(quadrature_matrix(rule, w) - direct_matrix(basis, w))

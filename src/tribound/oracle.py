@@ -19,7 +19,7 @@ from scipy import integrate
 
 from .errors import ParameterError, SolverError
 from .recursion import BasisParams
-from .special import JacobiPair, jacobi_sequence, normalization_c
+from .special import jacobi_sequence, normalization_c
 
 # Integration window in t = ln(x - 1).  Below -43 the variable x - 1 falls
 # under extended-precision resolution of x; contributions there are bounded
@@ -58,9 +58,8 @@ def direct_matrix_element(basis: BasisParams, w, n: int, m: int) -> IntegrationR
     if not (0 <= n <= basis.N and 0 <= m <= basis.N):
         raise ParameterError(f"indices must lie in 0..{basis.N}, got ({n}, {m})")
     mu, nu = basis.mu, basis.nu
-    pair = JacobiPair(mu, nu)
-    log_c = (math.log(normalization_c(pair, n))
-             + math.log(normalization_c(pair, m)))
+    log_c = (math.log(normalization_c(mu, nu, n))
+             + math.log(normalization_c(mu, nu, m)))
     n_top = max(n, m)
 
     def integrand(t: float) -> float:
@@ -71,7 +70,7 @@ def direct_matrix_element(basis: BasisParams, w, n: int, m: int) -> IntegrationR
         log_weight = log_c + mu * t + nu * float(np.log(x + 1.0)) + t
         if log_weight < -745.0:
             return 0.0
-        p = jacobi_sequence(pair, n_top, float(x))
+        p = jacobi_sequence(mu, nu, n_top, float(x))
         return math.exp(log_weight) * float(w(x)) * float(p[n]) * float(p[m])
 
     # Peak of the weight at x0 - 1 = (mu + 1)/(-nu - mu - 1) * 2 roughly;

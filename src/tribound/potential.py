@@ -25,6 +25,9 @@ ROOT_ADMISSIBLE_TOL = 1e-12
 # Smallest lambda r whose coth(lambda r) ~ 1/(lambda r) is a finite float64.
 LAMBDA_R_MIN = float(np.finfo(float).tiny)
 
+# Largest |B/C| and |A/C| whose shape discriminants are finite float64.
+SHAPE_RATIO_MAX = 1e150
+
 
 @dataclass(frozen=True)
 class PotentialParams:
@@ -45,18 +48,20 @@ class PotentialParams:
     @property
     def gamma(self) -> float:
         """Shape ratio B/C."""
-        self._require_c()
-        return self.B / self.C
+        return self._ratio("B")
 
     @property
     def xi(self) -> float:
         """Shape ratio A/C."""
-        self._require_c()
-        return self.A / self.C
+        return self._ratio("A")
 
-    def _require_c(self):
+    def _ratio(self, name: str) -> float:
         if self.C == 0.0:
             raise ParameterError("shape ratios need C != 0")
+        ratio = getattr(self, name) / self.C
+        if not math.isfinite(ratio):
+            raise ParameterError(f"shape ratio {name}/C overflows float64 at C = {self.C:.6g}")
+        return ratio
 
 
 @dataclass(frozen=True)
@@ -119,14 +124,16 @@ def x_of_r(lam: float, r):
 
 
 def r_of_x(lam: float, x):
-    """Inverse map r = arccoth(x)/lambda for x > 1."""
+    """Inverse map r = arccoth(x)/lambda for x > 1, as log1p(2/(x-1)) / (2 lambda).
+
+    The log1p form stays accurate where (x+1)/(x-1) rounds to 1 (x > ~1e16)."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 1.0):
         raise ParameterError("inverse map needs x > 1 (x = 1 is r = infinity)")
     with np.errstate(over="ignore", invalid="ignore"):
-        r = 0.5 / lam * np.log((x + 1.0) / (x - 1.0))
-    if not np.all(np.isfinite(r)):
-        raise ParameterError(f"r = arccoth(x)/lambda overflows float64 at lambda = {lam:.6g}")
+        r = 0.5 / lam * np.log1p(2.0 / (x - 1.0))
+    if not np.all((0.0 < r) & (r < math.inf)):
+        raise ParameterError(f"r = arccoth(x)/lambda leaves float64 at lambda = {lam:.6g}")
     return r if r.shape else float(r)
 
 
@@ -188,6 +195,9 @@ def classify_shape(p: PotentialParams) -> ShapeReport:
     exists (the configuration with a barrier but no negative well).
     """
     gamma, xi = p.gamma, p.xi
+    if not max(abs(gamma), abs(xi)) <= SHAPE_RATIO_MAX:
+        raise ParameterError(f"shape report needs |B/C| and |A/C| <= {SHAPE_RATIO_MAX:g}, "
+                             f"got B/C = {gamma:.6g}, A/C = {xi:.6g}")
 
     crossings: list[Crossing] = []
     disc = (gamma + 1.0) ** 2 - 4.0 * xi
@@ -203,7 +213,11 @@ def classify_shape(p: PotentialParams) -> ShapeReport:
         root = math.sqrt(disc_e)
         for x in ((gamma - root) / 3.0, (gamma + root) / 3.0):
             if x >= 1.0 + ROOT_ADMISSIBLE_TOL:
-                extrema.append(Extremum(x=x, r=r_of_x(p.lam, x), value=u_of_x(p, x)))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    value = u_of_x(p, x)
+                if not math.isfinite(value):
+                    raise ParameterError(f"V at the extremum x = {x:.6g} overflows float64")
+                extrema.append(Extremum(x=x, r=r_of_x(p.lam, x), value=value))
 
     crossings.sort(key=lambda c: c.x)
     extrema.sort(key=lambda e: e.x)

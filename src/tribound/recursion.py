@@ -33,10 +33,11 @@ H_RESCALE_LIMIT = 1e150
 
 @dataclass(frozen=True)
 class BasisParams:
-    """Computational basis: Jacobi pair (mu, nu) and highest degree N.
+    """Jacobi basis: pair (mu, nu) and highest degree N, for the solver and for
+    each bound state's series (mu = sqrt(-eps), nu = -sqrt(-eps - 2A)).
 
-    The basis holds N + 1 functions of degrees 0..N.  Command-line level
-    sizes count functions, not degrees; use from_size for that convention.
+    The basis holds N + 1 square-integrable functions of degrees 0..N.
+    Command-line sizes count functions, not degrees; from_size takes those.
     """
 
     mu: float
@@ -58,56 +59,29 @@ class BasisParams:
         return self.N + 1
 
     @classmethod
-    def from_size(cls, mu: float, nu: float, size: int) -> "BasisParams":
+    def from_size(cls, mu: float, nu: float | None, size: int) -> "BasisParams":
+        """Basis of `size` functions; nu None means auto_nu(mu, size).
+
+        Requires mu > -1 and mu + nu < -2*size - 1.  With auto_nu, mu + nu is
+        -2*size - 2 in exact arithmetic; it fails the check only when float64
+        loses the size term to a large mu, so the error names mu rather than
+        a sum the caller never set.
+        """
+        if not mu > -1.0:
+            raise ParameterError(f"mu must exceed -1, got {mu}")
+        used = auto_nu(mu, size) if nu is None else nu
+        if not mu + used < -2.0 * size - 1.0:
+            if nu is None:
+                raise ParameterError(f"mu = {mu:.10g} is too large for a basis of {size} functions")
+            raise ParameterError(f"mu + nu = {mu + nu:.10g} violates mu + nu < -2*{size} - 1")
         if size < 1:
             raise ParameterError(f"basis size must be >= 1, got {size}")
-        return cls(mu=mu, nu=nu, N=size - 1)
+        return cls(mu=mu, nu=used, N=size - 1)
 
 
 def auto_nu(mu: float, size: int) -> float:
     """Default computational nu for a basis of `size` functions: -2*size - mu - 2."""
     return -2.0 * size - mu - 2.0
-
-
-def basis_nu(mu: float, nu: float | None, size: int) -> float:
-    """nu (None: auto_nu) once mu > -1 and mu + nu < -2*size - 1 hold.
-
-    With auto_nu, mu + nu is -2*size - 2 in exact arithmetic; it fails the
-    check only when float64 loses the size term to a large mu, so the error
-    names mu rather than a sum the caller never set.
-    """
-    if not mu > -1.0:
-        raise ParameterError(f"mu must exceed -1, got {mu}")
-    used = auto_nu(mu, size) if nu is None else nu
-    if not mu + used < -2.0 * size - 1.0:
-        if nu is None:
-            raise ParameterError(f"mu = {mu:.10g} is too large for a basis of {size} functions")
-        raise ParameterError(f"mu + nu = {mu + nu:.10g} violates mu + nu < -2*{size} - 1")
-    return used
-
-
-@dataclass(frozen=True)
-class EnergyParams:
-    """Energy-dependent basis parameters for one bound state."""
-
-    epsilon: float
-    mu_k: float
-    nu_k: float
-
-
-def energy_params(epsilon: float, A: float) -> EnergyParams:
-    """mu = sqrt(-eps), nu = -sqrt(-eps - 2A) for a bound-state energy eps < 0."""
-    if A > -0.5:
-        raise ParameterError(f"bound states require A <= -1/2, got A = {A}")
-    if not epsilon < 0.0:
-        raise ParameterError(f"bound states require eps < 0, got {epsilon}")
-    if not epsilon + 2.0 * A < 0.0:
-        raise ParameterError(f"eps + 2A must be negative, got {epsilon + 2.0 * A}")
-    return EnergyParams(
-        epsilon=epsilon,
-        mu_k=math.sqrt(-epsilon),
-        nu_k=-math.sqrt(-epsilon - 2.0 * A),
-    )
 
 
 @dataclass(frozen=True)
@@ -162,9 +136,8 @@ def recursion_coeffs(basis: BasisParams) -> RecursionCoeffs:
     return RecursionCoeffs(F=F, D=D, G=G)
 
 
-def h_polynomial_sequence(basis: BasisParams, B: float, C: float,
-                          n_max: int) -> np.ndarray:
-    """H_0 .. H_n_max solving the recursion with H_0 = 1, H_{-1} = 0.
+def h_polynomial_sequence(basis: BasisParams, B: float, C: float) -> np.ndarray:
+    """H_0 .. H_N solving the recursion with H_0 = 1, H_{-1} = 0.
 
     H_1 = (B + G_0 - C F_0) / (C D_0) and
     H_{n+1} = [ (B + G_n - C F_n) H_n - C D_{n-1} H_{n-1} ] / (C D_n).
@@ -173,23 +146,17 @@ def h_polynomial_sequence(basis: BasisParams, B: float, C: float,
     whole accumulated sequence is rescaled (overall scale is irrelevant and
     the termwise recursion residual is preserved).
     """
-    if C == 0.0:
-        raise ParameterError("recursion needs C != 0")
-    if n_max < 0:
-        raise ParameterError(f"n_max must be >= 0, got {n_max}")
-    if n_max > basis.N:
-        raise ParameterError(f"n_max = {n_max} exceeds basis degree {basis.N}")
-    h = np.empty(n_max + 1, dtype=float)
+    h = np.empty(basis.size, dtype=float)
     h[0] = 1.0
-    if n_max == 0:
+    if basis.N == 0:
         return h
-    # only indices 0..n_max-1 of each sequence enter the steps here
-    F, G = _f_g_arrays(basis.mu, basis.nu, n_max)
-    D = _d_array(basis.mu, basis.nu, n_max)
+    # only indices 0..N-1 of each sequence enter the steps here
+    F, G = _f_g_arrays(basis.mu, basis.nu, basis.N)
+    D = _d_array(basis.mu, basis.nu, basis.N)
     if abs(C * D[0]) < H_STEP_TOL:
         raise ParameterError("degenerate recursion step: |C D_0| ~ 0")
     h[1] = (B + G[0] - C * F[0]) / (C * D[0])
-    for n in range(1, n_max):
+    for n in range(1, basis.N):
         if abs(C * D[n]) < H_STEP_TOL:
             raise ParameterError(f"degenerate recursion step: |C D_{n}| ~ 0")
         h[n + 1] = ((B + G[n] - C * F[n]) * h[n] - C * D[n - 1] * h[n - 1]) / (C * D[n])
@@ -198,21 +165,3 @@ def h_polynomial_sequence(basis: BasisParams, B: float, C: float,
         if abs(h[n + 1]) > H_RESCALE_LIMIT:
             h[:n + 2] /= abs(h[n + 1])
     return h
-
-
-def expansion_coefficients(energy: EnergyParams, B: float, C: float,
-                           n_max: int) -> np.ndarray:
-    """Wavefunction expansion coefficients f_0 .. f_n_max at a bound-state energy.
-
-    These are the recursion polynomials evaluated with the energy-dependent
-    pair (mu_k, nu_k); normalization is modulo an overall constant (f_0 = 1).
-    Requires mu_k + nu_k < -2 n_max - 1 so every term is square integrable.
-    """
-    if not (C > 0.0 and B >= C):
-        raise ParameterError(f"association needs B >= C > 0, got B = {B}, C = {C}")
-    if not (energy.mu_k + energy.nu_k < -2.0 * n_max - 1.0):
-        raise ParameterError(
-            f"series of length {n_max + 1} is not square integrable: "
-            f"mu_k + nu_k = {energy.mu_k + energy.nu_k} >= {-2.0 * n_max - 1.0}")
-    basis = BasisParams(mu=energy.mu_k, nu=energy.nu_k, N=n_max)
-    return h_polynomial_sequence(basis, B, C, n_max)

@@ -27,7 +27,7 @@ import scipy.linalg
 
 from .errors import ParameterError, SolverError
 from .potential import PotentialParams
-from .recursion import BasisParams, basis_nu, recursion_coeffs
+from .recursion import BasisParams, recursion_coeffs
 
 # Eigenvalues above this are discarded as continuum-discretization artifacts.
 BOUND_STATE_CUTOFF = -1e-10
@@ -77,7 +77,6 @@ class BoundSpectrum:
 
     epsilons: np.ndarray
     report_units: np.ndarray
-    basis_size: int
     discarded_count: int = 0
     max_residual: float = 0.0
 
@@ -120,8 +119,6 @@ def quadrature_matrix(rule: QuadratureRule, w: Callable[[np.ndarray], np.ndarray
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         wt = np.asarray(w(rule.tau), dtype=float)
-    if wt.shape != rule.tau.shape:
-        wt = np.broadcast_to(wt, rule.tau.shape).astype(float)
     if not np.all(np.isfinite(wt)):
         bad = int(np.argmax(~np.isfinite(wt)))
         raise ParameterError(f"kernel is not finite at node tau = {rule.tau[bad]}")
@@ -225,8 +222,7 @@ def _generalized_eigen(sys: AssembledSystem) -> tuple[np.ndarray, float]:
     return np.sort(eigs, kind="stable"), float(residuals.max() / max(h_norm, 1.0))
 
 
-def bound_states(eigs: Sequence[float], basis: BasisParams,
-                 max_residual: float = 0.0) -> BoundSpectrum:
+def bound_states(eigs: Sequence[float], max_residual: float = 0.0) -> BoundSpectrum:
     """Keep eigenvalues below the bound-state cutoff; count what was dropped.
 
     Non-negative (and barely negative) eigenvalues are discretized-continuum
@@ -237,7 +233,6 @@ def bound_states(eigs: Sequence[float], basis: BasisParams,
     return BoundSpectrum(
         epsilons=keep,
         report_units=-keep,
-        basis_size=basis.size,
         discarded_count=int(eigs.size - keep.size),
         max_residual=max_residual,
     )
@@ -252,11 +247,10 @@ def solve_bound_states(p: PotentialParams, size: int, mu: float = 1.5,
     large for that choice in float64 is refused with an error naming mu.  See
     assemble_system for the meaning of consistent_potential.
     """
-    nu = basis_nu(mu, nu, size)
     basis = BasisParams.from_size(mu, nu, size)
     sys = assemble_system(basis, p, consistent_potential=consistent_potential)
     eigs, max_res = _generalized_eigen(sys)
-    return bound_states(eigs, basis, max_residual=max_res)
+    return bound_states(eigs, max_residual=max_res)
 
 
 @dataclass(frozen=True)

@@ -25,19 +25,6 @@ GAMMA_POLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class JacobiPair:
-    """Parameter pair (mu, nu) of a Jacobi polynomial family.
-
-    Evaluation works for any real pair; orthogonality on [1, inf) additionally
-    needs mu > -1 and mu + nu < -2N - 1, which is checked where it matters
-    (normalization_c, basis construction), not here.
-    """
-
-    mu: float
-    nu: float
-
-
-@dataclass(frozen=True)
 class SignedLogMagnitude:
     """A real number stored as (log |value|, sign), sign in {-1, 0, +1}."""
 
@@ -77,15 +64,15 @@ def signed_log_gamma(z: float) -> SignedLogMagnitude:
     return SignedLogMagnitude(log_abs, sgn)
 
 
-def jacobi_sequence(pair: JacobiPair, n_max: int, x) -> np.ndarray:
-    """P_0 .. P_n_max at x (scalar or array) by upward three-term recursion.
+def jacobi_sequence(mu: float, nu: float, n_max: int, x) -> np.ndarray:
+    """P_0 .. P_n_max of the pair (mu, nu) at x (scalar or array) by upward recursion.
 
     Seeds P_0 = 1 and P_1 = (mu+nu+2)x/2 + (mu-nu)/2; each step solves the
-    recursion x P_n = F_n P_n + A_n P_{n-1} + B_n P_{n+1} for P_{n+1}.
+    recursion x P_n = F_n P_n + A_n P_{n-1} + B_n P_{n+1} for P_{n+1}.  Any real
+    pair evaluates; orthogonality on [1, inf) needs more (see normalization_c).
     """
     if n_max < 0:
         raise ParameterError(f"polynomial degree must be >= 0, got {n_max}")
-    mu, nu = pair.mu, pair.nu
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ParameterError("polynomial argument must be finite")
@@ -108,7 +95,7 @@ def jacobi_sequence(pair: JacobiPair, n_max: int, x) -> np.ndarray:
     return out
 
 
-def _log_cn_squared_gammas(pair: JacobiPair, n: int) -> SignedLogMagnitude:
+def _log_cn_squared_gammas(mu: float, nu: float, n: int) -> SignedLogMagnitude:
     """log(c_n^2) from the pure-gamma closed form of the diagonal norm.
 
     diag_n = (-1)^(n+1) 2^(mu+nu+1)/(2n+mu+nu+1)
@@ -118,7 +105,6 @@ def _log_cn_squared_gammas(pair: JacobiPair, n: int) -> SignedLogMagnitude:
     sit on poles; their ratio is then taken as the finite product
     (nu+1)(nu+2)...(nu+n).
     """
-    mu, nu = pair.mu, pair.nu
     t = 2.0 * n + mu + nu + 1.0
     num = [signed_log_gamma(n + mu + 1.0)]
     den = [signed_log_gamma(n + 1.0), signed_log_gamma(-nu)]
@@ -141,13 +127,12 @@ def _log_cn_squared_gammas(pair: JacobiPair, n: int) -> SignedLogMagnitude:
     return SignedLogMagnitude(-log_abs, sign)
 
 
-def log_gamma_ratio(pair: JacobiPair, n: int) -> SignedLogMagnitude:
+def log_gamma_ratio(mu: float, nu: float, n: int) -> SignedLogMagnitude:
     """ln|t Gamma(n+1) Gamma(n+mu+nu+1) / (Gamma(n+mu+1) Gamma(n+nu+1))| and its sign.
 
     t = 2n + mu + nu + 1.  This is c_n^2 up to a factor that does not depend
     on n; the wavefunction series normalizations use it as it stands.
     """
-    mu, nu = pair.mu, pair.nu
     ga = signed_log_gamma(n + 1.0)
     gb = signed_log_gamma(n + mu + nu + 1.0)
     gc = signed_log_gamma(n + mu + 1.0)
@@ -158,7 +143,7 @@ def log_gamma_ratio(pair: JacobiPair, n: int) -> SignedLogMagnitude:
         math.log(abs(t)) + ga.log_abs + gb.log_abs - gc.log_abs - gd.log_abs, sign)
 
 
-def _log_cn_squared_sines(pair: JacobiPair, n: int) -> SignedLogMagnitude:
+def _log_cn_squared_sines(mu: float, nu: float, n: int) -> SignedLogMagnitude:
     """log(c_n^2) from the sine-ratio closed form of the diagonal norm.
 
     diag_n = 2^(mu+nu+1)/(2n+mu+nu+1)
@@ -167,31 +152,29 @@ def _log_cn_squared_sines(pair: JacobiPair, n: int) -> SignedLogMagnitude:
     so c_n^2 = 1/diag_n is log_gamma_ratio times sin(pi (mu+nu+1))
     / (2^(mu+nu+1) sin(pi nu)).
     """
-    mu, nu = pair.mu, pair.nu
     s_nu, sg_nu = _sinpi(nu)
     s_mn, sg_mn = _sinpi(mu + nu + 1.0)
     if s_nu == 0.0 or s_mn == 0.0:
         raise ParameterError("sine-ratio norm undefined at integer nu or mu + nu")
-    ratio = log_gamma_ratio(pair, n)
+    ratio = log_gamma_ratio(mu, nu, n)
     log_abs = (ratio.log_abs - (mu + nu + 1.0) * math.log(2.0)
                - math.log(s_nu) + math.log(s_mn))
     return SignedLogMagnitude(log_abs, ratio.sign * sg_nu * sg_mn)
 
 
-def normalization_c(pair: JacobiPair, n: int) -> float:
+def normalization_c(mu: float, nu: float, n: int) -> float:
     """Normalization c_n making the weighted family orthonormal on [1, inf).
 
     c_n^2 is the reciprocal of the closed-form diagonal of
     int_1^inf (x-1)^mu (x+1)^nu P_n P_m dx; requires mu > -1 and
     mu + nu < -2n - 1 (strict), and the assembled square must be positive.
     """
-    mu, nu = pair.mu, pair.nu
     if not mu > -1.0:
         raise ParameterError(f"orthogonality requires mu > -1, got mu = {mu}")
     if not (mu + nu < -2.0 * n - 1.0):
         raise ParameterError(
             f"orthogonality requires mu + nu < -2n - 1; got {mu + nu} at n = {n}")
-    cn2 = _log_cn_squared_gammas(pair, n)
+    cn2 = _log_cn_squared_gammas(mu, nu, n)
     if cn2.sign <= 0 or not math.isfinite(cn2.log_abs):
         raise ParameterError(
             f"assembled c_n^2 is not positive finite for (mu, nu, n) = ({mu}, {nu}, {n})")

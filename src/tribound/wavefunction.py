@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .potential import PotentialParams, _coth_pieces
-from .recursion import EnergyParams, energy_params, expansion_coefficients
-from .special import JacobiPair, jacobi_sequence, log_gamma_ratio
+from .recursion import BasisParams, h_polynomial_sequence
+from .special import jacobi_sequence, log_gamma_ratio
 
 # Magnitudes with ln|psi| below this emit exact 0.0.
 LOG_UNDERFLOW = -700.0
@@ -52,8 +52,8 @@ def default_r_grid(lam: float = 1.0, n: int = 2000) -> np.ndarray:
     return np.geomspace(1e-3 / lam, 15.0 / lam, n)
 
 
-def _series_normalizations(energy: EnergyParams, n_max: int) -> np.ndarray:
-    """c_n for n = 0..n_max from the gamma closed form, up to a global constant.
+def _series_normalizations(basis: BasisParams) -> np.ndarray:
+    """c_n for n = 0..N from the gamma closed form, up to a global constant.
 
     c_n^2 = (2n + mu + nu + 1) Gamma(n+1) Gamma(n+mu+nu+1)
             / (Gamma(n+mu+1) Gamma(n+nu+1)).
@@ -62,8 +62,7 @@ def _series_normalizations(energy: EnergyParams, n_max: int) -> np.ndarray:
     the overall normalization); a mixed-sign sequence signals an invalid
     state and is rejected.
     """
-    pair = JacobiPair(energy.mu_k, energy.nu_k)
-    ratios = [log_gamma_ratio(pair, n) for n in range(n_max + 1)]
+    ratios = [log_gamma_ratio(basis.mu, basis.nu, n) for n in range(basis.size)]
     logs = np.array([r.log_abs for r in ratios])
     signs = np.array([r.sign for r in ratios])
     if np.any(signs != signs[0]):
@@ -73,18 +72,25 @@ def _series_normalizations(energy: EnergyParams, n_max: int) -> np.ndarray:
 
 
 def state_coefficients(k: int, epsilon_k: float, A: float, B: float, C: float
-                       ) -> tuple[EnergyParams, np.ndarray, np.ndarray]:
-    """Energy parameters, series coefficients f_n and normalizations c_n.
+                       ) -> tuple[BasisParams, np.ndarray, np.ndarray]:
+    """State basis, series coefficients f_n and normalizations c_n.
 
-    The series for state k runs over n = 0..k; every term must be square
-    integrable (mu_k + nu_k < -2k - 1).
+    The series for state k runs over the basis mu_k = sqrt(-eps),
+    nu_k = -sqrt(-eps - 2A) of degrees n = 0..k; BasisParams refuses it unless
+    every term is square integrable (mu_k + nu_k < -2k - 1).
     """
     if k < 0:
         raise ParameterError(f"state index must be >= 0, got {k}")
-    energy = energy_params(epsilon_k, A)
-    f = expansion_coefficients(energy, B, C, k)
-    c = _series_normalizations(energy, k)
-    return energy, f, c
+    if A > -0.5:
+        raise ParameterError(f"bound states require A <= -1/2, got A = {A}")
+    if not epsilon_k < 0.0:
+        raise ParameterError(f"bound states require eps < 0, got {epsilon_k}")
+    if not epsilon_k + 2.0 * A < 0.0:
+        raise ParameterError(f"eps + 2A must be negative, got {epsilon_k + 2.0 * A}")
+    if not (C > 0.0 and B >= C):
+        raise ParameterError(f"association needs B >= C > 0, got B = {B}, C = {C}")
+    basis = BasisParams(mu=math.sqrt(-epsilon_k), nu=-math.sqrt(-epsilon_k - 2.0 * A), N=k)
+    return basis, h_polynomial_sequence(basis, B, C), _series_normalizations(basis)
 
 
 def sample_wavefunction(k: int, epsilon_k: float, p: PotentialParams,
@@ -105,7 +111,7 @@ def sample_wavefunction(k: int, epsilon_k: float, p: PotentialParams,
         raise ParameterError("r grid must be a non-empty 1-d array")
     if np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0):
         raise ParameterError("r grid must be positive and strictly ascending")
-    energy, f, c = state_coefficients(k, epsilon_k, p.A, p.B, p.C)
+    basis, f, c = state_coefficients(k, epsilon_k, p.A, p.B, p.C)
 
     # The buffers of -2t and e^{-2t} become ln_pref and x in place.  Every
     # float operation keeps the order of the direct formulas (ln(x - 1) is
@@ -118,12 +124,12 @@ def sample_wavefunction(k: int, epsilon_k: float, p: PotentialParams,
     ln_pref += _LN2                                # ln(x - 1)
     ln_pref -= ln_em
     np.subtract(_LN2, ln_em, out=ln_em)            # ln(x + 1)
-    ln_pref *= 0.5 * energy.mu_k
-    ln_em *= 0.5 * energy.nu_k
+    ln_pref *= 0.5 * basis.mu
+    ln_em *= 0.5 * basis.nu
     ln_pref += ln_em
 
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        poly = jacobi_sequence(JacobiPair(energy.mu_k, energy.nu_k), k, x)
+        poly = jacobi_sequence(basis.mu, basis.nu, k, x)
         series = (c * f) @ poly.reshape(k + 1, -1)
         psi = np.log(np.abs(series))
         psi += ln_pref                             # ln|psi|; -inf where series = 0
@@ -141,8 +147,8 @@ def sample_wavefunction(k: int, epsilon_k: float, p: PotentialParams,
         r_grid=r,
         psi=psi,
         epsilon=epsilon_k,
-        mu_k=energy.mu_k,
-        nu_k=energy.nu_k,
+        mu_k=basis.mu,
+        nu_k=basis.nu,
         terms_used=k + 1,
         clamped_count=clamped,
     )

@@ -24,7 +24,7 @@ from tribound.solver import (
     quadrature_rule,
     solve_bound_states,
 )
-from tribound.special import JacobiPair, jacobi_sequence
+from tribound.special import jacobi_sequence
 from tribound.wavefunction import count_sign_changes, sample_wavefunction
 
 from test_recursion import recursion_residual
@@ -152,8 +152,8 @@ def test_criterion_4_jacobi_identities():
         nu = rng.uniform(-30.0, -19.0)
         n = int(rng.integers(0, 9))
         x = rng.uniform(1.0, 5.0)
-        lhs = jacobi_sequence(JacobiPair(mu, nu), n, x)[n]
-        rhs = (-1.0) ** n * jacobi_sequence(JacobiPair(nu, mu), n, -x)[n]
+        lhs = jacobi_sequence(mu, nu, n, x)[n]
+        rhs = (-1.0) ** n * jacobi_sequence(nu, mu, n, -x)[n]
         worst_sym = max(worst_sym, abs(lhs - rhs) / max(abs(rhs), 1e-30))
     if worst_sym > 1e-10:
         ok = False
@@ -166,11 +166,10 @@ def test_criterion_4_jacobi_identities():
         mu = rng.uniform(-0.5, 2.5)
         n = int(rng.integers(1, 5))
         nu = -2.0 * n - 1.0 - mu - rng.uniform(1.0, 10.0)
-        pair = JacobiPair(mu, nu)
         for x in np.linspace(1.01, 10.0, 5):
-            p = jacobi_sequence(pair, n, x)[n]
-            pp = jacobi_sequence(pair, n, x + h)[n]
-            pm = jacobi_sequence(pair, n, x - h)[n]
+            p = jacobi_sequence(mu, nu, n, x)[n]
+            pp = jacobi_sequence(mu, nu, n, x + h)[n]
+            pm = jacobi_sequence(mu, nu, n, x - h)[n]
             t1 = (1.0 - x * x) * (pp - 2 * p + pm) / (h * h)
             t2 = -((mu + nu + 2.0) * x + mu - nu) * (pp - pm) / (2 * h)
             t3 = n * (n + mu + nu + 1.0) * p
@@ -195,7 +194,7 @@ def test_criterion_5_recursion_consistency():
         count += 1
         C = rng.uniform(0.2, 4.0)
         B = C * rng.uniform(1.0, 3.0)
-        h = h_polynomial_sequence(basis, B, C, n_top)
+        h = h_polynomial_sequence(basis, B, C)
         worst = max(worst, recursion_residual(h, mu, nu, B, C))
     ok = worst < 1e-10
     assert report("5 recursion-consistency", ok, f"worst residual {worst:.2e}")

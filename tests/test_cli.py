@@ -180,6 +180,62 @@ class TestConfigFile:
         code, _, _ = run_cli(capsys, "spectrum", *REFERENCE_ARGS, "--config", "/no/such/file")
         assert code == 2
 
+    def test_format_validated(self, capsys, tmp_path):
+        # --format xml is refused by the parser; the config key must be too
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        code, out, err = run_cli(capsys, "spectrum", *REFERENCE_ARGS, "--basis-degree", "10",
+                                 "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "error: format must be csv or json, got 'xml'\n"
+
+
+# Each command takes only the common options it reads; the others are refused
+# as a flag (by the parser) and as a config key, rather than silently ignored.
+@pytest.mark.parametrize("command, option", [
+    ("plateau", "mu"),
+    ("potential", "basis-degree"),
+    ("potential", "mu"),
+    ("potential", "nu"),
+    ("check-quadrature", "lambda"),
+    ("check-quadrature", "basis-degree"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unread_common_option_refused(capsys, tmp_path, command, option, source):
+    argv = [command, *REFERENCE_ARGS]
+    if source == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--{option}", "7"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"--{option}" in captured.err
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option} = 7\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == f"error: unknown config key {option!r}\n"
+
+
+# Shape ratios B/C and A/C far from 1: the shape report is finite and right,
+# or the command is refused with one error line.
+def test_shape_report_overflow_is_config_error(capsys):
+    code, out, err = run_cli(capsys, "potential", "--A", "-6", "--B", "6", "--C", "1e-300",
+                             "--r-min", "1e-3", "--r-max", "1", "--samples", "3")
+    assert code == 2 and out == ""
+    assert err == ("error: shape report needs |B/C| and |A/C| <= 1e+150, "
+                   "got B/C = 6e+300, A/C = -6e+300\n")
+
+
+def test_shape_report_radius_at_large_x(capsys):
+    # the crossing sits at x ~ 1e17, where (x+1)/(x-1) rounds to 1
+    code, out, _ = run_cli(capsys, "potential", "--A", "-6", "--B", "1", "--C", "1e-17",
+                           "--samples", "3", "--format", "json")
+    assert code == 0
+    shape = json.loads(out)["shape"]
+    assert [c["r"] for c in shape["crossings"]] == [1e-17]
+    assert [e["r"] for e in shape["extrema"]] == [1.5e-17]
+
 
 @pytest.mark.parametrize("argv, message", [
     (["potential", "--A", "-6", "--B", "6", "--C", "3", "--samples", "3", "--r-max", "inf"],

@@ -20,13 +20,12 @@ LAZY_CLI_NAMES = ("solve_bound_states", "plateau_scan", "quadrature_rule",
 # only sibling modules and tests need stay importable from their modules.
 PUBLIC_NAMES = [
     "AssembledSystem", "BasisParams", "BoundSpectrum", "Crossing", "Extremum",
-    "JacobiPair", "ParameterError", "PlateauScan", "PlateauStat", "PotentialParams",
-    "QuadratureRule", "ShapeReport", "SolverError", "WavefunctionTable",
-    "assemble_system", "auto_nu", "bound_states", "classify_shape", "count_sign_changes",
-    "default_r_grid", "direct_matrix", "expansion_coefficients", "h_polynomial_sequence",
-    "jacobi_sequence", "max_basis_index", "plateau_scan", "potential_value",
-    "quadrature_matrix", "quadrature_rule", "r_of_x", "recursion_coeffs",
-    "sample_wavefunction", "solve_bound_states", "u_of_x", "x_of_r",
+    "ParameterError", "PlateauScan", "PlateauStat", "PotentialParams", "QuadratureRule",
+    "ShapeReport", "SolverError", "WavefunctionTable", "assemble_system", "auto_nu",
+    "bound_states", "classify_shape", "count_sign_changes", "default_r_grid",
+    "direct_matrix", "h_polynomial_sequence", "jacobi_sequence", "max_basis_index",
+    "plateau_scan", "potential_value", "quadrature_matrix", "quadrature_rule", "r_of_x",
+    "recursion_coeffs", "sample_wavefunction", "solve_bound_states", "u_of_x", "x_of_r",
 ]
 
 

@@ -5,12 +5,12 @@ import pytest
 
 from tribound.errors import ParameterError, SolverError
 from tribound.oracle import direct_matrix, direct_matrix_element
-from tribound.recursion import BasisParams, auto_nu, recursion_coeffs
+from tribound.recursion import BasisParams, recursion_coeffs
 from tribound.solver import quadrature_matrix, quadrature_rule
 
 
 def basis_of_size(size, mu=1.5):
-    return BasisParams.from_size(mu, auto_nu(mu, size), size)
+    return BasisParams.from_size(mu, None, size)
 
 
 class TestSelfConsistency:

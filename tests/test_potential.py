@@ -252,3 +252,25 @@ def test_extreme_lambda_r_finite_or_refused(reference_ground_eps, lam, r):
         except ParameterError:
             continue
         assert np.all(np.isfinite(values))
+
+
+# log-uniform magnitudes over [1e-300, 1e300], either sign
+SIGNED_LOG_UNIFORM = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-300.0, 300.0)).map(
+    lambda t: t[0] * 10.0**t[1])
+
+
+@given(A=SIGNED_LOG_UNIFORM, B=SIGNED_LOG_UNIFORM, C=SIGNED_LOG_UNIFORM)
+def test_extreme_shape_ratios_finite_or_refused(A, B, C):
+    # gamma, xi and every root, radius and extremum value are finite, and
+    # each radius maps back to its x; or the call raises ParameterError
+    p = PotentialParams(A=A, B=B, C=C)
+    try:
+        ratios = (p.gamma, p.xi)
+        shape = classify_shape(p)
+    except ParameterError:
+        return
+    assert all(math.isfinite(v) for v in ratios)
+    for point in (*shape.crossings, *shape.extrema):
+        assert math.isfinite(point.x) and 0.0 < point.r < math.inf
+        assert x_of_r(p.lam, point.r) == pytest.approx(point.x, rel=1e-12)
+    assert all(math.isfinite(e.value) for e in shape.extrema)

@@ -1,4 +1,4 @@
-"""Energy parameters, recursion coefficients and the coefficient polynomials."""
+"""State bases, recursion coefficients and the coefficient polynomials."""
 
 import math
 
@@ -11,11 +11,10 @@ from tribound.recursion import (
     _d_array,
     _f_g_arrays,
     auto_nu,
-    energy_params,
-    expansion_coefficients,
     h_polynomial_sequence,
     recursion_coeffs,
 )
+from tribound.wavefunction import state_coefficients
 
 REFERENCE_GROUND_EPS = -249.6474353
 
@@ -44,37 +43,50 @@ def recursion_residual(h, mu, nu, B, C):
     return worst
 
 
+def state_basis(epsilon, A, k=0):
+    """The energy-dependent basis that state_coefficients builds for state k."""
+    return state_coefficients(k, epsilon, A, 5.0, 3.0)[0]
+
+
 class TestEnergyParams:
+    """mu_k = sqrt(-eps), nu_k = -sqrt(-eps - 2A) and its domain."""
+
     def test_reference_ground_state(self):
-        e = energy_params(REFERENCE_GROUND_EPS, -300.0)
-        assert e.mu_k == pytest.approx(15.80024, abs=1e-5)
-        assert e.nu_k == pytest.approx(-29.14871, abs=1e-5)
-        assert e.mu_k**2 - e.nu_k**2 == pytest.approx(-600.0, abs=1e-12)
-        assert e.mu_k**2 + e.nu_k**2 == pytest.approx(-2 * (e.epsilon - 300.0), abs=1e-12)
+        b = state_basis(REFERENCE_GROUND_EPS, -300.0)
+        assert b.mu == pytest.approx(15.80024, abs=1e-5)
+        assert b.nu == pytest.approx(-29.14871, abs=1e-5)
+        assert b.mu**2 - b.nu**2 == pytest.approx(-600.0, abs=1e-12)
+        assert b.mu**2 + b.nu**2 == pytest.approx(-2 * (REFERENCE_GROUND_EPS - 300.0),
+                                                  abs=1e-12)
 
     def test_limiting_boundary(self):
-        e = energy_params(-1e-12, -0.5)
-        assert e.mu_k == pytest.approx(0.0, abs=1e-6)
-        assert e.nu_k == pytest.approx(-1.0, abs=1e-6)
-        assert e.mu_k + e.nu_k > -1.0 - 1e-6
+        # eps -> 0 at A = -1/2 puts the pair at (0, -1), the edge of square
+        # integrability, which even the single-term series needs
+        with pytest.raises(ParameterError, match=r"basis requires mu \+ nu < -2N - 1"):
+            state_basis(-1e-12, -0.5)
+        b = state_basis(-1e-12, -0.6)
+        assert b.mu == pytest.approx(0.0, abs=1e-6)
+        assert b.nu == pytest.approx(-math.sqrt(1.2), abs=1e-6)
 
     def test_sum_monotone_in_energy(self):
         # mu(eps) + nu(eps) is a single monotone curve (decreasing in eps)
         A = -50.0
-        sums = [energy_params(e, A).mu_k + energy_params(e, A).nu_k
+        sums = [state_basis(e, A).mu + state_basis(e, A).nu
                 for e in np.linspace(-90.0, -1.0, 25)]
         assert all(b < a for a, b in zip(sums, sums[1:]))
 
     def test_round_trip(self):
-        e = energy_params(-123.456, -200.0)
-        assert -e.mu_k**2 == pytest.approx(e.epsilon, rel=1e-12)
-        assert 0.5 * (e.mu_k**2 - e.nu_k**2) == pytest.approx(-200.0, rel=1e-12)
+        b = state_basis(-123.456, -200.0)
+        assert -b.mu**2 == pytest.approx(-123.456, rel=1e-12)
+        assert 0.5 * (b.mu**2 - b.nu**2) == pytest.approx(-200.0, rel=1e-12)
 
     def test_domain_errors(self):
-        with pytest.raises(ParameterError):
-            energy_params(0.0, -300.0)
-        with pytest.raises(ParameterError):
-            energy_params(-1.0, -0.4)
+        with pytest.raises(ParameterError, match="bound states require eps < 0"):
+            state_basis(0.0, -300.0)
+        with pytest.raises(ParameterError, match="bound states require A <= -1/2"):
+            state_basis(-1.0, -0.4)
+        with pytest.raises(ParameterError, match="eps \\+ 2A must be negative"):
+            state_basis(-1.0, math.nan)
 
 
 class TestRecursionCoeffs:
@@ -119,21 +131,36 @@ class TestRecursionCoeffs:
             BasisParams(mu=1.5, nu=-8.5, N=3)  # mu + nu = -7 = -2N - 1 exactly
 
     def test_from_size(self):
-        basis = BasisParams.from_size(1.5, auto_nu(1.5, 10), 10)
+        basis = BasisParams.from_size(1.5, None, 10)
         assert basis.N == 9 and basis.size == 10
-        assert basis.nu == -23.5
+        assert basis.nu == -23.5 == auto_nu(1.5, 10)
+        assert BasisParams.from_size(1.5, -30.0, 10).nu == -30.0
+
+    @pytest.mark.parametrize("mu, nu, size, message", [
+        (-2.0, None, 0, "mu must exceed -1, got -2.0"),
+        (1e300, None, 10, "mu = 1e+300 is too large for a basis of 10 functions"),
+        (1.5, -5.0, 10, "mu + nu = -3.5 violates mu + nu < -2*10 - 1"),
+        (1.5, -22.0, 10, "mu + nu = -20.5 violates mu + nu < -2*10 - 1"),
+        (1.5, None, 0, "basis size must be >= 1, got 0"),
+    ])
+    def test_from_size_checks_in_order(self, mu, nu, size, message):
+        # the mu and mu + nu checks come before the size check; an explicit
+        # nu must satisfy the size bound -2*size - 1, one tighter than -2N - 1
+        with pytest.raises(ParameterError) as err:
+            BasisParams.from_size(mu, nu, size)
+        assert str(err.value) == message
 
 
 class TestHPolynomialSequence:
     def test_h0_is_one(self):
-        basis = BasisParams(mu=1.0, nu=-5.0, N=1)
-        h = h_polynomial_sequence(basis, 5.0, 3.0, 0)
+        basis = BasisParams(mu=1.0, nu=-5.0, N=0)
+        h = h_polynomial_sequence(basis, 5.0, 3.0)
         assert h.tolist() == [1.0]
 
     def test_h1_hand_value(self):
         # B=5, C=3, mu=1, nu=-5: G_0=2, F_0=3, D_0=-sqrt(8)
         basis = BasisParams(mu=1.0, nu=-5.0, N=1)
-        h = h_polynomial_sequence(basis, 5.0, 3.0, 1)
+        h = h_polynomial_sequence(basis, 5.0, 3.0)
         assert h[1] == pytest.approx(1.0 / (3.0 * math.sqrt(2.0)), rel=1e-14)
         # brute-force solve of the first recursion row for f_1
         (f0,), (g0,) = _f_g_arrays(1.0, -5.0, 1)
@@ -142,9 +169,9 @@ class TestHPolynomialSequence:
         assert h[1] == pytest.approx(f1, rel=1e-14)
 
     def test_general_step_matches_low_order_instance(self):
-        basis = BasisParams(mu=1.5, nu=-25.5, N=4)
+        basis = BasisParams(mu=1.5, nu=-25.5, N=2)
         c = recursion_coeffs(basis)
-        h = h_polynomial_sequence(basis, 5.0, 3.0, 2)
+        h = h_polynomial_sequence(basis, 5.0, 3.0)
         h2_hand = ((5.0 + c.G[1] - 3.0 * c.F[1]) * h[1] - 3.0 * c.D[0] * h[0]) / (3.0 * c.D[1])
         assert h[2] == h2_hand  # same arithmetic path, bit for bit
 
@@ -158,7 +185,7 @@ class TestHPolynomialSequence:
             count += 1
             C = rng.uniform(0.2, 4.0)
             B = C * rng.uniform(1.0, 3.0)
-            h = h_polynomial_sequence(basis, B, C, basis.N)
+            h = h_polynomial_sequence(basis, B, C)
             res = recursion_residual(h, basis.mu, basis.nu, B, C)
             assert res < 1e-10
 
@@ -171,7 +198,7 @@ class TestHPolynomialSequence:
         basis = BasisParams.from_size(mu, nu, size)
         C = 1e-4
         B = 5.0 * C
-        h = h_polynomial_sequence(basis, B, C, basis.N)
+        h = h_polynomial_sequence(basis, B, C)
         assert np.all(np.isfinite(h))
         assert np.max(np.abs(h)) <= 1e150 * (1.0 + 1e-12)
         # entries rescaled into the denormal range cannot satisfy the
@@ -190,29 +217,28 @@ class TestHPolynomialSequence:
     def test_degenerate_step_rejected(self):
         basis = BasisParams(mu=1.0, nu=-5.0, N=1)
         with pytest.raises(ParameterError):
-            h_polynomial_sequence(basis, 5.0, 1e-20, 1)
+            h_polynomial_sequence(basis, 5.0, 1e-20)
 
 
 class TestExpansionCoefficients:
+    """The series coefficients f_n of state_coefficients at a state's basis."""
+
     def test_single_term(self):
-        e = energy_params(REFERENCE_GROUND_EPS, -300.0)
-        f = expansion_coefficients(e, 5.0, 3.0, 0)
+        _, f, _ = state_coefficients(0, REFERENCE_GROUND_EPS, -300.0, 5.0, 3.0)
         assert f.tolist() == [1.0]
 
     def test_reference_state_residual(self):
-        e = energy_params(REFERENCE_GROUND_EPS, -300.0)
-        f = expansion_coefficients(e, 5.0, 3.0, 4)
-        assert recursion_residual(f, e.mu_k, e.nu_k, 5.0, 3.0) < 1e-10
+        basis, f, _ = state_coefficients(4, REFERENCE_GROUND_EPS, -300.0, 5.0, 3.0)
+        assert np.array_equal(f, h_polynomial_sequence(basis, 5.0, 3.0))
+        assert recursion_residual(f, basis.mu, basis.nu, 5.0, 3.0) < 1e-10
 
     def test_square_integrability_guard(self):
-        e = energy_params(REFERENCE_GROUND_EPS, -300.0)
-        # mu_k + nu_k ~ -13.35 allows n_max <= 6 only
-        with pytest.raises(ParameterError):
-            expansion_coefficients(e, 5.0, 3.0, 7)
+        # mu_k + nu_k ~ -13.35 allows N <= 6 only
+        with pytest.raises(ParameterError, match=r"basis requires mu \+ nu < -2N - 1"):
+            state_coefficients(7, REFERENCE_GROUND_EPS, -300.0, 5.0, 3.0)
 
     def test_association_guard(self):
         # the recursion's polynomial family needs B >= C > 0
-        e = energy_params(REFERENCE_GROUND_EPS, -300.0)
         for B, C in ((2.0, 3.0), (2.0, -1.0)):
             with pytest.raises(ParameterError, match="B >= C > 0"):
-                expansion_coefficients(e, B, C, 2)
+                state_coefficients(2, REFERENCE_GROUND_EPS, -300.0, B, C)

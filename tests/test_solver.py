@@ -7,7 +7,7 @@ import scipy.linalg
 from tribound.errors import ParameterError, SolverError
 from tribound.oracle import direct_matrix
 from tribound.potential import PotentialParams, max_basis_index
-from tribound.recursion import BasisParams, auto_nu, recursion_coeffs
+from tribound.recursion import BasisParams, recursion_coeffs
 from tribound.solver import (
     _generalized_eigen,
     AssembledSystem,
@@ -24,7 +24,7 @@ REFERENCE_POTENTIAL = PotentialParams(A=-300.0, B=5.0, C=3.0)
 
 
 def sized_basis(size, mu=1.5):
-    return BasisParams.from_size(mu, auto_nu(mu, size), size)
+    return BasisParams.from_size(mu, None, size)
 
 
 def x_matrix(basis):
@@ -188,17 +188,15 @@ class TestGeneralizedSpectrum:
 
 class TestBoundStates:
     def test_all_positive_input_empty(self):
-        basis = sized_basis(3)
-        spectrum = bound_states([0.5, 1.0, 2.0], basis)
+        spectrum = bound_states([0.5, 1.0, 2.0])
         assert len(spectrum) == 0 and spectrum.discarded_count == 3
 
     def test_filtering_and_ordering(self):
-        basis = sized_basis(4)
-        spectrum = bound_states([3.0, -1.0, -7.0, 1e-12], basis)
+        spectrum = bound_states([3.0, -1.0, -7.0, 1e-12])
         assert spectrum.epsilons.tolist() == [-7.0, -1.0]
         assert spectrum.report_units.tolist() == [7.0, 1.0]
         assert spectrum.discarded_count == 2
-        assert spectrum.basis_size == 4
+        assert len(spectrum) + spectrum.discarded_count == 4
 
     def test_count_within_physical_bound(self):
         assert max_basis_index(REFERENCE_POTENTIAL.A) + 1 == 12

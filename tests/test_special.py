@@ -9,7 +9,6 @@ from scipy import integrate
 
 from tribound.errors import ParameterError
 from tribound.special import (
-    JacobiPair,
     _log_cn_squared_gammas,
     _log_cn_squared_sines,
     jacobi_sequence,
@@ -37,15 +36,14 @@ def weighted_product_integral(mu, nu, n, m, tol=1e-10):
     Pre-scaling by the normalization constants keeps diagonals at 1 so the
     relative comparison against the closed form is well conditioned.
     """
-    pair = JacobiPair(mu, nu)
-    log_c = math.log(normalization_c(pair, n)) + math.log(normalization_c(pair, m))
+    log_c = math.log(normalization_c(mu, nu, n)) + math.log(normalization_c(mu, nu, m))
 
     def integrand(t):
         x = 1.0 + math.exp(t)
         lw = log_c + (mu + 1.0) * t + nu * math.log(x + 1.0)
         if lw < -700.0:
             return 0.0
-        p = jacobi_sequence(pair, max(n, m), x)
+        p = jacobi_sequence(mu, nu, max(n, m), x)
         return math.exp(lw) * float(p[n]) * float(p[m])
 
     t_peak = math.log((mu - nu) / (-mu - nu) - 1.0)
@@ -57,11 +55,11 @@ def weighted_product_integral(mu, nu, n, m, tol=1e-10):
 
 class TestJacobiEval:
     def test_degree_zero_is_one(self):
-        assert jacobi_sequence(JacobiPair(1.5, -25.5), 0, 3.0)[0] == 1.0
+        assert jacobi_sequence(1.5, -25.5, 0, 3.0)[0] == 1.0
 
     def test_degree_one_hand_value(self):
         # (mu+nu+2)x/2 + (mu-nu)/2 at (2, -10), x = 3
-        p1 = jacobi_sequence(JacobiPair(2.0, -10.0), 1, 3.0)[1]
+        p1 = jacobi_sequence(2.0, -10.0, 1, 3.0)[1]
         assert p1 == pytest.approx(-3.0, abs=1e-14)
         assert hypergeometric_oracle(2.0, -10.0, 1, 3.0) == pytest.approx(-3.0, rel=1e-12)
 
@@ -69,7 +67,7 @@ class TestJacobiEval:
     def test_matches_hypergeometric_sum(self, n):
         for mu, nu in ((1.5, -25.5), (0.3, -9.2), (2.0, -30.0)):
             for x in (1.0, 1.5, 4.0):
-                got = jacobi_sequence(JacobiPair(mu, nu), n, x)[n]
+                got = jacobi_sequence(mu, nu, n, x)[n]
                 want = hypergeometric_oracle(mu, nu, n, x)
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9 * abs(want) + 1e-12)
 
@@ -81,33 +79,33 @@ class TestJacobiEval:
             nu = rng.uniform(-30.0, -19.0)
             n = int(rng.integers(0, 9))
             x = rng.uniform(1.0, 5.0)
-            lhs = jacobi_sequence(JacobiPair(mu, nu), n, x)[n]
-            rhs = (-1.0) ** n * jacobi_sequence(JacobiPair(nu, mu), n, -x)[n]
+            lhs = jacobi_sequence(mu, nu, n, x)[n]
+            rhs = (-1.0) ** n * jacobi_sequence(nu, mu, n, -x)[n]
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
     def test_rejects_non_finite_argument(self):
         with pytest.raises(ParameterError):
-            jacobi_sequence(JacobiPair(1.5, -25.5), 2, math.inf)
+            jacobi_sequence(1.5, -25.5, 2, math.inf)
 
     def test_rejects_degenerate_denominator(self):
         # 2n + mu + nu = 0 exactly at n = 2
         with pytest.raises(ParameterError):
-            jacobi_sequence(JacobiPair(1.0, -5.0), 3, 2.0)
+            jacobi_sequence(1.0, -5.0, 3, 2.0)
 
     def test_differential_equation_residual(self):
         # (1-x^2) P'' - [(mu+nu+2)x + mu - nu] P' + n(n+mu+nu+1) P = 0
-        pair = JacobiPair(1.5, -25.5)
+        mu, nu = 1.5, -25.5
         h = 1e-4
         for n in (2, 4, 6):
             for x in np.linspace(1.01, 10.0, 7):
-                p = jacobi_sequence(pair, n, x)[n]
-                pp = jacobi_sequence(pair, n, x + h)[n]
-                pm = jacobi_sequence(pair, n, x - h)[n]
+                p = jacobi_sequence(mu, nu, n, x)[n]
+                pp = jacobi_sequence(mu, nu, n, x + h)[n]
+                pm = jacobi_sequence(mu, nu, n, x - h)[n]
                 d1 = (pp - pm) / (2 * h)
                 d2 = (pp - 2 * p + pm) / (h * h)
                 t1 = (1.0 - x * x) * d2
-                t2 = -((pair.mu + pair.nu + 2.0) * x + pair.mu - pair.nu) * d1
-                t3 = n * (n + pair.mu + pair.nu + 1.0) * p
+                t2 = -((mu + nu + 2.0) * x + mu - nu) * d1
+                t3 = n * (n + mu + nu + 1.0) * p
                 scale = abs(t1) + abs(t2) + abs(t3)
                 assert abs(t1 + t2 + t3) < 1e-6 * max(scale, 1.0)
 
@@ -147,8 +145,7 @@ class TestSignedLogGamma:
 
 class TestNormalization:
     def test_positive_and_matches_integral(self):
-        pair = JacobiPair(1.5, -25.5)
-        c0 = normalization_c(pair, 0)
+        c0 = normalization_c(1.5, -25.5, 0)
         assert c0 > 0.0 and math.isfinite(c0)
         # weighted_product_integral already carries c_0^2
         assert weighted_product_integral(1.5, -25.5, 0, 0) == pytest.approx(1.0, rel=1e-9)
@@ -156,11 +153,11 @@ class TestNormalization:
     def test_strict_inequality_boundary_rejected(self):
         # mu + nu = -2n - 1 exactly is outside the validity domain
         with pytest.raises(ParameterError):
-            normalization_c(JacobiPair(1.5, -1.5 - 2.0 * 3 - 1.0), 3)
+            normalization_c(1.5, -1.5 - 2.0 * 3 - 1.0, 3)
 
     def test_mu_constraint(self):
         with pytest.raises(ParameterError):
-            normalization_c(JacobiPair(-1.0, -20.0), 0)
+            normalization_c(-1.0, -20.0, 0)
 
     def test_gamma_form_equals_sine_form(self):
         rng = np.random.default_rng(7)
@@ -168,9 +165,8 @@ class TestNormalization:
             mu = rng.uniform(-0.9, 3.0)
             n = int(rng.integers(0, 5))
             nu = -2.0 * n - 1.0 - mu - rng.uniform(0.5, 20.0)
-            pair = JacobiPair(mu, nu)
-            a = _log_cn_squared_gammas(pair, n)
-            b = _log_cn_squared_sines(pair, n)
+            a = _log_cn_squared_gammas(mu, nu, n)
+            b = _log_cn_squared_sines(mu, nu, n)
             assert a.sign == b.sign == 1
             assert a.log_abs == pytest.approx(b.log_abs, abs=1e-12 * max(1.0, abs(a.log_abs)))
 
@@ -191,17 +187,16 @@ class TestOrthogonality:
         # substitute x -> 2x + 1: int_0^inf x^mu (x+1)^nu P_n(2x+1) P_m(2x+1) dx
         # equals the x >= 1 closed form divided by 2^(mu+nu+1)
         mu, nu, N = 1.5, -13.5, 2
-        pair = JacobiPair(mu, nu)
 
         def element(n, m):
-            log_c = math.log(normalization_c(pair, n)) + math.log(normalization_c(pair, m))
+            log_c = math.log(normalization_c(mu, nu, n)) + math.log(normalization_c(mu, nu, m))
 
             def integrand(t):
                 x = math.exp(t)
                 lw = log_c + (mu + 1.0) * t + nu * math.log1p(x)
                 if lw < -700.0:
                     return 0.0
-                p = jacobi_sequence(pair, max(n, m), 2.0 * x + 1.0)
+                p = jacobi_sequence(mu, nu, max(n, m), 2.0 * x + 1.0)
                 return math.exp(lw) * float(p[n]) * float(p[m])
 
             t_peak = math.log(0.5 * ((mu - nu) / (-mu - nu) - 1.0))

@@ -8,7 +8,7 @@ import pytest
 from tribound.errors import ParameterError
 from tribound.potential import PotentialParams
 from tribound.solver import solve_bound_states
-from tribound.special import JacobiPair, jacobi_sequence
+from tribound.special import jacobi_sequence
 from tribound.wavefunction import (
     LOG_UNDERFLOW,
     count_sign_changes,
@@ -28,11 +28,11 @@ def reference_spectrum():
 class TestStateCoefficients:
     def test_ground_state_single_term(self, reference_spectrum):
         eps0 = float(reference_spectrum.epsilons[0])
-        energy, f, c = state_coefficients(0, eps0, -300.0, 5.0, 3.0)
+        basis, f, c = state_coefficients(0, eps0, -300.0, 5.0, 3.0)
         assert f.tolist() == [1.0]
         assert c.shape == (1,) and c[0] > 0.0
         # the single-term series is admissible: mu_k + nu_k < -1
-        assert energy.mu_k + energy.nu_k < -1.0
+        assert basis.N == 0 and basis.mu + basis.nu < -1.0
 
     def test_leading_coefficient_always_one(self, reference_spectrum):
         for k, eps in enumerate(reference_spectrum.epsilons):
@@ -63,9 +63,8 @@ class TestSampleWavefunction:
         r = np.geomspace(0.05, 2.0, 50)
         table = sample_wavefunction(2, eps, REFERENCE_POTENTIAL, r)
         _, f, c = state_coefficients(2, eps, -300.0, 5.0, 3.0)
-        from tribound.special import JacobiPair, jacobi_sequence
         x = 1.0 / np.tanh(r)
-        poly = jacobi_sequence(JacobiPair(table.mu_k, table.nu_k), 2, x)
+        poly = jacobi_sequence(table.mu_k, table.nu_k, 2, x)
         naive = ((x - 1.0) ** (0.5 * table.mu_k) * (x + 1.0) ** (0.5 * table.nu_k)
                  * sum(c[n] * f[n] * poly[n] for n in range(3)))
         scale = np.abs(naive).max()
@@ -129,15 +128,15 @@ def masked_index_sampler(k, epsilon_k, p, r):
     """psi and clamped count by the direct formulas, combined only at the
     nonzero series values through masked copies: the reference that the
     whole-array sampler must match bit for bit."""
-    energy, f, c = state_coefficients(k, epsilon_k, p.A, p.B, p.C)
+    basis, f, c = state_coefficients(k, epsilon_k, p.A, p.B, p.C)
     n_max = f.shape[0] - 1
     t = p.lam * r
     em = -np.expm1(-2.0 * t)
     x = 1.0 + 2.0 * np.exp(-2.0 * t) / em
     ln_xm1 = math.log(2.0) - 2.0 * t - np.log(em)
     ln_xp1 = math.log(2.0) - np.log(em)
-    ln_pref = 0.5 * energy.mu_k * ln_xm1 + 0.5 * energy.nu_k * ln_xp1
-    poly = jacobi_sequence(JacobiPair(energy.mu_k, energy.nu_k), n_max, x)
+    ln_pref = 0.5 * basis.mu * ln_xm1 + 0.5 * basis.nu * ln_xp1
+    poly = jacobi_sequence(basis.mu, basis.nu, n_max, x)
     series = (c * f) @ poly.reshape(n_max + 1, -1)
     psi = np.zeros_like(x)
     nz = series != 0.0
