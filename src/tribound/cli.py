@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cq = sub.add_parser("check-quadrature",
                         help="compare quadrature matrices against direct integration")
-    # A, B and C are taken, though not read, so one potential's flags fit every command
+    # A, B and C are optional and not read; taking them lets one potential's flags fit every command
     _add_common(cq, "lam", "basis_degree")
     cq.add_argument("--max-degree", type=int, default=None,
                     help="largest basis size checked, 2..8 (default 5)")
@@ -233,9 +233,10 @@ def _resolve(args: argparse.Namespace, extra_defaults: dict | None = None) -> di
     if merged["format"] not in ("csv", "json"):
         raise ParameterError(f"format must be csv or json, got {merged['format']!r}")
     for key in ("A", "B", "C"):
-        if merged[key] is None:
+        if merged[key] is not None:
+            merged[key] = _number(merged, key)
+        elif args.command != "check-quadrature":  # the one command that reads no potential
             raise ParameterError(f"--{key} is required (flag or config file)")
-        merged[key] = _number(merged, key)
     for key, kind in (("lam", float), ("basis_degree", int), ("mu", float)):
         if key in merged:
             merged[key] = _number(merged, key, kind)

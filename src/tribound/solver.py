@@ -78,6 +78,9 @@ class BoundSpectrum:
     epsilons: np.ndarray
     report_units: np.ndarray
     discarded_count: int = 0
+    # max ||H f - eps omega f|| / max(||H||, 1) over the pairs the 1e-8
+    # contract checks: those that can be bound states and those that never
+    # needed refinement (see _generalized_eigen)
     max_residual: float = 0.0
 
     def __len__(self) -> int:
@@ -185,14 +188,22 @@ def _refine_pair(h: np.ndarray, omega: np.ndarray, lam: float,
 
 
 def _generalized_eigen(sys: AssembledSystem) -> tuple[np.ndarray, float]:
-    """Eigenvalues (ascending) and the max relative eigenpair residual.
+    """Eigenvalues (ascending) and the max relative residual of the checked pairs.
 
     omega = Lam diag(g) Lam^T exactly, g = 1/(tau^2 - 1) > 0, so the
     whitening S = Lam diag(sqrt g) inverts in closed form and reduces
     H f = eps omega f to an ordinary symmetric problem; this stays accurate
-    where a numerical factorization of the ill-conditioned omega does not.  Any
-    pair whose residual ||H f - eps omega f|| approaches the 1e-8 ||H||
-    contract is refined.
+    where a numerical factorization of the ill-conditioned omega does not.
+
+    Each pair k with residual r = H f - eps omega f has a true eigenvalue
+    within b = ||r||_{omega^-1} / ||f||_omega of eps (Parlett, The Symmetric
+    Eigenvalue Problem), and both norms are diagonal in the rule's basis.
+    A pair with eps - b below BOUND_STATE_CUTOFF can be a bound state: it is
+    refined if its residual approaches the 1e-8 ||H|| contract, and then
+    checked against the contract.  Pairs below the refinement trigger are
+    checked as they are.  A pair that needs refinement but lies wholly above
+    the cutoff is a continuum artifact: it is neither refined nor checked,
+    and its eigenvalue, returned unrefined, is discarded by bound_states.
     """
     h, omega, rule = sys.H, sys.omega, sys.rule
     if np.any(rule.tau ** 2 <= 1.0):
@@ -209,17 +220,27 @@ def _generalized_eigen(sys: AssembledSystem) -> tuple[np.ndarray, float]:
 
     h_norm = np.linalg.norm(h, 2)
     tol = PAIR_RESIDUAL_TOL * max(h_norm, 1.0)
-    residuals = np.linalg.norm(h @ vecs - (omega @ vecs) * eigs, axis=0)
-    for k in np.nonzero(residuals > _REFINE_TRIGGER * tol)[0]:
+    res_block = h @ vecs - (omega @ vecs) * eigs
+    residuals = np.linalg.norm(res_block, axis=0)
+    # b = ||r||_{omega^-1} / ||f||_omega, omega^-1 = Lam diag(tau^2 - 1) Lam^T;
+    # a b that overflows is NaN and leaves its pair a candidate
+    scale = g_isqrt[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        radius = np.sqrt(np.sum((scale * (rule.Lam.T @ res_block)) ** 2, axis=0)
+                         / np.sum((rule.Lam.T @ vecs / scale) ** 2, axis=0))
+    candidate = ~(eigs - radius >= BOUND_STATE_CUTOFF)
+    triggered = residuals > _REFINE_TRIGGER * tol
+    for k in np.nonzero(candidate & triggered)[0]:
         lam_k, f_k = _refine_pair(h, omega, float(eigs[k]), vecs[:, k].copy())
         res_k = np.linalg.norm(h @ f_k - lam_k * (omega @ f_k))
         if res_k < residuals[k]:
-            eigs[k], vecs[:, k], residuals[k] = lam_k, f_k, res_k
-    if residuals.max() > tol:
+            eigs[k], residuals[k] = lam_k, res_k
+    worst = residuals[candidate | ~triggered].max(initial=0.0)
+    if worst > tol:
         raise SolverError(
-            f"generalized eigenpair residual {residuals.max():.3e} exceeds "
+            f"generalized eigenpair residual {worst:.3e} exceeds "
             f"{tol:.3e} after refinement")
-    return np.sort(eigs, kind="stable"), float(residuals.max() / max(h_norm, 1.0))
+    return np.sort(eigs, kind="stable"), float(worst / max(h_norm, 1.0))
 
 
 def bound_states(eigs: Sequence[float], max_residual: float = 0.0) -> BoundSpectrum:

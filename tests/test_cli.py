@@ -443,3 +443,8 @@ class TestCheckQuadratureCommand:
     def test_degree_bounds(self, capsys):
         assert run_cli(capsys, "check-quadrature", *REFERENCE_ARGS, "--max-degree", "1")[0] == 2
         assert run_cli(capsys, "check-quadrature", *REFERENCE_ARGS, "--max-degree", "9")[0] == 2
+
+    def test_potential_optional(self, capsys):
+        code, out, _ = run_cli(capsys, "check-quadrature", "--max-degree", "2")
+        assert code == 0
+        assert out == run_cli(capsys, "check-quadrature", *REFERENCE_ARGS, "--max-degree", "2")[1]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from tribound import solver
 from tribound.errors import ParameterError, SolverError
 from tribound.oracle import direct_matrix
 from tribound.potential import PotentialParams, max_basis_index
@@ -184,6 +185,68 @@ class TestGeneralizedSpectrum:
         for size in (50, 150):
             sys = assemble_system(sized_basis(size), REFERENCE_POTENTIAL)
             _generalized_eigen(sys)  # raises SolverError on violation
+
+
+def all_pairs_eigen(sys):
+    """The eigensolve with every triggered pair refined and checked."""
+    h, omega, rule = sys.H, sys.omega, sys.rule
+    g_isqrt = np.sqrt(rule.tau ** 2 - 1.0)
+    reduced = g_isqrt[:, None] * (rule.Lam.T @ h @ rule.Lam) * g_isqrt[None, :]
+    eigs, y = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    vecs = (rule.Lam * g_isqrt) @ y
+    vecs /= np.linalg.norm(vecs, axis=0)
+    tol = solver.PAIR_RESIDUAL_TOL * max(np.linalg.norm(h, 2), 1.0)
+    residuals = np.linalg.norm(h @ vecs - (omega @ vecs) * eigs, axis=0)
+    for k in np.nonzero(residuals > solver._REFINE_TRIGGER * tol)[0]:
+        lam_k, f_k = solver._refine_pair(h, omega, float(eigs[k]), vecs[:, k].copy())
+        res_k = np.linalg.norm(h @ f_k - lam_k * (omega @ f_k))
+        if res_k < residuals[k]:
+            eigs[k], residuals[k] = lam_k, res_k
+    assert residuals.max() <= tol
+    return np.sort(eigs, kind="stable")
+
+
+class TestBoundStateSelection:
+    """Only pairs that can be bound states are refined and checked."""
+
+    @pytest.mark.parametrize("consistent", [False, True], ids=["default", "consistent"])
+    @pytest.mark.parametrize("size", [10, 50, 100])
+    @pytest.mark.parametrize("A", [-20.0, -300.0, -2000.0])
+    def test_levels_match_refining_every_pair(self, A, size, consistent):
+        p = PotentialParams(A=A, B=5.0, C=3.0)
+        for mu in (1.0, 1.5, 3.0):
+            got = solve_bound_states(p, size, mu=mu, consistent_potential=consistent)
+            sys = assemble_system(sized_basis(size, mu), p, consistent_potential=consistent)
+            want = bound_states(all_pairs_eigen(sys))
+            assert np.array_equal(got.epsilons, want.epsilons)
+            assert got.discarded_count == want.discarded_count
+
+    def test_refines_only_bound_state_candidates(self, monkeypatch):
+        calls = []
+        refine = solver._refine_pair
+
+        def counted(*args):
+            calls.append(args)
+            return refine(*args)
+
+        monkeypatch.setattr(solver, "_refine_pair", counted)
+        spectrum = solve_bound_states(REFERENCE_POTENTIAL, 100)
+        assert len(spectrum) == 5
+        assert 0 < len(calls) <= 5
+
+    @pytest.mark.parametrize("consistent", [False, True], ids=["default", "consistent"])
+    def test_float64_ceiling_refused(self, consistent):
+        with pytest.raises(SolverError, match="after refinement"):
+            solve_bound_states(REFERENCE_POTENTIAL, 400, consistent_potential=consistent)
+
+    def test_deep_well_ceiling_never_drops_a_state(self):
+        # Selecting by the raw eigh eigenvalue drops the unrefined pair of the
+        # 0.709 level here (it sits at +0.05, error radius 1.69) and returns 16.
+        try:
+            spectrum = solve_bound_states(PotentialParams(A=-2000.0, B=5.0, C=3.0), 400)
+        except SolverError:
+            return
+        assert len(spectrum) == 17
 
 
 class TestBoundStates:
