@@ -223,7 +223,7 @@ def _generalized_eigen(sys: AssembledSystem) -> tuple[np.ndarray, float]:
     res_block = h @ vecs - (omega @ vecs) * eigs
     residuals = np.linalg.norm(res_block, axis=0)
     # b = ||r||_{omega^-1} / ||f||_omega, omega^-1 = Lam diag(tau^2 - 1) Lam^T;
-    # a b that overflows is NaN and leaves its pair a candidate
+    # a b that overflows (inf or NaN) leaves its pair a candidate
     scale = g_isqrt[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         radius = np.sqrt(np.sum((scale * (rule.Lam.T @ res_block)) ** 2, axis=0)
