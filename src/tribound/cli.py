@@ -307,6 +307,9 @@ def _cmd_spectrum(args) -> int:
     note = None
     if cfg["A"] > -0.5:
         note = f"A = {fmt(cfg['A'])} > -1/2 admits no bound states"
+    elif len(spectrum) == 0:
+        note = (f"no bound state found at N = {cfg['basis_degree']}, mu = {fmt(cfg['mu'])}: "
+                "a mu off the stability plateau can lose states; scan mu with `tribound plateau`")
     n_max = max_basis_index(cfg["A"])
     doc = {
         "command": "spectrum",

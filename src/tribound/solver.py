@@ -61,7 +61,7 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Hamiltonian (pre-scaled by 2/lambda^2) and overlap, plus their rule."""
+    """Exactly symmetric Hamiltonian (pre-scaled by 2/lambda^2) and overlap, plus their rule."""
 
     H: np.ndarray
     omega: np.ndarray
@@ -92,7 +92,7 @@ def quadrature_rule(basis: BasisParams) -> QuadratureRule:
 
     Delegates to LAPACK's tridiagonal solver on the recursion coefficients
     and enforces the residual contract
-    ||X Lam - Lam diag(tau)||_max < 1e-10 ||X||_max.
+    ||X Lam - Lam diag(tau)||_max < 1e-10 max(||X||_max, 1).
     """
     c = recursion_coeffs(basis)
     try:
@@ -102,7 +102,8 @@ def quadrature_rule(basis: BasisParams) -> QuadratureRule:
     x_lam = c.F[:, None] * lam
     x_lam[:-1] += c.D[:, None] * lam[1:]
     x_lam[1:] += c.D[:, None] * lam[:-1]
-    residual = np.abs(x_lam - lam * tau).max()
+    x_lam -= lam * tau
+    residual = np.abs(x_lam, out=x_lam).max()
     scale = max(np.abs(c.F).max(), np.abs(c.D).max(initial=0.0))
     if residual > TRIDIAG_RESIDUAL_TOL * max(scale, 1.0):
         raise SolverError(
@@ -156,25 +157,32 @@ def assemble_system(basis: BasisParams, p: PotentialParams,
     a_pole = 2.0 * p.A if consistent_potential else p.A
     n = np.arange(basis.size, dtype=float)
     diag = 0.25 - p.B - (n + 0.5 * (mu + nu + 1.0)) ** 2
-    h = (np.diag(diag)
-         + p.C * (np.diag(c.F) + np.diag(c.D, 1) + np.diag(c.D, -1))
-         + (mu * mu / 2.0) * quadrature_matrix(rule, lambda t: 1.0 / (1.0 - t))
-         + ((nu * nu + a_pole) / 2.0) * quadrature_matrix(rule, lambda t: 1.0 / (1.0 + t)))
+    # in place, rounding as the sum diag + C X + (mu^2/2) <.> + ((nu^2+a)/2) <.>
+    h = quadrature_matrix(rule, lambda t: 1.0 / (1.0 - t))
+    h *= mu * mu / 2.0
+    h.flat[::basis.size + 1] += diag + p.C * c.F
+    h.flat[1::basis.size + 1] += p.C * c.D
+    h.flat[basis.size::basis.size + 1] += p.C * c.D
+    h += ((nu * nu + a_pole) / 2.0) * quadrature_matrix(rule, lambda t: 1.0 / (1.0 + t))
     omega = quadrature_matrix(rule, lambda t: 1.0 / (t * t - 1.0))
-    h = 0.5 * (h + h.T)
-    omega = 0.5 * (omega + omega.T)
+    for m in (h, omega):
+        m += m.T
+        m *= 0.5
     return AssembledSystem(H=h, omega=omega, rule=rule)
 
 
 def _refine_pair(h: np.ndarray, omega: np.ndarray, lam: float,
                  f: np.ndarray) -> tuple[float, np.ndarray]:
     """One or two steps of inverse iteration plus Rayleigh-quotient update."""
+    shifted = np.empty_like(h)
     for _ in range(2):
-        shifted = h - lam * omega
+        np.subtract(h, np.multiply(omega, lam, out=shifted), out=shifted)
         try:
-            lu, piv = scipy.linalg.lu_factor(shifted, check_finite=False)
+            # h - lam omega is exactly symmetric: its Fortran-order view is the
+            # same matrix, which lu_factor overwrites instead of copying
+            lu, piv = scipy.linalg.lu_factor(shifted.T, overwrite_a=True, check_finite=False)
             f_new = scipy.linalg.lu_solve((lu, piv), omega @ f, check_finite=False)
-        except (np.linalg.LinAlgError, ValueError, scipy.linalg.LinAlgError):
+        except (np.linalg.LinAlgError, ValueError):
             break
         norm = np.linalg.norm(f_new)
         if not np.isfinite(norm) or norm == 0.0:
@@ -213,21 +221,20 @@ def _generalized_eigen(sys: AssembledSystem) -> tuple[np.ndarray, float]:
     reduced = 0.5 * (reduced + reduced.T)
     try:
         eigs, y = np.linalg.eigh(reduced)
+        h_norm = np.abs(np.linalg.eigvalsh(h)).max()   # ||H||_2 of a symmetric H
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"symmetric eigensolve failed: {exc}") from exc
     vecs = (rule.Lam * g_isqrt) @ y
-    vecs /= np.linalg.norm(vecs, axis=0)
+    col_norm = np.linalg.norm(vecs, axis=0)
+    vecs /= col_norm
 
-    h_norm = np.linalg.norm(h, 2)
     tol = PAIR_RESIDUAL_TOL * max(h_norm, 1.0)
     res_block = h @ vecs - (omega @ vecs) * eigs
     residuals = np.linalg.norm(res_block, axis=0)
-    # b = ||r||_{omega^-1} / ||f||_omega, omega^-1 = Lam diag(tau^2 - 1) Lam^T;
-    # a b that overflows (inf or NaN) leaves its pair a candidate
-    scale = g_isqrt[:, None]
+    # b = ||r||_{omega^-1} / ||f||_omega, omega^-1 = Lam diag(tau^2 - 1) Lam^T, ||f||_omega
+    # = ||y|| / col_norm = 1 / col_norm; a b that overflows (inf, NaN) stays a candidate
     with np.errstate(over="ignore", invalid="ignore"):
-        radius = np.sqrt(np.sum((scale * (rule.Lam.T @ res_block)) ** 2, axis=0)
-                         / np.sum((rule.Lam.T @ vecs / scale) ** 2, axis=0))
+        radius = np.linalg.norm(g_isqrt[:, None] * (rule.Lam.T @ res_block), axis=0) * col_norm
     candidate = ~(eigs - radius >= BOUND_STATE_CUTOFF)
     triggered = residuals > _REFINE_TRIGGER * tol
     for k in np.nonzero(candidate & triggered)[0]:

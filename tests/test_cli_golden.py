@@ -34,6 +34,9 @@ CASES = {
                                  "--consistent-potential", "--format", "json"],
     "spectrum_note_csv": ["spectrum", *SHALLOW],
     "spectrum_note_json": ["spectrum", *SHALLOW, "--format", "json"],
+    "spectrum_no_state_csv": ["spectrum", *REF, "--basis-degree", "50", "--mu", "1000"],
+    "spectrum_no_state_json": ["spectrum", *REF, "--basis-degree", "50", "--mu", "1000",
+                               "--format", "json"],
     "potential_csv": ["potential", *POT, "--samples", "20"],
     "potential_json": ["potential", *POT, "--samples", "10", "--format", "json"],
     "potential_range_csv": ["potential", *POT, "--r-min", "0.1", "--r-max", "5",

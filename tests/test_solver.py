@@ -187,23 +187,109 @@ class TestGeneralizedSpectrum:
             _generalized_eigen(sys)  # raises SolverError on violation
 
 
-def all_pairs_eigen(sys):
-    """The eigensolve with every triggered pair refined and checked."""
+def one_expression_assembly(basis, p, consistent):
+    """H and omega of assemble_system, each written as one expression."""
+    mu, nu = basis.mu, basis.nu
+    rule = quadrature_rule(basis)
+    a_pole = 2.0 * p.A if consistent else p.A
+    n = np.arange(basis.size, dtype=float)
+    h = (np.diag(0.25 - p.B - (n + 0.5 * (mu + nu + 1.0)) ** 2)
+         + p.C * x_matrix(basis)
+         + (mu * mu / 2.0) * quadrature_matrix(rule, lambda t: 1.0 / (1.0 - t))
+         + ((nu * nu + a_pole) / 2.0) * quadrature_matrix(rule, lambda t: 1.0 / (1.0 + t)))
+    omega = quadrature_matrix(rule, lambda t: 1.0 / (t * t - 1.0))
+    return 0.5 * (h + h.T), 0.5 * (omega + omega.T)
+
+
+def copying_refine(h, omega, lam, f):
+    """_refine_pair with the shift built as h - lam*omega and copied by lu_factor."""
+    for _ in range(2):
+        try:
+            lu, piv = scipy.linalg.lu_factor(h - lam * omega, check_finite=False)
+            f_new = scipy.linalg.lu_solve((lu, piv), omega @ f, check_finite=False)
+        except (np.linalg.LinAlgError, ValueError):
+            break
+        norm = np.linalg.norm(f_new)
+        if not np.isfinite(norm) or norm == 0.0:
+            break
+        f = f_new / norm
+        denom = f @ omega @ f
+        if denom <= 0.0 or not np.isfinite(denom):
+            break
+        lam = float(f @ h @ f) / float(denom)
+    return lam, f
+
+
+def reference_eigen(sys, every_pair=False):
+    """The eigensolve written directly, with the SVD 2-norm and two-GEMM radius.
+
+    Checks that the closed-form ||f||_omega selects the same candidates, and
+    returns the sorted eigenvalues, max_residual and the starting eigenvalue
+    of each refined pair.  every_pair refines and checks every triggered
+    pair, not only the bound-state candidates.
+    """
     h, omega, rule = sys.H, sys.omega, sys.rule
     g_isqrt = np.sqrt(rule.tau ** 2 - 1.0)
     reduced = g_isqrt[:, None] * (rule.Lam.T @ h @ rule.Lam) * g_isqrt[None, :]
     eigs, y = np.linalg.eigh(0.5 * (reduced + reduced.T))
     vecs = (rule.Lam * g_isqrt) @ y
     vecs /= np.linalg.norm(vecs, axis=0)
-    tol = solver.PAIR_RESIDUAL_TOL * max(np.linalg.norm(h, 2), 1.0)
-    residuals = np.linalg.norm(h @ vecs - (omega @ vecs) * eigs, axis=0)
-    for k in np.nonzero(residuals > solver._REFINE_TRIGGER * tol)[0]:
-        lam_k, f_k = solver._refine_pair(h, omega, float(eigs[k]), vecs[:, k].copy())
+    h_norm = np.linalg.norm(h, 2)
+    tol = solver.PAIR_RESIDUAL_TOL * max(h_norm, 1.0)
+    res_block = h @ vecs - (omega @ vecs) * eigs
+    residuals = np.linalg.norm(res_block, axis=0)
+    scale = g_isqrt[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        numerator = np.sum((scale * (rule.Lam.T @ res_block)) ** 2, axis=0)
+        radius = np.sqrt(numerator / np.sum((rule.Lam.T @ vecs / scale) ** 2, axis=0))
+        # ||f||_omega = 1 / ||Lam diag(g_isqrt) y||, the solver's closed form
+        closed = np.sqrt(numerator) * np.linalg.norm((rule.Lam * g_isqrt) @ y, axis=0)
+    cutoff = solver.BOUND_STATE_CUTOFF
+    assert np.array_equal(eigs - radius >= cutoff, eigs - closed >= cutoff)
+    candidate = every_pair | ~(eigs - radius >= cutoff)
+    triggered = residuals > solver._REFINE_TRIGGER * tol
+    refined = []
+    for k in np.nonzero(candidate & triggered)[0]:
+        refined.append(float(eigs[k]))
+        lam_k, f_k = copying_refine(h, omega, float(eigs[k]), vecs[:, k].copy())
         res_k = np.linalg.norm(h @ f_k - lam_k * (omega @ f_k))
         if res_k < residuals[k]:
             eigs[k], residuals[k] = lam_k, res_k
-    assert residuals.max() <= tol
-    return np.sort(eigs, kind="stable")
+    worst = residuals[candidate | ~triggered].max(initial=0.0)
+    assert worst <= tol
+    return np.sort(eigs, kind="stable"), worst / max(h_norm, 1.0), refined
+
+
+class TestDirectFormulas:
+    """The in-place solve gives what the direct formulas give on this host."""
+
+    @pytest.mark.parametrize("consistent", [False, True], ids=["default", "consistent"])
+    @pytest.mark.parametrize("size", [10, 50, 100, 200])
+    @pytest.mark.parametrize("A", [-20.0, -300.0, -2000.0])
+    def test_solve_matches_direct_formulas(self, A, size, consistent, monkeypatch):
+        p = PotentialParams(A=A, B=5.0, C=3.0)
+        basis = sized_basis(size)
+        sys = assemble_system(basis, p, consistent_potential=consistent)
+        h, omega = one_expression_assembly(basis, p, consistent)
+        assert np.array_equal(sys.H, h)
+        assert np.array_equal(sys.omega, omega)
+
+        refined = []
+        refine = solver._refine_pair
+
+        def checked(h, omega, lam, f):
+            refined.append(lam)
+            got = refine(h, omega, lam, f.copy())
+            want = copying_refine(h, omega, lam, f)
+            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+            return got
+
+        monkeypatch.setattr(solver, "_refine_pair", checked)
+        eigs, max_res = _generalized_eigen(sys)
+        want_eigs, want_res, want_refined = reference_eigen(sys)
+        assert np.array_equal(eigs, want_eigs)
+        assert max_res == pytest.approx(want_res, rel=1e-13, abs=0.0)
+        assert refined == want_refined
 
 
 class TestBoundStateSelection:
@@ -217,7 +303,7 @@ class TestBoundStateSelection:
         for mu in (1.0, 1.5, 3.0):
             got = solve_bound_states(p, size, mu=mu, consistent_potential=consistent)
             sys = assemble_system(sized_basis(size, mu), p, consistent_potential=consistent)
-            want = bound_states(all_pairs_eigen(sys))
+            want = bound_states(reference_eigen(sys, every_pair=True)[0])
             assert np.array_equal(got.epsilons, want.epsilons)
             assert got.discarded_count == want.discarded_count
 
