@@ -261,7 +261,7 @@ def reference_eigen(sys, every_pair=False):
 
 
 class TestDirectFormulas:
-    """The in-place solve gives what the direct formulas give on this host."""
+    """The in-place solve gives bit for bit what the direct formulas give with the same BLAS."""
 
     @pytest.mark.parametrize("consistent", [False, True], ids=["default", "consistent"])
     @pytest.mark.parametrize("size", [10, 50, 100, 200])
