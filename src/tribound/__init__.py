@@ -31,7 +31,6 @@ from .special import jacobi_sequence
 from .wavefunction import (
     WavefunctionTable,
     count_sign_changes,
-    default_r_grid,
     sample_wavefunction,
 )
 
@@ -92,7 +91,6 @@ __all__ = [
     "bound_states",
     "classify_shape",
     "count_sign_changes",
-    "default_r_grid",
     "direct_matrix",
     "h_polynomial_sequence",
     "jacobi_sequence",

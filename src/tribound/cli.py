@@ -114,8 +114,12 @@ def _emit(cfg: dict, doc: dict, rows_key: str, columns: tuple, side=None, header
 
 def _load_config(path: str) -> dict[str, str]:
     """Flat key-value file; keys identical to flag names, '#' comments."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -130,26 +134,97 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-# The common options, dest -> (flag, type, default, help); each command
-# registers all but those it does not read.
-_COMMON = {
-    "A": ("--A", float, None, "strength of the 1/r term"),
-    "B": ("--B", float, None, "strength of the 1/r^2 term (enters with a minus sign)"),
-    "C": ("--C", float, None, "strength of the 1/r^3 term"),
-    "lam": ("--lambda", float, 1.0, "range scale (default 1.0)"),
-    "basis_degree": ("--basis-degree", int, 100, "number of basis functions (matrix dimension, default 100)"),
-    "mu": ("--mu", float, 1.5, "computational basis parameter (default 1.5)"),
-    "nu": ("--nu", str, "auto", "computational basis parameter; 'auto' means -2*basis_degree - mu - 2"),
+# Every option, dest -> (flag, type, help).  The type converts flag, config and
+# default values alike: float and int by _number, bool (a flag without a value)
+# by _as_bool, a tuple of choices by membership; str is kept, but nu 'auto' is None.
+_OPTIONS = {
+    "A": ("--A", float, "strength of the 1/r term"),
+    "B": ("--B", float, "strength of the 1/r^2 term (enters with a minus sign)"),
+    "C": ("--C", float, "strength of the 1/r^3 term"),
+    "lam": ("--lambda", float, "range scale (default 1.0)"),
+    "basis_degree": ("--basis-degree", int, "number of basis functions (matrix dimension, default 100)"),
+    "mu": ("--mu", float, "computational basis parameter (default 1.5)"),
+    "nu": ("--nu", str, "computational basis parameter; 'auto' means -2*basis_degree - mu - 2"),
+    "consistent_potential": ("--consistent-potential", bool,
+                             "assemble the Hamiltonian consistently with the potential as "
+                             "evaluated (default follows the tabulated reference convention, "
+                             "which halves the coth strength A; see README)"),
+    "state": ("--state", int, "bound-state index k (default 0)"),
+    "r_min": ("--r-min", float, None),
+    "r_max": ("--r-max", float, None),
+    "samples": ("--samples", int, None),
+    "mu_min": ("--mu-min", float, None),
+    "mu_max": ("--mu-max", float, None),
+    "mu_steps": ("--mu-steps", int, "number of grid points"),
+    "max_degree": ("--max-degree", int, "largest basis size checked, 2..8 (default 5)"),
+    "format": ("--format", ("csv", "json"), "output format (default csv)"),
+    "out": ("--out", str, "output path (default stdout)"),
 }
 
+_REQUIRED = object()  # the default of an option that must be given
+_POTENTIAL = {"A": _REQUIRED, "B": _REQUIRED, "C": _REQUIRED, "lam": 1.0}
+_BASIS = {"basis_degree": 100, "mu": 1.5, "nu": "auto"}
+_OUTPUT = {"format": "csv", "out": None}
 
-def _add_common(p: argparse.ArgumentParser, *unread: str):
-    for dest, (flag, kind, _, text) in _COMMON.items():
-        if dest not in unread:
-            p.add_argument(flag, dest=dest, type=kind, default=None, help=text)
-    p.add_argument("--format", choices=("csv", "json"), default=None, help="output format (default csv)")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--config", default=None, help="flat key-value config file; flags override it")
+
+def _number(name: str, raw, kind=float):
+    """raw as a finite float (or int), or a ParameterError naming the option."""
+    try:
+        value = kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ParameterError(f"{name} must be {noun}, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {raw!r}")
+    return value
+
+
+def _as_bool(name: str, value) -> bool:
+    low = str(value).strip().lower()
+    if low not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ParameterError(f"{name} must be a boolean, got {value!r}")
+    return low in ("1", "true", "yes", "on")
+
+
+def _convert(command: str, dest: str, value):
+    """One option's merged value as its declared type."""
+    flag, kind, _ = _OPTIONS[dest]
+    name = flag[2:]
+    if value is _REQUIRED:
+        raise ParameterError(f"{flag} is required (flag or config file)")
+    if value is None:
+        return None
+    if kind is bool:
+        return _as_bool(name, value)
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ParameterError(f"{name} must be {' or '.join(kind)}, got {value!r}")
+        return value
+    if dest != "nu":
+        return value if kind is str else _number(name, value, kind)
+    if value.strip().lower() == "auto":
+        return None
+    nu = _number(name, value)
+    if command in ("plateau", "check-quadrature"):  # they always use auto_nu
+        raise ParameterError(f"{command} always uses nu = auto "
+                             f"(-2*basis_degree - mu - 2), got nu = {value}")
+    return nu
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """The command's options from its defaults, the config file and the flags
+    (later wins), each converted once by its declared type."""
+    merged = dict(_COMMANDS[args.command][2])
+    if args.config:
+        for key, raw in _load_config(args.config).items():
+            dest = {"lambda": "lam"}.get(key, key.replace("-", "_"))
+            if dest not in merged:
+                raise ParameterError(f"unknown config key {key!r}")
+            merged[dest] = raw
+    for dest in merged:
+        if getattr(args, dest) is not None:
+            merged[dest] = getattr(args, dest)
+    return {dest: _convert(args.command, dest, value) for dest, value in merged.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,118 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Bound states of the 1/r, 1/r^2, 1/r^3 "
                                              "singular short-range potential.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    consistent_help = ("assemble the Hamiltonian consistently with the potential as "
-                       "evaluated (default follows the tabulated reference convention, "
-                       "which halves the coth strength A; see README)")
-
-    sp = sub.add_parser("spectrum", help="compute the bound-state spectrum")
-    _add_common(sp)
-    sp.add_argument("--consistent-potential", action="store_true", default=None,
-                    help=consistent_help)
-
-    pp = sub.add_parser("potential", help="sample the potential and classify its shape")
-    _add_common(pp, "basis_degree", "mu", "nu")
-    pp.add_argument("--r-min", type=float, default=None)
-    pp.add_argument("--r-max", type=float, default=None)
-    pp.add_argument("--samples", type=int, default=None)
-
-    wp = sub.add_parser("wavefunction", help="sample one bound-state wavefunction")
-    _add_common(wp)
-    wp.add_argument("--consistent-potential", action="store_true", default=None,
-                    help=consistent_help)
-    wp.add_argument("--state", type=int, default=None, help="bound-state index k (default 0)")
-    wp.add_argument("--r-min", type=float, default=None)
-    wp.add_argument("--r-max", type=float, default=None)
-    wp.add_argument("--samples", type=int, default=None)
-
-    lp = sub.add_parser("plateau", help="scan mu for the stability plateau")
-    _add_common(lp, "mu")
-    lp.add_argument("--consistent-potential", action="store_true", default=None,
-                    help=consistent_help)
-    lp.add_argument("--mu-min", type=float, default=None)
-    lp.add_argument("--mu-max", type=float, default=None)
-    lp.add_argument("--mu-steps", type=int, default=None, help="number of grid points")
-
-    cq = sub.add_parser("check-quadrature",
-                        help="compare quadrature matrices against direct integration")
-    # A, B and C are optional and not read; taking them lets one potential's flags fit every command
-    _add_common(cq, "lam", "basis_degree")
-    cq.add_argument("--max-degree", type=int, default=None,
-                    help="largest basis size checked, 2..8 (default 5)")
+    for command, (_, text, defaults) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for dest in defaults:
+            flag, kind, help_text = _OPTIONS[dest]
+            how = ({"action": "store_true"} if kind is bool else
+                   {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            p.add_argument(flag, dest=dest, default=None, help=help_text, **how)
+        p.add_argument("--config", default=None, help="flat key-value config file; flags override it")
     return ap
-
-
-def _number(cfg: dict, key: str, kind=float):
-    """cfg[key] as a finite float (or int), or a ParameterError naming the key."""
-    name = "lambda" if key == "lam" else key.replace("_", "-")
-    try:
-        value = kind(cfg[key])
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ParameterError(f"{name} must be {noun}, got {cfg[key]!r}") from None
-    if not math.isfinite(value):
-        raise ParameterError(f"{name} must be finite, got {cfg[key]!r}")
-    return value
-
-
-def _resolve(args: argparse.Namespace, extra_defaults: dict | None = None) -> dict:
-    """Merge hard defaults, config-file values and explicit flags; only the
-    command's registered options have defaults, so other config keys are unknown."""
-    merged: dict = {dest: _COMMON[dest][2] for dest in _COMMON if hasattr(args, dest)}
-    merged.update(format="csv", out=None)
-    if extra_defaults:
-        merged.update(extra_defaults)
-    if getattr(args, "config", None):
-        file_vals = _load_config(args.config)
-        for key, raw in file_vals.items():
-            dest = {"lambda": "lam"}.get(key, key.replace("-", "_"))
-            if dest not in merged:
-                raise ParameterError(f"unknown config key {key!r}")
-            merged[dest] = raw
-    for dest in merged:
-        val = getattr(args, dest, None)
-        if val is not None:
-            merged[dest] = val
-    if merged["format"] not in ("csv", "json"):
-        raise ParameterError(f"format must be csv or json, got {merged['format']!r}")
-    for key in ("A", "B", "C"):
-        if merged[key] is not None:
-            merged[key] = _number(merged, key)
-        elif args.command != "check-quadrature":  # the one command that reads no potential
-            raise ParameterError(f"--{key} is required (flag or config file)")
-    for key, kind in (("lam", float), ("basis_degree", int), ("mu", float)):
-        if key in merged:
-            merged[key] = _number(merged, key, kind)
-    return merged
-
-
-def _resolve_nu(cfg: dict) -> float | None:
-    """The nu setting as a number, or None for 'auto'."""
-    nu = cfg["nu"]
-    if isinstance(nu, str) and nu.strip().lower() == "auto":
-        return None
-    return _number(cfg, "nu")
-
-
-def _require_auto_nu(cfg: dict, command: str):
-    """Refuse an explicit nu for the commands that always use auto_nu."""
-    if _resolve_nu(cfg) is not None:
-        raise ParameterError(f"{command} always uses nu = auto "
-                             f"(-2*basis_degree - mu - 2), got nu = {cfg['nu']}")
-
-
-def _as_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        low = value.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ParameterError(f"expected a boolean, got {value!r}")
-    return bool(value)
 
 
 def _potential(cfg: dict) -> PotentialParams:
@@ -278,31 +250,28 @@ def _potential(cfg: dict) -> PotentialParams:
 def _solve(cfg: dict):
     """Potential, bound spectrum and JSON params block for spectrum and wavefunction."""
     _bind("solve_bound_states")
-    basis = BasisParams.from_size(cfg["mu"], _resolve_nu(cfg), cfg["basis_degree"])
-    consistent = _as_bool(cfg["consistent_potential"])
+    basis = BasisParams.from_size(cfg["mu"], cfg["nu"], cfg["basis_degree"])
     p = _potential(cfg)
     spectrum = solve_bound_states(p, cfg["basis_degree"], mu=cfg["mu"], nu=basis.nu,
-                                  consistent_potential=consistent)
+                                  consistent_potential=cfg["consistent_potential"])
     params = {"A": p.A, "B": p.B, "C": p.C, "lambda": p.lam,
               "basis_size": cfg["basis_degree"], "mu": cfg["mu"], "nu": basis.nu,
-              "consistent_potential": consistent}
+              "consistent_potential": cfg["consistent_potential"]}
     return p, spectrum, params
 
 
 def _r_grid(cfg: dict, lam: float, min_samples: int) -> np.ndarray:
-    """Geometric r grid; an unset bound takes default_r_grid's 1e-3/lambda or 15/lambda."""
-    r_min = 1e-3 / lam if cfg["r_min"] is None else _number(cfg, "r_min")
-    r_max = 15.0 / lam if cfg["r_max"] is None else _number(cfg, "r_max")
-    samples = _number(cfg, "samples", int)
+    """Geometric r grid; an unset bound is 1e-3/lambda (core) or 15/lambda (tail)."""
+    r_min = 1e-3 / lam if cfg["r_min"] is None else cfg["r_min"]
+    r_max = 15.0 / lam if cfg["r_max"] is None else cfg["r_max"]
     if not (0.0 < r_min < r_max):
         raise ParameterError(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
-    if samples < min_samples:
-        raise ParameterError(f"samples must be at least {min_samples}, got {samples}")
-    return np.geomspace(r_min, r_max, samples)
+    if cfg["samples"] < min_samples:
+        raise ParameterError(f"samples must be at least {min_samples}, got {cfg['samples']}")
+    return np.geomspace(r_min, r_max, cfg["samples"])
 
 
-def _cmd_spectrum(args) -> int:
-    cfg = _resolve(args, {"consistent_potential": False})
+def _cmd_spectrum(cfg: dict) -> int:
     _, spectrum, params = _solve(cfg)
     note = None
     if cfg["A"] > -0.5:
@@ -326,8 +295,7 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _cmd_potential(args) -> int:
-    cfg = _resolve(args, {"r_min": 0.05, "r_max": 10.0, "samples": 400})
+def _cmd_potential(cfg: dict) -> int:
     p = _potential(cfg)
     r = _r_grid(cfg, p.lam, 2)
     if p.C == 0.0:
@@ -349,14 +317,11 @@ def _cmd_potential(args) -> int:
     return EXIT_OK
 
 
-def _cmd_wavefunction(args) -> int:
-    cfg = _resolve(args, {"state": 0, "r_min": None, "r_max": None, "samples": 2000,
-                          "consistent_potential": False})
-    k = _number(cfg, "state", int)
+def _cmd_wavefunction(cfg: dict) -> int:
+    k = cfg["state"]
     p, spectrum, params = _solve(cfg)
     if not 0 <= k < len(spectrum):
-        raise ParameterError(
-            f"state {k} out of range: {len(spectrum)} bound state(s) available")
+        raise ParameterError(f"state {k} out of range: {len(spectrum)} bound state(s) available")
     grid = _r_grid(cfg, p.lam, 1)
     table = sample_wavefunction(k, float(spectrum.epsilons[k]), p, grid)
     doc = {
@@ -377,18 +342,13 @@ def _cmd_wavefunction(args) -> int:
     return EXIT_OK
 
 
-def _cmd_plateau(args) -> int:
+def _cmd_plateau(cfg: dict) -> int:
     _bind("plateau_scan")
-    cfg = _resolve(args, {"mu_min": 1.0, "mu_max": 2.0, "mu_steps": 11,
-                          "consistent_potential": False})
-    _require_auto_nu(cfg, "plateau")
-    mu_min, mu_max = _number(cfg, "mu_min"), _number(cfg, "mu_max")
-    steps = _number(cfg, "mu_steps", int)
+    mu_min, mu_max, steps = cfg["mu_min"], cfg["mu_max"], cfg["mu_steps"]
     if steps < 1 or (steps == 1 and mu_min != mu_max) or mu_min > mu_max:
         raise ParameterError("invalid mu grid specification")
     grid = np.linspace(mu_min, mu_max, steps)
-    size = cfg["basis_degree"]
-    consistent = _as_bool(cfg["consistent_potential"])
+    size, consistent = cfg["basis_degree"], cfg["consistent_potential"]
     p = _potential(cfg)
     scan = plateau_scan(p, size, grid, consistent_potential=consistent)
     doc = {
@@ -403,11 +363,9 @@ def _cmd_plateau(args) -> int:
     return EXIT_OK
 
 
-def _cmd_check_quadrature(args) -> int:
+def _cmd_check_quadrature(cfg: dict) -> int:
     _bind("quadrature_rule", "quadrature_matrix", "direct_matrix")
-    cfg = _resolve(args, {"max_degree": 5})
-    _require_auto_nu(cfg, "check-quadrature")
-    max_degree = _number(cfg, "max_degree", int)
+    max_degree = cfg["max_degree"]
     if max_degree > 8:
         raise ParameterError(f"max degree is capped at 8, got {max_degree}")
     if max_degree < 2:
@@ -427,23 +385,33 @@ def _cmd_check_quadrature(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "potential": _cmd_potential,
-    "wavefunction": _cmd_wavefunction,
-    "plateau": _cmd_plateau,
-    "check-quadrature": _cmd_check_quadrature,
+# Every command, name -> (handler, help, {dest: default}): it takes exactly
+# these options, converted in this order.
+_COMMANDS = {
+    "spectrum": (_cmd_spectrum, "compute the bound-state spectrum",
+                 {**_POTENTIAL, **_BASIS, "consistent_potential": False, **_OUTPUT}),
+    "potential": (_cmd_potential, "sample the potential and classify its shape",
+                  {**_POTENTIAL, "r_min": 0.05, "r_max": 10.0, "samples": 400, **_OUTPUT}),
+    "wavefunction": (_cmd_wavefunction, "sample one bound-state wavefunction",
+                     {**_POTENTIAL, **_BASIS, "consistent_potential": False, "state": 0,
+                      "r_min": None, "r_max": None, "samples": 2000, **_OUTPUT}),
+    "plateau": (_cmd_plateau, "scan mu for the stability plateau",
+                {**_POTENTIAL, "basis_degree": 100, "nu": "auto", "consistent_potential": False,
+                 "mu_min": 1.0, "mu_max": 2.0, "mu_steps": 11, **_OUTPUT}),
+    # A, B and C are optional and not read; taking them lets one potential's
+    # flags fit every command
+    "check-quadrature": (_cmd_check_quadrature,
+                         "compare quadrature matrices against direct integration",
+                         {"A": None, "B": None, "C": None, "mu": 1.5, "nu": "auto",
+                          "max_degree": 5, **_OUTPUT}),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileNotFoundError, OSError) as exc:
+        return _COMMANDS[args.command][0](_resolve(args))
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

@@ -44,14 +44,6 @@ class WavefunctionTable:
     clamped_count: int = 0
 
 
-def default_r_grid(lam: float = 1.0, n: int = 2000) -> np.ndarray:
-    """Logarithmic grid from 1e-3/lambda to 15/lambda.
-
-    Resolves both the singular small-r region and the exponential tail.
-    """
-    return np.geomspace(1e-3 / lam, 15.0 / lam, n)
-
-
 def _series_normalizations(basis: BasisParams) -> np.ndarray:
     """c_n for n = 0..N from the gamma closed form, up to a global constant.
 

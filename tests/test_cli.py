@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism, schemas."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -215,6 +216,91 @@ def test_unread_common_option_refused(capsys, tmp_path, command, option, source)
         code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
         assert code == 2 and out == ""
         assert err == f"error: unknown config key {option!r}\n"
+
+
+def test_non_utf8_config_is_config_error(capsys, tmp_path):
+    cfg = tmp_path / "bin.cfg"
+    cfg.write_bytes(b"\xff\xfe A = 1\n")
+    code, out, err = run_cli(capsys, "spectrum", *REFERENCE_ARGS, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {cfg}: not UTF-8 text") and err.count("\n") == 1
+
+
+def test_boolean_config_error_names_key(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("consistent-potential = maybe\n")
+    code, out, err = run_cli(capsys, "spectrum", *REFERENCE_ARGS, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: consistent-potential must be a boolean, got 'maybe'\n"
+
+
+def test_default_grid_spans_singularity_and_tail(capsys):
+    for lam in ("0.5", "2"):
+        code, out, _ = run_cli(capsys, "wavefunction", *REFERENCE_ARGS, "--basis-degree", "20",
+                               "--lambda", lam)
+        assert code == 0
+        r = [float(row.split(",")[0]) for row in out.splitlines()[1:]]
+        assert len(r) == 2000
+        assert r[0] == pytest.approx(1e-3 / float(lam))
+        assert r[-1] == pytest.approx(15.0 / float(lam))
+        assert all(a < b for a, b in zip(r, r[1:]))
+
+
+def _spectrum_defaults(doc):
+    assert doc["params"] == {"A": -300.0, "B": 5.0, "C": 3.0, "lambda": 1.0, "basis_size": 100,
+                             "mu": 1.5, "nu": -203.5, "consistent_potential": False}
+
+
+def _potential_defaults(doc):
+    assert doc["params"]["lambda"] == 1.0
+    r = [row["r"] for row in doc["samples"]]
+    assert (len(r), r[0], r[-1]) == (400, 0.05, 10.0)
+
+
+def _wavefunction_defaults(doc):
+    _spectrum_defaults(doc)
+    assert doc["state"]["state"] == 0
+    r = [row["r"] for row in doc["samples"]]
+    assert (len(r), r[0], r[-1]) == (2000, 1e-3, 15.0)
+
+
+def _plateau_defaults(doc):
+    assert doc["params"] == {"A": -300.0, "B": 5.0, "C": 3.0, "lambda": 1.0, "basis_size": 100,
+                             "consistent_potential": False}
+    mu = [row["mu"] for row in doc["grid"]]
+    assert (len(mu), mu[0], mu[-1]) == (11, 1.0, 2.0)
+
+
+def _check_quadrature_defaults(doc):
+    assert doc["params"] == {"mu": 1.5, "max_degree": 5}
+    assert sorted({row["size"] for row in doc["rows"]}) == [2, 3, 4, 5]
+
+
+# Every command's option contract: the option strings its subparser lists in
+# --help, and its defaults as they show in its JSON output.
+@pytest.mark.parametrize("command, options, argv, check_defaults", [
+    ("spectrum", ["--lambda", "--basis-degree", "--mu", "--nu", "--consistent-potential"],
+     REFERENCE_ARGS, _spectrum_defaults),
+    ("potential", ["--lambda", "--r-min", "--r-max", "--samples"],
+     REFERENCE_ARGS, _potential_defaults),
+    ("wavefunction", ["--lambda", "--basis-degree", "--mu", "--nu", "--consistent-potential",
+                      "--state", "--r-min", "--r-max", "--samples"],
+     REFERENCE_ARGS, _wavefunction_defaults),
+    ("plateau", ["--lambda", "--basis-degree", "--nu", "--consistent-potential",
+                 "--mu-min", "--mu-max", "--mu-steps"],
+     REFERENCE_ARGS, _plateau_defaults),
+    ("check-quadrature", ["--mu", "--nu", "--max-degree"], [], _check_quadrature_defaults),
+])
+def test_option_contract(capsys, command, options, argv, check_defaults):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = re.findall(r"^  (-[^\s,]+)(?:, (-[^\s,]+))?", capsys.readouterr().out, re.M)
+    assert {flag for pair in listed for flag in pair if flag} == {
+        "-h", "--help", "--A", "--B", "--C", "--format", "--out", "--config", *options}
+    code, out, _ = run_cli(capsys, command, *argv, "--format", "json")
+    assert code == 0
+    check_defaults(json.loads(out))
 
 
 # Shape ratios B/C and A/C far from 1: the shape report is finite and right,

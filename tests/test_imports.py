@@ -22,10 +22,10 @@ PUBLIC_NAMES = [
     "AssembledSystem", "BasisParams", "BoundSpectrum", "Crossing", "Extremum",
     "ParameterError", "PlateauScan", "PlateauStat", "PotentialParams", "QuadratureRule",
     "ShapeReport", "SolverError", "WavefunctionTable", "assemble_system", "auto_nu",
-    "bound_states", "classify_shape", "count_sign_changes", "default_r_grid",
-    "direct_matrix", "h_polynomial_sequence", "jacobi_sequence", "max_basis_index",
-    "plateau_scan", "potential_value", "quadrature_matrix", "quadrature_rule", "r_of_x",
-    "recursion_coeffs", "sample_wavefunction", "solve_bound_states", "u_of_x", "x_of_r",
+    "bound_states", "classify_shape", "count_sign_changes", "direct_matrix",
+    "h_polynomial_sequence", "jacobi_sequence", "max_basis_index", "plateau_scan",
+    "potential_value", "quadrature_matrix", "quadrature_rule", "r_of_x", "recursion_coeffs",
+    "sample_wavefunction", "solve_bound_states", "u_of_x", "x_of_r",
 ]
 
 

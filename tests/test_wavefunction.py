@@ -12,7 +12,6 @@ from tribound.special import jacobi_sequence
 from tribound.wavefunction import (
     LOG_UNDERFLOW,
     count_sign_changes,
-    default_r_grid,
     sample_wavefunction,
     state_coefficients,
 )
@@ -71,7 +70,7 @@ class TestSampleWavefunction:
         assert np.max(np.abs(table.psi - naive)) < 1e-10 * scale
 
     def test_boundary_decay(self, reference_spectrum):
-        r = default_r_grid(1.0, 2000)
+        r = np.geomspace(1e-3, 15.0, 2000)
         for k, eps in enumerate(reference_spectrum.epsilons):
             table = sample_wavefunction(k, float(eps), REFERENCE_POTENTIAL, r)
             peak = np.abs(table.psi).max()
@@ -93,7 +92,7 @@ class TestSampleWavefunction:
             assert slope == pytest.approx(-table.mu_k, rel=0.01)
 
     def test_decreasing_toward_origin(self, reference_spectrum):
-        r = default_r_grid(1.0, 2000)
+        r = np.geomspace(1e-3, 15.0, 2000)
         for k, eps in enumerate(reference_spectrum.epsilons):
             psi = np.abs(sample_wavefunction(k, float(eps), REFERENCE_POTENTIAL, r).psi)
             assert psi[0] < psi[1] < psi[2]
@@ -116,7 +115,7 @@ class TestSampleWavefunction:
 
     def test_metadata(self, reference_spectrum):
         eps1 = float(reference_spectrum.epsilons[1])
-        r = default_r_grid(1.0, 100)
+        r = np.geomspace(1e-3, 15.0, 100)
         table = sample_wavefunction(1, eps1, REFERENCE_POTENTIAL, r)
         assert table.state_index == 1
         assert table.terms_used == 2
@@ -164,12 +163,3 @@ def test_sampler_bit_identical_to_masked_index_form(consistent, grid, clamps):
         assert table.clamped_count == clamped
         clamped_total += clamped
     assert (clamped_total > 0) == clamps
-
-
-def test_default_grid_spans_singularity_and_tail():
-    for lam in (0.5, 2.0):
-        g = default_r_grid(lam)
-        assert g.shape == (2000,)
-        assert g[0] == pytest.approx(1e-3 / lam)
-        assert g[-1] == pytest.approx(15.0 / lam)
-        assert np.all(np.diff(g) > 0.0)
