@@ -113,9 +113,12 @@ def _emit(cfg: dict, doc: dict, rows_key: str, columns: tuple, side=None, header
 
 
 def _load_config(path: str) -> dict[str, str]:
-    """Flat key-value file; keys identical to flag names, '#' comments."""
+    """Flat 'key = value' lines, each key a flag name without '--'; '#' comments.
+
+    The text is UTF-8, with or without a byte-order mark.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     values: dict[str, str] = {}
@@ -123,20 +126,17 @@ def _load_config(path: str) -> dict[str, str]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" in line:
-            key, _, val = line.partition("=")
-        else:
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = parts
-        values[key.strip().lstrip("-")] = val.strip()
+        key, eq, val = line.partition("=")
+        if not eq:
+            raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
+        values[key.strip()] = val.strip()
     return values
 
 
-# Every option, dest -> (flag, type, help).  The type converts flag, config and
-# default values alike: float and int by _number, bool (a flag without a value)
-# by _as_bool, a tuple of choices by membership; str is kept, but nu 'auto' is None.
+# Every option, dest -> (flag, type, help).  The type converts flag text, config
+# text and defaults alike, in _convert: float and int by _number, bool (a flag
+# without a value) by _as_bool, a tuple of choices by membership; str is kept.
+# nu also takes 'auto', which is None.
 _OPTIONS = {
     "A": ("--A", float, "strength of the 1/r term"),
     "B": ("--B", float, "strength of the 1/r^2 term (enters with a minus sign)"),
@@ -144,7 +144,7 @@ _OPTIONS = {
     "lam": ("--lambda", float, "range scale (default 1.0)"),
     "basis_degree": ("--basis-degree", int, "number of basis functions (matrix dimension, default 100)"),
     "mu": ("--mu", float, "computational basis parameter (default 1.5)"),
-    "nu": ("--nu", str, "computational basis parameter; 'auto' means -2*basis_degree - mu - 2"),
+    "nu": ("--nu", float, "computational basis parameter; 'auto' means -2*basis_degree - mu - 2"),
     "consistent_potential": ("--consistent-potential", bool,
                              "assemble the Hamiltonian consistently with the potential as "
                              "evaluated (default follows the tabulated reference convention, "
@@ -157,7 +157,7 @@ _OPTIONS = {
     "mu_max": ("--mu-max", float, None),
     "mu_steps": ("--mu-steps", int, "number of grid points"),
     "max_degree": ("--max-degree", int, "largest basis size checked, 2..8 (default 5)"),
-    "format": ("--format", ("csv", "json"), "output format (default csv)"),
+    "format": ("--format", ("csv", "json"), "output format, csv or json (default csv)"),
     "out": ("--out", str, "output path (default stdout)"),
 }
 
@@ -186,13 +186,13 @@ def _as_bool(name: str, value) -> bool:
     return low in ("1", "true", "yes", "on")
 
 
-def _convert(command: str, dest: str, value):
-    """One option's merged value as its declared type."""
+def _convert(dest: str, value):
+    """One option's merged value, raw text or a default, as its declared type."""
     flag, kind, _ = _OPTIONS[dest]
     name = flag[2:]
     if value is _REQUIRED:
         raise ParameterError(f"{flag} is required (flag or config file)")
-    if value is None:
+    if value is None or (dest == "nu" and value.strip().lower() == "auto"):
         return None
     if kind is bool:
         return _as_bool(name, value)
@@ -200,15 +200,7 @@ def _convert(command: str, dest: str, value):
         if value not in kind:
             raise ParameterError(f"{name} must be {' or '.join(kind)}, got {value!r}")
         return value
-    if dest != "nu":
-        return value if kind is str else _number(name, value, kind)
-    if value.strip().lower() == "auto":
-        return None
-    nu = _number(name, value)
-    if command in ("plateau", "check-quadrature"):  # they always use auto_nu
-        raise ParameterError(f"{command} always uses nu = auto "
-                             f"(-2*basis_degree - mu - 2), got nu = {value}")
-    return nu
+    return value if kind is str else _number(name, value, kind)
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -216,15 +208,15 @@ def _resolve(args: argparse.Namespace) -> dict:
     (later wins), each converted once by its declared type."""
     merged = dict(_COMMANDS[args.command][2])
     if args.config:
+        dests = {_OPTIONS[dest][0][2:]: dest for dest in merged}
         for key, raw in _load_config(args.config).items():
-            dest = {"lambda": "lam"}.get(key, key.replace("-", "_"))
-            if dest not in merged:
+            if key not in dests:
                 raise ParameterError(f"unknown config key {key!r}")
-            merged[dest] = raw
+            merged[dests[key]] = raw
     for dest in merged:
         if getattr(args, dest) is not None:
             merged[dest] = getattr(args, dest)
-    return {dest: _convert(args.command, dest, value) for dest, value in merged.items()}
+    return {dest: _convert(dest, value) for dest, value in merged.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,10 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=text)
         for dest in defaults:
             flag, kind, help_text = _OPTIONS[dest]
-            how = ({"action": "store_true"} if kind is bool else
-                   {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            how = {"action": "store_true"} if kind is bool else {}
             p.add_argument(flag, dest=dest, default=None, help=help_text, **how)
-        p.add_argument("--config", default=None, help="flat key-value config file; flags override it")
+        p.add_argument("--config", default=None,
+                       help="file of 'key = value' lines, keys named as flags; flags override it")
     return ap
 
 
@@ -260,10 +252,10 @@ def _solve(cfg: dict):
     return p, spectrum, params
 
 
-def _r_grid(cfg: dict, lam: float, min_samples: int) -> np.ndarray:
-    """Geometric r grid; an unset bound is 1e-3/lambda (core) or 15/lambda (tail)."""
-    r_min = 1e-3 / lam if cfg["r_min"] is None else cfg["r_min"]
-    r_max = 15.0 / lam if cfg["r_max"] is None else cfg["r_max"]
+def _r_grid(cfg: dict, lam: float, min_samples: int, core: float, tail: float) -> np.ndarray:
+    """Geometric r grid; an unset bound is core/lambda or tail/lambda."""
+    r_min = core / lam if cfg["r_min"] is None else cfg["r_min"]
+    r_max = tail / lam if cfg["r_max"] is None else cfg["r_max"]
     if not (0.0 < r_min < r_max):
         raise ParameterError(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
     if cfg["samples"] < min_samples:
@@ -297,7 +289,7 @@ def _cmd_spectrum(cfg: dict) -> int:
 
 def _cmd_potential(cfg: dict) -> int:
     p = _potential(cfg)
-    r = _r_grid(cfg, p.lam, 2)
+    r = _r_grid(cfg, p.lam, 2, 0.05, 10.0)
     if p.C == 0.0:
         raise ParameterError("potential command needs C != 0 (figure units are lambda^2 C / 2)")
     # V in units lambda^2 C / 2
@@ -322,7 +314,7 @@ def _cmd_wavefunction(cfg: dict) -> int:
     p, spectrum, params = _solve(cfg)
     if not 0 <= k < len(spectrum):
         raise ParameterError(f"state {k} out of range: {len(spectrum)} bound state(s) available")
-    grid = _r_grid(cfg, p.lam, 1)
+    grid = _r_grid(cfg, p.lam, 1, 1e-3, 15.0)
     table = sample_wavefunction(k, float(spectrum.epsilons[k]), p, grid)
     doc = {
         "command": "wavefunction",
@@ -391,19 +383,19 @@ _COMMANDS = {
     "spectrum": (_cmd_spectrum, "compute the bound-state spectrum",
                  {**_POTENTIAL, **_BASIS, "consistent_potential": False, **_OUTPUT}),
     "potential": (_cmd_potential, "sample the potential and classify its shape",
-                  {**_POTENTIAL, "r_min": 0.05, "r_max": 10.0, "samples": 400, **_OUTPUT}),
+                  {**_POTENTIAL, "r_min": None, "r_max": None, "samples": 400, **_OUTPUT}),
     "wavefunction": (_cmd_wavefunction, "sample one bound-state wavefunction",
                      {**_POTENTIAL, **_BASIS, "consistent_potential": False, "state": 0,
                       "r_min": None, "r_max": None, "samples": 2000, **_OUTPUT}),
     "plateau": (_cmd_plateau, "scan mu for the stability plateau",
-                {**_POTENTIAL, "basis_degree": 100, "nu": "auto", "consistent_potential": False,
+                {**_POTENTIAL, "basis_degree": 100, "consistent_potential": False,
                  "mu_min": 1.0, "mu_max": 2.0, "mu_steps": 11, **_OUTPUT}),
     # A, B and C are optional and not read; taking them lets one potential's
     # flags fit every command
     "check-quadrature": (_cmd_check_quadrature,
                          "compare quadrature matrices against direct integration",
-                         {"A": None, "B": None, "C": None, "mu": 1.5, "nu": "auto",
-                          "max_degree": 5, **_OUTPUT}),
+                         {"A": None, "B": None, "C": None, "mu": 1.5, "max_degree": 5,
+                          **_OUTPUT}),
 }
 
 

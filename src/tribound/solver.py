@@ -54,10 +54,6 @@ class QuadratureRule:
     tau: np.ndarray
     Lam: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.tau.shape[0]
-
 
 @dataclass(frozen=True)
 class AssembledSystem:
@@ -148,6 +144,9 @@ def assemble_system(basis: BasisParams, p: PotentialParams,
     potential_value evaluates it (validated against an independent
     finite-difference solution of the radial equation).
     """
+    if not p.C > 0.0:
+        raise ParameterError(f"C must be positive (at C <= 0 the core does not repel and the "
+                             f"levels diverge with the basis size), got C = {p.C:.6g}")
     mu, nu = basis.mu, basis.nu
     c = recursion_coeffs(basis)
     rule = quadrature_rule(basis)

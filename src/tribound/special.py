@@ -31,11 +31,6 @@ class SignedLogMagnitude:
     log_abs: float
     sign: int
 
-    def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_abs)
-
 
 def _sinpi(z: float) -> tuple[float, int]:
     """sin(pi z) as (|sin|, sign), with exact argument reduction by floor."""

@@ -166,7 +166,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("key, value, message", [
         ("A", "abc", "A must be a number, got 'abc'"),
-        ("basis_degree", "1.5", "basis-degree must be an integer, got '1.5'"),
+        ("basis-degree", "1.5", "basis-degree must be an integer, got '1.5'"),
         ("samples", "many", "samples must be an integer, got 'many'"),
     ])
     def test_non_numeric_value_is_config_error(self, capsys, tmp_path, key, value, message):
@@ -182,7 +182,7 @@ class TestConfigFile:
         assert code == 2
 
     def test_format_validated(self, capsys, tmp_path):
-        # --format xml is refused by the parser; the config key must be too
+        # a config format other than csv or json is refused, not written as csv
         cfg = tmp_path / "run.cfg"
         cfg.write_text("format = xml\n")
         code, out, err = run_cli(capsys, "spectrum", *REFERENCE_ARGS, "--basis-degree", "10",
@@ -198,8 +198,10 @@ class TestConfigFile:
     ("potential", "basis-degree"),
     ("potential", "mu"),
     ("potential", "nu"),
+    ("plateau", "nu"),
     ("check-quadrature", "lambda"),
     ("check-quadrature", "basis-degree"),
+    ("check-quadrature", "nu"),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_unread_common_option_refused(capsys, tmp_path, command, option, source):
@@ -234,16 +236,68 @@ def test_boolean_config_error_names_key(capsys, tmp_path):
     assert err == "error: consistent-potential must be a boolean, got 'maybe'\n"
 
 
+# A flag and a config line carry the same raw text, converted by one function:
+# the same bad value gives the same one-line error and exit 2 from either.
+@pytest.mark.parametrize("key, value, message", [
+    ("A", "abc", "A must be a number, got 'abc'"),
+    ("basis-degree", "1.5", "basis-degree must be an integer, got '1.5'"),
+    ("format", "xml", "format must be csv or json, got 'xml'"),
+    ("r-max", "inf", "r-max must be finite, got 'inf'"),
+])
+def test_bad_value_same_from_flag_and_config(capsys, tmp_path, key, value, message):
+    values = {"A": "-300", "B": "5", "C": "3", "basis-degree": "10", key: value}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    from_flag = run_cli(capsys, "wavefunction", *(a for k, v in values.items()
+                                                   for a in (f"--{k}", v)))
+    from_config = run_cli(capsys, "wavefunction", "--config", str(cfg),
+                          *(a for k, v in values.items() if k != key for a in (f"--{k}", v)))
+    assert from_flag == from_config == (2, "", f"error: {message}\n")
+
+
+def test_config_with_byte_order_mark(capsys, tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfA = -300\nB = 5\nC = 3\nbasis-degree = 10\n")
+    expected = run_cli(capsys, "spectrum", *REFERENCE_ARGS, "--basis-degree", "10")
+    assert expected[0] == 0
+    assert run_cli(capsys, "spectrum", "--config", str(cfg)) == expected
+
+
+def test_config_line_without_equals_refused(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("B = 5\nA -300\n")
+    code, out, err = run_cli(capsys, "spectrum", *REFERENCE_ARGS, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: {cfg}:2: expected 'key = value'\n"
+
+
+# At C <= 0 the levels diverge with the basis size; every solving command
+# refuses the potential instead of printing them.
+@pytest.mark.parametrize("C", ["-3", "0"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--basis-degree", "20"],
+    ["plateau", "--basis-degree", "20", "--mu-steps", "2"],
+    ["wavefunction", "--basis-degree", "20", "--samples", "3"],
+], ids=["spectrum", "plateau", "wavefunction"])
+def test_non_positive_C_is_config_error(capsys, argv, C):
+    code, out, err = run_cli(capsys, *argv, "--A", "-300", "--B", "5", "--C", C)
+    assert code == 2 and out == ""
+    assert err.startswith("error: C must be positive") and err.endswith(f", got C = {C}\n")
+
+
 def test_default_grid_spans_singularity_and_tail(capsys):
-    for lam in ("0.5", "2"):
-        code, out, _ = run_cli(capsys, "wavefunction", *REFERENCE_ARGS, "--basis-degree", "20",
-                               "--lambda", lam)
-        assert code == 0
-        r = [float(row.split(",")[0]) for row in out.splitlines()[1:]]
-        assert len(r) == 2000
-        assert r[0] == pytest.approx(1e-3 / float(lam))
-        assert r[-1] == pytest.approx(15.0 / float(lam))
-        assert all(a < b for a, b in zip(r, r[1:]))
+    # the default r range scales with the range 1/lambda of the potential
+    cases = [(["wavefunction", "--basis-degree", "20"], 2000, 1e-3, 15.0),
+             (["potential"], 400, 0.05, 10.0)]
+    for (command, *extra), samples, core, tail in cases:
+        for lam in ("0.5", "2", "50"):
+            code, out, _ = run_cli(capsys, command, *REFERENCE_ARGS, *extra, "--lambda", lam)
+            assert code == 0
+            r = [float(row.split(",")[0]) for row in out.splitlines()[1:]]
+            assert len(r) == samples
+            assert r[0] == pytest.approx(core / float(lam))
+            assert r[-1] == pytest.approx(tail / float(lam))
+            assert all(a < b for a, b in zip(r, r[1:]))
 
 
 def _spectrum_defaults(doc):
@@ -286,10 +340,10 @@ def _check_quadrature_defaults(doc):
     ("wavefunction", ["--lambda", "--basis-degree", "--mu", "--nu", "--consistent-potential",
                       "--state", "--r-min", "--r-max", "--samples"],
      REFERENCE_ARGS, _wavefunction_defaults),
-    ("plateau", ["--lambda", "--basis-degree", "--nu", "--consistent-potential",
+    ("plateau", ["--lambda", "--basis-degree", "--consistent-potential",
                  "--mu-min", "--mu-max", "--mu-steps"],
      REFERENCE_ARGS, _plateau_defaults),
-    ("check-quadrature", ["--mu", "--nu", "--max-degree"], [], _check_quadrature_defaults),
+    ("check-quadrature", ["--mu", "--max-degree"], [], _check_quadrature_defaults),
 ])
 def test_option_contract(capsys, command, options, argv, check_defaults):
     with pytest.raises(SystemExit) as exc:
@@ -325,11 +379,11 @@ def test_shape_report_radius_at_large_x(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["potential", "--A", "-6", "--B", "6", "--C", "3", "--samples", "3", "--r-max", "inf"],
-     "r-max must be finite, got inf"),
+     "r-max must be finite, got 'inf'"),
     (["wavefunction", *REFERENCE_ARGS, "--basis-degree", "30", "--r-max", "inf"],
-     "r-max must be finite, got inf"),
+     "r-max must be finite, got 'inf'"),
     (["plateau", *REFERENCE_ARGS, "--basis-degree", "20", "--mu-max", "inf"],
-     "mu-max must be finite, got inf"),
+     "mu-max must be finite, got 'inf'"),
     (["wavefunction", *REFERENCE_ARGS, "--basis-degree", "30", "--samples", "-1"],
      "samples must be at least 1, got -1"),
 ], ids=["potential-r-max-inf", "wavefunction-r-max-inf", "plateau-mu-max-inf",
@@ -382,38 +436,6 @@ def test_auto_nu_basis_error_names_mu(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
-
-
-# plateau and check-quadrature always use auto_nu; an explicit nu, from a
-# flag or a config file, is refused rather than silently ignored.
-@pytest.mark.parametrize("argv, config, command", [
-    (["plateau", *REFERENCE_ARGS, "--basis-degree", "10", "--mu-steps", "2", "--nu=-5"],
-     None, "plateau"),
-    (["check-quadrature", *REFERENCE_ARGS, "--max-degree", "3", "--nu=-5"],
-     None, "check-quadrature"),
-    (["plateau", *REFERENCE_ARGS, "--basis-degree", "10", "--mu-steps", "2"],
-     "nu = -5\n", "plateau"),
-    (["check-quadrature", *REFERENCE_ARGS, "--max-degree", "3"],
-     "nu = -5\n", "check-quadrature"),
-], ids=["plateau-flag", "check-quadrature-flag", "plateau-config", "check-quadrature-config"])
-def test_explicit_nu_refused(capsys, tmp_path, argv, config, command):
-    if config is not None:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(config)
-        argv = [*argv, "--config", str(cfg)]
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err == (f"error: {command} always uses nu = auto "
-                   "(-2*basis_degree - mu - 2), got nu = -5\n")
-
-
-@pytest.mark.parametrize("argv", [
-    ["plateau", *REFERENCE_ARGS, "--basis-degree", "10", "--mu-steps", "1",
-     "--mu-max", "1", "--nu", "auto"],
-    ["check-quadrature", *REFERENCE_ARGS, "--max-degree", "2", "--nu", "auto"],
-], ids=["plateau", "check-quadrature"])
-def test_auto_nu_flag_accepted(capsys, argv):
-    assert run_cli(capsys, *argv)[0] == 0
 
 
 class TestPotentialCommand:

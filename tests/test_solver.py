@@ -72,7 +72,7 @@ class TestSymtridiagEig:
         basis = sized_basis(10)
         x = x_matrix(basis)
         rule = quadrature_rule(basis)
-        m = rule.size
+        m = rule.tau.size
         assert np.abs(rule.Lam.T @ rule.Lam - np.eye(m)).max() < 1e-10
         assert np.abs((rule.Lam * rule.tau) @ rule.Lam.T - x).max() < 1e-10
         assert np.all(np.diff(rule.tau) > 0.0)
@@ -376,6 +376,14 @@ def test_auto_nu_basis_error_names_mu(call, message):
     with pytest.raises(ParameterError) as info:
         call()
     assert str(info.value) == message
+
+
+# At C <= 0 the 1/r^3 core does not repel: the levels grow without bound as
+# the basis grows, so assembly refuses the potential instead.
+@pytest.mark.parametrize("C", [-3.0, 0.0])
+def test_non_positive_C_refused(C):
+    with pytest.raises(ParameterError, match=r"^C must be positive .*, got C = "):
+        assemble_system(sized_basis(10), PotentialParams(A=-300.0, B=5.0, C=C))
 
 
 class TestPlateauScan:
