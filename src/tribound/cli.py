@@ -399,8 +399,29 @@ _COMMANDS = {
 }
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_flag_values(argv: list[str]) -> list[str]:
+    """argv with each valued flag joined to a following number, as '--A=-3e2':
+    argparse takes a value like '-3e2' or '-inf' for an option."""
+    valued = {flag for flag, kind, _ in _OPTIONS.values() if kind is not bool}
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in valued and _is_number(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_flag_values(sys.argv[1:] if argv is None else argv))
     try:
         return _COMMANDS[args.command][0](_resolve(args))
     except (ParameterError, OSError) as exc:

@@ -20,6 +20,7 @@ That convergence is what the plateau scan certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -83,12 +84,16 @@ class BoundSpectrum:
         return self.epsilons.shape[0]
 
 
+@lru_cache(maxsize=16)
 def quadrature_rule(basis: BasisParams) -> QuadratureRule:
     """Gauss rule of the basis: eigendecomposition of its tridiagonal X.
 
     Delegates to LAPACK's tridiagonal solver on the recursion coefficients
     and enforces the residual contract
     ||X Lam - Lam diag(tau)||_max < 1e-10 max(||X||_max, 1).
+
+    The rule depends on the basis alone: the last 16 bases (at least a plateau
+    grid) keep theirs, shared read-only; a failed contract is not kept.
     """
     c = recursion_coeffs(basis)
     try:
@@ -104,6 +109,7 @@ def quadrature_rule(basis: BasisParams) -> QuadratureRule:
     if residual > TRIDIAG_RESIDUAL_TOL * max(scale, 1.0):
         raise SolverError(
             f"tridiagonal eigensolve residual {residual:.3e} exceeds contract")
+    tau.flags.writeable = lam.flags.writeable = False
     return QuadratureRule(tau=tau, Lam=lam)
 
 
@@ -216,24 +222,34 @@ def _generalized_eigen(sys: AssembledSystem) -> tuple[np.ndarray, float]:
     if np.any(rule.tau ** 2 <= 1.0):
         raise SolverError("overlap factorization needs all tau > 1")
     g_isqrt = np.sqrt(rule.tau ** 2 - 1.0)
-    reduced = g_isqrt[:, None] * (rule.Lam.T @ h @ rule.Lam) * g_isqrt[None, :]
-    reduced = 0.5 * (reduced + reduced.T)
+    # in place, rounding as 0.5 (R + R^T) with R = diag(g_isqrt) Lam^T H Lam diag(g_isqrt)
+    reduced = rule.Lam.T @ h @ rule.Lam
+    reduced *= g_isqrt[:, None]
+    reduced *= g_isqrt
+    reduced += reduced.T
+    reduced *= 0.5
     try:
         eigs, y = np.linalg.eigh(reduced)
+        del reduced
         h_norm = np.abs(np.linalg.eigvalsh(h)).max()   # ||H||_2 of a symmetric H
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"symmetric eigensolve failed: {exc}") from exc
     vecs = (rule.Lam * g_isqrt) @ y
+    del y
     col_norm = np.linalg.norm(vecs, axis=0)
     vecs /= col_norm
 
     tol = PAIR_RESIDUAL_TOL * max(h_norm, 1.0)
-    res_block = h @ vecs - (omega @ vecs) * eigs
+    res_block = omega @ vecs
+    res_block *= eigs
+    np.subtract(h @ vecs, res_block, out=res_block)   # H V - omega V diag(eps)
     residuals = np.linalg.norm(res_block, axis=0)
     # b = ||r||_{omega^-1} / ||f||_omega, omega^-1 = Lam diag(tau^2 - 1) Lam^T, ||f||_omega
     # = ||y|| / col_norm = 1 / col_norm; a b that overflows (inf, NaN) stays a candidate
     with np.errstate(over="ignore", invalid="ignore"):
-        radius = np.linalg.norm(g_isqrt[:, None] * (rule.Lam.T @ res_block), axis=0) * col_norm
+        res_block = rule.Lam.T @ res_block   # frees R; scaled to diag(g_isqrt) Lam^T R
+        res_block *= g_isqrt[:, None]
+        radius = np.linalg.norm(res_block, axis=0) * col_norm
     candidate = ~(eigs - radius >= BOUND_STATE_CUTOFF)
     triggered = residuals > _REFINE_TRIGGER * tol
     for k in np.nonzero(candidate & triggered)[0]:

@@ -255,6 +255,24 @@ def test_bad_value_same_from_flag_and_config(capsys, tmp_path, key, value, messa
     assert from_flag == from_config == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("value", ["-3e2", "-3.0E+02", "-300.0"])
+def test_negative_value_in_any_float_form(capsys, value):
+    # argparse alone reads '-3e2' after --A as an option and prints its usage block
+    expected = run_cli(capsys, "spectrum", "--A=-300", "--B", "5", "--C", "3",
+                       "--basis-degree", "10", "--mu", "1.5")
+    assert expected[0] == 0
+    assert run_cli(capsys, "spectrum", "--A", value, "--B", "5", "--C", "3",
+                   "--basis-degree", "10", "--mu", "1.5") == expected
+
+
+@pytest.mark.parametrize("flag, value", [("--A", "-inf"), ("--mu", "-1e400"), ("--r-min", "-inf")])
+def test_negative_non_finite_value_is_config_error(capsys, flag, value):
+    code, out, err = run_cli(capsys, "wavefunction", *REFERENCE_ARGS, "--basis-degree", "10",
+                             flag, value)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag[2:]} must be finite, got '{value}'\n"
+
+
 def test_config_with_byte_order_mark(capsys, tmp_path):
     cfg = tmp_path / "bom.cfg"
     cfg.write_bytes(b"\xef\xbb\xbfA = -300\nB = 5\nC = 3\nbasis-degree = 10\n")

@@ -100,6 +100,65 @@ class TestSymtridiagEig:
             assert rule.tau.min() > 1.0
 
 
+class TestSharedRule:
+    """quadrature_rule computes one rule per basis and shares it read-only."""
+
+    def test_shared_rule_bit_identical_to_fresh(self):
+        basis = sized_basis(50)
+        rule = quadrature_rule(basis)
+        assert quadrature_rule(BasisParams.from_size(1.5, None, 50)) is rule
+        quadrature_rule.cache_clear()
+        fresh = quadrature_rule(basis)
+        assert fresh is not rule
+        assert np.array_equal(fresh.tau, rule.tau) and np.array_equal(fresh.Lam, rule.Lam)
+
+    def test_rule_arrays_refuse_writes(self):
+        rule = quadrature_rule(sized_basis(10))
+        with pytest.raises(ValueError):
+            rule.tau[0] = 2.0
+        with pytest.raises(ValueError):
+            rule.Lam *= 2.0
+        assert quadrature_rule(sized_basis(10)).Lam[0, 0] == rule.Lam[0, 0]
+
+    def test_solves_on_one_basis_share_one_rule(self, monkeypatch):
+        calls = []
+        eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+
+        def counted(d, e):
+            calls.append(d.size)
+            return eigh_tridiagonal(d, e)
+
+        cases = [(PotentialParams(A=A, B=B, C=C), consistent)
+                 for A, B, C in ((-300.0, 5.0, 3.0), (-20.0, 5.0, 3.0), (-2000.0, 1.0, 0.5))
+                 for consistent in (False, True)]
+        fresh = []
+        for p, consistent in cases:
+            quadrature_rule.cache_clear()
+            fresh.append(solve_bound_states(p, 50, consistent_potential=consistent))
+        quadrature_rule.cache_clear()
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+        for (p, consistent), want in zip(cases, fresh):
+            got = solve_bound_states(p, 50, consistent_potential=consistent)
+            assert got.epsilons.tobytes() == want.epsilons.tobytes()
+            assert got.discarded_count == want.discarded_count
+            assert got.max_residual == want.max_residual
+        assert calls == [50]
+
+    def test_failed_contract_not_kept(self, monkeypatch):
+        eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+
+        def perturbed(d, e):
+            tau, lam = eigh_tridiagonal(d, e)
+            return tau, lam + 1e-6
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
+        with pytest.raises(SolverError, match="exceeds contract"):
+            quadrature_rule(sized_basis(10))
+        monkeypatch.undo()
+        rule = quadrature_rule(sized_basis(10))
+        assert np.abs((rule.Lam * rule.tau) @ rule.Lam.T - x_matrix(sized_basis(10))).max() < 1e-10
+
+
 class TestQuadratureMatrix:
     def test_unit_kernel_gives_identity(self):
         rule = quadrature_rule(sized_basis(8))
