@@ -4,11 +4,13 @@ A finite square-integrable basis of weighted Jacobi polynomials in
 x = coth(lambda r) renders the wave operator tridiagonal; the spectrum comes
 from a Gauss-quadrature-assembled generalized eigenproblem and wavefunctions
 from finite series whose coefficients obey a three-term recursion.
+
+Importing the package loads numpy only: scipy.linalg is imported by the first
+Gauss rule or refinement, scipy.integrate by the first direct integral.
 """
 
-import importlib
-
 from .errors import ParameterError, SolverError
+from .oracle import direct_matrix
 from .potential import (
     Crossing,
     Extremum,
@@ -27,48 +29,25 @@ from .recursion import (
     h_polynomial_sequence,
     recursion_coeffs,
 )
+from .solver import (
+    AssembledSystem,
+    BoundSpectrum,
+    PlateauScan,
+    PlateauStat,
+    QuadratureRule,
+    assemble_system,
+    bound_states,
+    plateau_scan,
+    quadrature_matrix,
+    quadrature_rule,
+    solve_bound_states,
+)
 from .special import jacobi_sequence
 from .wavefunction import (
     WavefunctionTable,
     count_sign_changes,
     sample_wavefunction,
 )
-
-# The solver imports scipy.linalg and the oracle scipy.integrate; neither is
-# imported until one of its names (or the submodule itself) is first looked up.
-_LAZY_LAYERS = {
-    "solver": (
-        "AssembledSystem",
-        "BoundSpectrum",
-        "PlateauScan",
-        "PlateauStat",
-        "QuadratureRule",
-        "assemble_system",
-        "bound_states",
-        "plateau_scan",
-        "quadrature_matrix",
-        "quadrature_rule",
-        "solve_bound_states",
-    ),
-    "oracle": ("direct_matrix",),
-}
-_LAZY = {name: layer for layer, names in _LAZY_LAYERS.items() for name in names}
-
-
-def __getattr__(name: str):
-    """Import a lazy name's layer on first access (PEP 562) and keep the name."""
-    if name in _LAZY_LAYERS:
-        return importlib.import_module(f".{name}", __name__)
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    layer = importlib.import_module(f".{_LAZY[name]}", __name__)
-    value = globals()[name] = getattr(layer, name)
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))
-
 
 __version__ = "0.1.0"
 

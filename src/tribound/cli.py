@@ -5,14 +5,14 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.  All
 numeric output uses decimal notation with 10 significant digits; identical
 configurations produce byte-identical output.  Each command builds one
 document of unrounded values and hands it to `_emit`, which rounds only as it
-writes the JSON or CSV.
+writes the JSON or CSV.  scipy loads inside the library calls that use it,
+so a command loads only the scipy layers it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import importlib
 import json
 import math
 import sys
@@ -21,32 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, SolverError
+from .oracle import direct_matrix
 from .potential import PotentialParams, classify_shape, max_basis_index, potential_value
 from .recursion import BasisParams
+from .solver import plateau_scan, quadrature_matrix, quadrature_rule, solve_bound_states
 from .wavefunction import sample_wavefunction
-
-# Names from the scipy-backed layers, resolved through the package (which
-# imports their layer on first use) so that a command loads only what it
-# runs.  They become module globals when first looked up, and the handlers
-# read them from there at call time, so a caller can replace them with
-# setattr (the benchmark's tracer does).
-_LAZY = ("solve_bound_states", "plateau_scan", "quadrature_rule", "quadrature_matrix",
-         "direct_matrix")
-
-
-def __getattr__(name: str):
-    """Resolve a lazy name on first access (PEP 562) and keep it global."""
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(__package__), name)
-    return value
-
-
-def _bind(*names: str):
-    """Make lazy names global unless they already are (or were replaced)."""
-    for name in names:
-        if name not in globals():
-            __getattr__(name)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -220,12 +199,14 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="tribound",
+    # no abbreviations: each valued flag has the one spelling _join_flag_values
+    # joins to a negative number
+    ap = argparse.ArgumentParser(prog="tribound", allow_abbrev=False,
                                  description="Bound states of the 1/r, 1/r^2, 1/r^3 "
                                              "singular short-range potential.")
     sub = ap.add_subparsers(dest="command", required=True)
     for command, (_, text, defaults) in _COMMANDS.items():
-        p = sub.add_parser(command, help=text)
+        p = sub.add_parser(command, help=text, allow_abbrev=False)
         for dest in defaults:
             flag, kind, help_text = _OPTIONS[dest]
             how = {"action": "store_true"} if kind is bool else {}
@@ -241,7 +222,6 @@ def _potential(cfg: dict) -> PotentialParams:
 
 def _solve(cfg: dict):
     """Potential, bound spectrum and JSON params block for spectrum and wavefunction."""
-    _bind("solve_bound_states")
     basis = BasisParams.from_size(cfg["mu"], cfg["nu"], cfg["basis_degree"])
     p = _potential(cfg)
     spectrum = solve_bound_states(p, cfg["basis_degree"], mu=cfg["mu"], nu=basis.nu,
@@ -335,7 +315,6 @@ def _cmd_wavefunction(cfg: dict) -> int:
 
 
 def _cmd_plateau(cfg: dict) -> int:
-    _bind("plateau_scan")
     mu_min, mu_max, steps = cfg["mu_min"], cfg["mu_max"], cfg["mu_steps"]
     if steps < 1 or (steps == 1 and mu_min != mu_max) or mu_min > mu_max:
         raise ParameterError("invalid mu grid specification")
@@ -356,7 +335,6 @@ def _cmd_plateau(cfg: dict) -> int:
 
 
 def _cmd_check_quadrature(cfg: dict) -> int:
-    _bind("quadrature_rule", "quadrature_matrix", "direct_matrix")
     max_degree = cfg["max_degree"]
     if max_degree > 8:
         raise ParameterError(f"max degree is capped at 8, got {max_degree}")

@@ -15,16 +15,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ParameterError, SolverError
 from .recursion import BasisParams
 from .special import jacobi_sequence, normalization_c
 
 # Integration window in t = ln(x - 1).  Below -43 the variable x - 1 falls
-# under extended-precision resolution of x; contributions there are bounded
-# by exp(mu * t) and negligible for the integrable kernels this oracle
-# targets.  Above 692 every admissible integrand has underflowed.
+# under extended-precision resolution of x; the integrand decays there like
+# exp(mu * t) for a kernel with a simple pole at x = 1, and that part is
+# estimated from the window's first unit and counted against the tolerance.
+# Above 692 every admissible integrand has underflowed.
 _T_LO = -43.0
 _T_HI = 692.0
 
@@ -46,11 +46,14 @@ class IntegrationResult:
 def direct_matrix_element(basis: BasisParams, w, n: int, m: int) -> IntegrationResult:
     """Adaptive-quadrature matrix element of the kernel w between states n, m.
 
-    Raises SolverError when the error estimate cannot be brought below
-    1e-10 max(1, |value|) within the evaluation budget.  Kernels singular at
-    x = 1 need mu large enough for an integrable product (mu > 0 for a
-    simple 1/(x-1) pole).
+    Raises SolverError when the error estimate plus the estimated part below
+    the window cannot be brought below 1e-10 max(1, |value|) within the
+    evaluation budget.  Kernels singular at x = 1 need mu large enough for an
+    integrable product (mu > 0 for a simple 1/(x-1) pole); a small mu leaves
+    too much below the window and raises.
     """
+    from scipy import integrate
+
     if basis.N > 8:
         raise ParameterError(
             "direct integration is supported for basis degree <= 8 (cost grows "
@@ -89,6 +92,16 @@ def direct_matrix_element(basis: BasisParams, w, n: int, m: int) -> IntegrationR
     if not math.isfinite(value) or err > _TOL * max(1.0, abs(value)):
         raise SolverError(
             f"direct integration did not converge: value = {value}, "
+            f"error estimate = {err:.3e} with tol = {_TOL:.3e}")
+    # below the window the integrand decays like exp(rate * t), rate read off
+    # its first unit; a non-decaying one has no finite estimate
+    f_lo, f_next = abs(integrand(_T_LO)), abs(integrand(_T_LO + 1.0))
+    below = 0.0 if f_lo == 0.0 else math.inf
+    if 0.0 < f_lo < f_next:
+        below = f_lo / math.log(f_next / f_lo)
+    if err + below > _TOL * max(1.0, abs(value)):
+        raise SolverError(
+            f"direct integration misses {below:.3e} below t = {_T_LO:g}: value = {value}, "
             f"error estimate = {err:.3e} with tol = {_TOL:.3e}")
     return IntegrationResult(value=float(value), abs_error_estimate=float(err),
                              evaluations=evaluations)

@@ -24,7 +24,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ParameterError, SolverError
 from .potential import PotentialParams
@@ -95,6 +94,8 @@ def quadrature_rule(basis: BasisParams) -> QuadratureRule:
     The rule depends on the basis alone: the last 16 bases (at least a plateau
     grid) keep theirs, shared read-only; a failed contract is not kept.
     """
+    import scipy.linalg
+
     c = recursion_coeffs(basis)
     try:
         tau, lam = scipy.linalg.eigh_tridiagonal(c.F, c.D)
@@ -179,6 +180,8 @@ def assemble_system(basis: BasisParams, p: PotentialParams,
 def _refine_pair(h: np.ndarray, omega: np.ndarray, lam: float,
                  f: np.ndarray) -> tuple[float, np.ndarray]:
     """One or two steps of inverse iteration plus Rayleigh-quotient update."""
+    import scipy.linalg
+
     shifted = np.empty_like(h)
     for _ in range(2):
         np.subtract(h, np.multiply(omega, lam, out=shifted), out=shifted)

@@ -273,6 +273,17 @@ def test_negative_non_finite_value_is_config_error(capsys, flag, value):
     assert err == f"error: {flag[2:]} must be finite, got '{value}'\n"
 
 
+@pytest.mark.parametrize("value", ["2", "-1e-3"])
+def test_abbreviated_flag_is_unrecognized(capsys, value):
+    # an abbreviation would slip past the join of a flag to a negative number
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", *REFERENCE_ARGS, "--lam", value])
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: --lam {value}\n" in capsys.readouterr().err
+    assert run_cli(capsys, "spectrum", *REFERENCE_ARGS, "--lambda", "-1e-3") == (
+        2, "", "error: lambda must be positive, got -0.001\n")
+
+
 def test_config_with_byte_order_mark(capsys, tmp_path):
     cfg = tmp_path / "bom.cfg"
     cfg.write_bytes(b"\xef\xbb\xbfA = -300\nB = 5\nC = 3\nbasis-degree = 10\n")

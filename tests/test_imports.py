@@ -48,7 +48,22 @@ def scipy_modules(modules: set[str]) -> set[str]:
 def test_import_tribound_loads_no_scipy():
     _, modules = run_fresh("import tribound")
     assert not scipy_modules(modules)
-    assert "tribound.solver" not in modules and "tribound.oracle" not in modules
+
+
+def test_scipy_loads_in_the_call_that_needs_it():
+    # the solver and the oracle import scipy inside their functions, so no
+    # module of the package loads it at import time
+    _, imported = run_fresh("import tribound, tribound.solver, tribound.oracle, tribound.cli")
+    assert not scipy_modules(imported)
+    _, solved = run_fresh(
+        "import tribound\n"
+        "tribound.solve_bound_states(tribound.PotentialParams(A=-300, B=5, C=3), 10)")
+    assert "scipy.linalg" in solved
+    assert "scipy.integrate" not in solved
+    _, integrated = run_fresh(
+        "import tribound\n"
+        "tribound.direct_matrix(tribound.BasisParams.from_size(1.5, None, 2), lambda x: x)")
+    assert "scipy.integrate" in integrated
 
 
 def test_import_cli_loads_neither_scipy_layer():
@@ -91,13 +106,10 @@ def test_public_names_resolve_lazily():
         "scope = {}\n"
         "exec('from tribound import *', scope)\n"
         "unbound = sorted(set(names) - set(scope))\n"
-        "stale = [n for layer, lazy in tribound._LAZY_LAYERS.items() for n in lazy\n"
-        "         if not hasattr(getattr(tribound, layer), n)]\n"
-        "print(json.dumps([names, missing, listed, unbound, stale,\n"
-        "                  tribound.oracle.__name__]))")
-    names, missing, listed, unbound, stale, oracle = json.loads(out)
+        "print(json.dumps([names, missing, listed, unbound, tribound.oracle.__name__]))")
+    names, missing, listed, unbound, oracle = json.loads(out)
     assert sorted(names) == PUBLIC_NAMES
-    assert missing == [] and listed == [] and unbound == [] and stale == []
+    assert missing == [] and listed == [] and unbound == []
     assert oracle == "tribound.oracle"
 
 

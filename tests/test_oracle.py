@@ -79,9 +79,17 @@ class TestAgainstQuadrature:
 
     def test_overlap_kernel_scalar_case(self):
         # closed form for the 1x1 overlap: <0|1/(x^2-1)|0> =
-        # (mu+nu)(mu+nu+1)/(4 mu (-nu)) from ratios of beta integrals
-        mu, nu = 1.5, -25.5
-        basis = BasisParams(mu=mu, nu=nu, N=0)
-        want = (mu + nu) * (mu + nu + 1.0) / (4.0 * mu * (-nu))
-        got = direct_matrix_element(basis, lambda x: 1.0 / (x * x - 1.0), 0, 0)
-        assert got.value == pytest.approx(want, rel=1e-9)
+        # (mu+nu)(mu+nu+1)/(4 mu (-nu)) from ratios of beta integrals.  In
+        # t = ln(x-1) the integrand decays like e^(mu t) toward the pole, so at
+        # small mu the part below the integration window outgrows the 1e-10
+        # contract: the oracle must then raise, never return a value outside it.
+        nu = -25.5
+        for mu in (1.5, 0.6, 0.5, 0.45):
+            basis = BasisParams(mu=mu, nu=nu, N=0)
+            want = (mu + nu) * (mu + nu + 1.0) / (4.0 * mu * (-nu))
+            try:
+                got = direct_matrix_element(basis, lambda x: 1.0 / (x * x - 1.0), 0, 0)
+            except SolverError:
+                assert mu < 1.0, "the default mu must integrate"
+                continue
+            assert abs(got.value - want) <= 1e-10 * max(1.0, abs(want)), mu
