@@ -23,7 +23,7 @@ from .special import jacobi_sequence, normalization_c
 # Integration window in t = ln(x - 1).  Below -43 the variable x - 1 falls
 # under extended-precision resolution of x; the integrand decays there like
 # exp(mu * t) for a kernel with a simple pole at x = 1, and that part is
-# estimated from the window's first unit and counted against the tolerance.
+# estimated from the window's second unit and counted against the tolerance.
 # Above 692 every admissible integrand has underflowed.
 _T_LO = -43.0
 _T_HI = 692.0
@@ -93,12 +93,14 @@ def direct_matrix_element(basis: BasisParams, w, n: int, m: int) -> IntegrationR
         raise SolverError(
             f"direct integration did not converge: value = {value}, "
             f"error estimate = {err:.3e} with tol = {_TOL:.3e}")
-    # below the window the integrand decays like exp(rate * t), rate read off
-    # its first unit; a non-decaying one has no finite estimate
-    f_lo, f_next = abs(integrand(_T_LO)), abs(integrand(_T_LO + 1.0))
+    # below the window the integrand decays like exp(rate * t); the rate is
+    # read off its second unit, since at the edge x - 1 is only a few ulps of
+    # x and the rate there reads high.  A non-decaying one has no finite
+    # estimate.
+    f_lo, f_in, f_next = (abs(integrand(_T_LO + s)) for s in (0.0, 1.0, 2.0))
     below = 0.0 if f_lo == 0.0 else math.inf
-    if 0.0 < f_lo < f_next:
-        below = f_lo / math.log(f_next / f_lo)
+    if f_lo > 0.0 and 0.0 < f_in < f_next:
+        below = f_lo / math.log(f_next / f_in)
     if err + below > _TOL * max(1.0, abs(value)):
         raise SolverError(
             f"direct integration misses {below:.3e} below t = {_T_LO:g}: value = {value}, "

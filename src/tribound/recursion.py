@@ -86,11 +86,10 @@ def auto_nu(mu: float, size: int) -> float:
 
 @dataclass(frozen=True)
 class RecursionCoeffs:
-    """Sequences F_n (0..N), D_n (0..N-1), G_n (0..N) of the recursion."""
+    """Sequences F_n (0..N) and D_n (0..N-1) of the recursion."""
 
     F: np.ndarray
     D: np.ndarray
-    G: np.ndarray
 
 
 def _f_g_arrays(mu: float, nu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,15 +124,14 @@ def _d_array(mu: float, nu: float, count: int) -> np.ndarray:
 
 
 def recursion_coeffs(basis: BasisParams) -> RecursionCoeffs:
-    """Recursion coefficients of the full basis: F, G for 0..N and D for 0..N-1.
+    """Recursion coefficients of the full basis: F for 0..N and D for 0..N-1.
 
     Signs are literal: D_n < 0 for every valid basis because 2n+mu+nu+2 < 0.
     A basis with mu + nu = -2N - 2 exactly has a vanishing denominator in F_N
     and is rejected as degenerate (stability-rule choices keep |2n+mu+nu| >= 1).
     """
-    F, G = _f_g_arrays(basis.mu, basis.nu, basis.size)
-    D = _d_array(basis.mu, basis.nu, basis.size - 1)
-    return RecursionCoeffs(F=F, D=D, G=G)
+    F, _ = _f_g_arrays(basis.mu, basis.nu, basis.size)
+    return RecursionCoeffs(F=F, D=_d_array(basis.mu, basis.nu, basis.size - 1))
 
 
 def h_polynomial_sequence(basis: BasisParams, B: float, C: float) -> np.ndarray:

@@ -138,25 +138,6 @@ def log_gamma_ratio(mu: float, nu: float, n: int) -> SignedLogMagnitude:
         math.log(abs(t)) + ga.log_abs + gb.log_abs - gc.log_abs - gd.log_abs, sign)
 
 
-def _log_cn_squared_sines(mu: float, nu: float, n: int) -> SignedLogMagnitude:
-    """log(c_n^2) from the sine-ratio closed form of the diagonal norm.
-
-    diag_n = 2^(mu+nu+1)/(2n+mu+nu+1)
-             * Gamma(n+mu+1) Gamma(n+nu+1) / (Gamma(n+1) Gamma(n+mu+nu+1))
-             * sin(pi nu) / sin(pi (mu+nu+1)),
-    so c_n^2 = 1/diag_n is log_gamma_ratio times sin(pi (mu+nu+1))
-    / (2^(mu+nu+1) sin(pi nu)).
-    """
-    s_nu, sg_nu = _sinpi(nu)
-    s_mn, sg_mn = _sinpi(mu + nu + 1.0)
-    if s_nu == 0.0 or s_mn == 0.0:
-        raise ParameterError("sine-ratio norm undefined at integer nu or mu + nu")
-    ratio = log_gamma_ratio(mu, nu, n)
-    log_abs = (ratio.log_abs - (mu + nu + 1.0) * math.log(2.0)
-               - math.log(s_nu) + math.log(s_mn))
-    return SignedLogMagnitude(log_abs, ratio.sign * sg_nu * sg_mn)
-
-
 def normalization_c(mu: float, nu: float, n: int) -> float:
     """Normalization c_n making the weighted family orthonormal on [1, inf).
 

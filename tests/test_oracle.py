@@ -1,5 +1,7 @@
 """Direct-integration oracle: self-tests and cross-checks with the quadrature."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from tribound.errors import ParameterError, SolverError
 from tribound.oracle import direct_matrix, direct_matrix_element
 from tribound.recursion import BasisParams, recursion_coeffs
 from tribound.solver import quadrature_matrix, quadrature_rule
+from tribound.special import normalization_c
 
 
 def basis_of_size(size, mu=1.5):
@@ -93,3 +96,18 @@ class TestAgainstQuadrature:
                 assert mu < 1.0, "the default mu must integrate"
                 continue
             assert abs(got.value - want) <= 1e-10 * max(1.0, abs(want)), mu
+
+    def test_miss_just_above_the_contract_raises(self):
+        # Below t = -43 the 1x1 overlap integrand is c_0^2 e^(mu t)
+        # (2 + e^t)^(nu - 1), so the part missed below the window is
+        # c_0^2 2^(nu-1) e^(-43 mu) / mu to relative order e^-43.  At
+        # mu = 0.57 that is 1.09 times the contract: an edge-read decay rate
+        # underestimates it by about 16% and the value would pass unflagged.
+        mu, nu = 0.57, -25.5
+        want = (mu + nu) * (mu + nu + 1.0) / (4.0 * mu * (-nu))
+        tol = 1e-10 * max(1.0, abs(want))
+        miss = normalization_c(mu, nu, 0) ** 2 * 2.0 ** (nu - 1.0) * math.exp(-43.0 * mu) / mu
+        assert tol < miss < 1.2 * tol
+        with pytest.raises(SolverError, match="misses"):
+            direct_matrix_element(BasisParams(mu=mu, nu=nu, N=0),
+                                  lambda x: 1.0 / (x * x - 1.0), 0, 0)

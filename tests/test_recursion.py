@@ -105,10 +105,10 @@ class TestRecursionCoeffs:
 
     def test_two_g_forms_agree(self):
         mu, nu = 1.5, -503.5
-        c = recursion_coeffs(BasisParams(mu=mu, nu=nu, N=200))
+        _, G = _f_g_arrays(mu, nu, 201)
         n = np.arange(201, dtype=float)
         squared_form = (n + 0.5 * (mu + nu + 1.0)) ** 2 - 0.25
-        assert np.max(np.abs(c.G - squared_form) / np.abs(c.G)) < 1e-12
+        assert np.max(np.abs(G - squared_form) / np.abs(G)) < 1e-12
 
     def test_d_negative_for_valid_parameters(self):
         rng = np.random.default_rng(3)
@@ -122,7 +122,8 @@ class TestRecursionCoeffs:
     def test_sizes(self):
         basis = BasisParams(mu=1.5, nu=-25.5, N=7)
         c = recursion_coeffs(basis)
-        assert c.F.shape == (8,) and c.G.shape == (8,) and c.D.shape == (7,)
+        _, G = _f_g_arrays(basis.mu, basis.nu, basis.size)
+        assert c.F.shape == (8,) and G.shape == (8,) and c.D.shape == (7,)
 
     def test_invalid_basis_rejected(self):
         with pytest.raises(ParameterError):
@@ -171,8 +172,9 @@ class TestHPolynomialSequence:
     def test_general_step_matches_low_order_instance(self):
         basis = BasisParams(mu=1.5, nu=-25.5, N=2)
         c = recursion_coeffs(basis)
+        _, G = _f_g_arrays(basis.mu, basis.nu, basis.size)
         h = h_polynomial_sequence(basis, 5.0, 3.0)
-        h2_hand = ((5.0 + c.G[1] - 3.0 * c.F[1]) * h[1] - 3.0 * c.D[0] * h[0]) / (3.0 * c.D[1])
+        h2_hand = ((5.0 + G[1] - 3.0 * c.F[1]) * h[1] - 3.0 * c.D[0] * h[0]) / (3.0 * c.D[1])
         assert h[2] == h2_hand  # same arithmetic path, bit for bit
 
     def test_recursion_consistency_randomized(self):

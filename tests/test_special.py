@@ -9,12 +9,32 @@ from scipy import integrate
 
 from tribound.errors import ParameterError
 from tribound.special import (
+    SignedLogMagnitude,
     _log_cn_squared_gammas,
-    _log_cn_squared_sines,
+    _sinpi,
     jacobi_sequence,
+    log_gamma_ratio,
     normalization_c,
     signed_log_gamma,
 )
+
+
+def log_cn_squared_sines(mu, nu, n):
+    """log(c_n^2) from the sine-ratio closed form of the diagonal norm, the
+    independent second form that the gamma form must match.
+
+    diag_n = 2^(mu+nu+1)/(2n+mu+nu+1)
+             * Gamma(n+mu+1) Gamma(n+nu+1) / (Gamma(n+1) Gamma(n+mu+nu+1))
+             * sin(pi nu) / sin(pi (mu+nu+1)),
+    so c_n^2 = 1/diag_n is log_gamma_ratio times sin(pi (mu+nu+1))
+    / (2^(mu+nu+1) sin(pi nu)); undefined at integer nu or mu + nu.
+    """
+    s_nu, sg_nu = _sinpi(nu)
+    s_mn, sg_mn = _sinpi(mu + nu + 1.0)
+    ratio = log_gamma_ratio(mu, nu, n)
+    log_abs = (ratio.log_abs - (mu + nu + 1.0) * math.log(2.0)
+               - math.log(s_nu) + math.log(s_mn))
+    return SignedLogMagnitude(log_abs, ratio.sign * sg_nu * sg_mn)
 
 
 def hypergeometric_oracle(mu, nu, n, x):
@@ -166,7 +186,7 @@ class TestNormalization:
             n = int(rng.integers(0, 5))
             nu = -2.0 * n - 1.0 - mu - rng.uniform(0.5, 20.0)
             a = _log_cn_squared_gammas(mu, nu, n)
-            b = _log_cn_squared_sines(mu, nu, n)
+            b = log_cn_squared_sines(mu, nu, n)
             assert a.sign == b.sign == 1
             assert a.log_abs == pytest.approx(b.log_abs, abs=1e-12 * max(1.0, abs(a.log_abs)))
 

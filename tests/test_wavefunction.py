@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tribound import potential, wavefunction
 from tribound.errors import ParameterError
 from tribound.potential import PotentialParams
 from tribound.solver import solve_bound_states
@@ -163,3 +164,90 @@ def test_sampler_bit_identical_to_masked_index_form(consistent, grid, clamps):
         assert table.clamped_count == clamped
         clamped_total += clamped
     assert (clamped_total > 0) == clamps
+
+
+@pytest.fixture(scope="module")
+def consistent_spectrum():
+    return solve_bound_states(REFERENCE_POTENTIAL, 50, consistent_potential=True)
+
+
+def cold_sample(monkeypatch, k, eps, p, r):
+    """sample_wavefunction with the grid cache emptied first."""
+    monkeypatch.setattr(wavefunction, "_last_grid", None)
+    return sample_wavefunction(k, eps, p, r)
+
+
+class TestGridCache:
+    """The last grid's x, ln(x - 1) and ln(x + 1) are reused bit for bit."""
+
+    def test_states_grid_warm_equals_cold(self, monkeypatch, consistent_spectrum):
+        grid = np.geomspace(1e-3, 15.0, 10**5)
+        epsilons = consistent_spectrum.epsilons.tolist()
+        assert len(epsilons) == 8
+        sample_wavefunction(0, epsilons[0], REFERENCE_POTENTIAL, grid)
+        for k, eps in enumerate(epsilons):
+            warm = sample_wavefunction(k, eps, REFERENCE_POTENTIAL, grid)
+            cold = cold_sample(monkeypatch, k, eps, REFERENCE_POTENTIAL, grid)
+            assert np.array_equal(warm.psi, cold.psi)
+            assert warm.clamped_count == cold.clamped_count
+
+    def test_one_set_of_coth_pieces_per_grid(self, monkeypatch, consistent_spectrum):
+        calls = []
+
+        def counting(lam, r):
+            calls.append(lam)
+            return potential._coth_pieces(lam, r)
+
+        monkeypatch.setattr(wavefunction, "_coth_pieces", counting)
+        monkeypatch.setattr(wavefunction, "_last_grid", None)
+        grid = np.geomspace(1e-3, 15.0, 2000)
+        for k, eps in enumerate(consistent_spectrum.epsilons.tolist()):
+            sample_wavefunction(k, eps, REFERENCE_POTENTIAL, grid)
+        assert len(calls) == 1
+
+    def test_grid_changed_in_place_is_recomputed(self, monkeypatch, consistent_spectrum):
+        eps = float(consistent_spectrum.epsilons[3])
+        grid = np.geomspace(1e-3, 15.0, 500)
+        before = sample_wavefunction(3, eps, REFERENCE_POTENTIAL, grid)
+        grid *= 0.5
+        after = sample_wavefunction(3, eps, REFERENCE_POTENTIAL, grid)
+        cold = cold_sample(monkeypatch, 3, eps, REFERENCE_POTENTIAL, grid.copy())
+        assert np.array_equal(after.psi, cold.psi)
+        assert not np.array_equal(after.psi, before.psi)
+
+    @pytest.mark.parametrize("change", ["lambda", "grid"])
+    def test_other_lambda_or_grid_is_recomputed(self, monkeypatch, consistent_spectrum, change):
+        eps = float(consistent_spectrum.epsilons[2])
+        grid = np.geomspace(1e-3, 15.0, 500)
+        p, r = REFERENCE_POTENTIAL, grid
+        if change == "lambda":
+            p = PotentialParams(A=-300.0, B=5.0, C=3.0, lam=1.25)
+        else:
+            r = np.linspace(1e-3, 15.0, 500)
+        sample_wavefunction(2, eps, REFERENCE_POTENTIAL, grid)
+        warm = sample_wavefunction(2, eps, p, r)
+        cold = cold_sample(monkeypatch, 2, eps, p, r)
+        assert np.array_equal(warm.psi, cold.psi)
+        assert warm.clamped_count == cold.clamped_count
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([0.0, 1.0]), "r grid must be positive and strictly ascending"),
+        (np.array([2.0, 1.0]), "r grid must be positive and strictly ascending"),
+        (np.geomspace(1e-3, 15.0, 500)[::-1], "r grid must be positive and strictly ascending"),
+        (np.geomspace(1e-3, 15.0, 500).reshape(2, 250), "r grid must be a non-empty 1-d array"),
+        (np.array([]), "r grid must be a non-empty 1-d array"),
+        (np.array([1e-310, 1.0]), "lambda \\* r = 1e-310 is below"),
+    ])
+    def test_invalid_grid_after_valid_one(self, consistent_spectrum, bad, message):
+        eps = float(consistent_spectrum.epsilons[1])
+        sample_wavefunction(1, eps, REFERENCE_POTENTIAL, np.geomspace(1e-3, 15.0, 500))
+        with pytest.raises(ParameterError, match=message):
+            sample_wavefunction(1, eps, REFERENCE_POTENTIAL, bad)
+
+    def test_grid_error_comes_before_state_error(self, consistent_spectrum):
+        grid = np.geomspace(1e-3, 15.0, 500)
+        sample_wavefunction(0, float(consistent_spectrum.epsilons[0]), REFERENCE_POTENTIAL, grid)
+        with pytest.raises(ParameterError, match="positive and strictly ascending"):
+            sample_wavefunction(-1, -10.0, REFERENCE_POTENTIAL, grid[::-1])
+        with pytest.raises(ParameterError, match="state index must be >= 0"):
+            sample_wavefunction(-1, -10.0, REFERENCE_POTENTIAL, grid)
