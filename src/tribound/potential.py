@@ -28,6 +28,8 @@ LAMBDA_R_MIN = float(np.finfo(float).tiny)
 # Largest |B/C| and |A/C| whose shape discriminants are finite float64.
 SHAPE_RATIO_MAX = 1e150
 
+_LN2 = math.log(2.0)
+
 
 @dataclass(frozen=True)
 class PotentialParams:
@@ -89,22 +91,64 @@ class ShapeReport:
     satisfies_B_ge_C: bool = False
 
 
-def _coth_pieces(lam: float, r):
-    """-2t, e^{-2t} and 1 - e^{-2t} for t = lambda r, r already checked positive.
+@dataclass(frozen=True)
+class _Grid:
+    """The pieces of one r grid, read-only: lambda, a copy of r, q = e^{-2t}
+    and em = 1 - e^{-2t} for t = lambda r, x = coth t, ln(x - 1) and ln(x + 1)."""
 
-    coth t - 1 = 2 e^{-2t} / (1 - e^{-2t}) and the hyperbolic ratios of V are
-    stable in these for all t > 0; x_of_r, potential_value and
-    sample_wavefunction share them, one exp and one expm1 per point.  A
-    lambda r that overflows is r = infinity (x = 1); one below LAMBDA_R_MIN
-    is refused.
+    lam: float
+    r: np.ndarray
+    q: np.ndarray
+    em: np.ndarray
+    x: np.ndarray
+    ln_xm1: np.ndarray
+    ln_xp1: np.ndarray
+
+
+# The last grid _grid built; a grid with another lambda or r replaces it.
+_last_grid: _Grid | None = None
+
+
+def _grid(lam: float, r: np.ndarray) -> _Grid:
+    """The pieces of r, computed once per grid for x_of_r, potential_value
+    and sample_wavefunction.
+
+    An equal lambda and an elementwise-equal r return the last grid's
+    pieces.  Otherwise r must be positive and finite; a lambda r that
+    overflows is r = infinity (x = 1), one below LAMBDA_R_MIN is refused.
+    coth t - 1 = 2q/em, ln(x - 1) = ln 2 - 2t - ln(em) and ln(x + 1) =
+    ln 2 - ln(em): one exp, one expm1 and one log per point, each float
+    operation in the order of the direct formulas, so every value is
+    bit-identical to them.
     """
+    global _last_grid
+    g = _last_grid
+    if g is not None and g.lam == lam and np.array_equal(g.r, r):
+        return g
+    if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
+        raise ParameterError("r must be positive and finite")
     with np.errstate(over="ignore"):
-        m2t = lam * r
-        m2t *= -2.0
-    if np.max(m2t) > -2.0 * LAMBDA_R_MIN:
-        raise ParameterError(f"lambda * r = {-0.5 * np.max(m2t):.6g} is below {LAMBDA_R_MIN:.6g}, "
-                             f"where coth(lambda r) overflows float64 (lambda = {lam:.6g})")
-    return m2t, np.exp(m2t), -np.expm1(m2t)
+        ln_xm1 = lam * r
+        ln_xm1 *= -2.0                              # -2t
+    if np.any(ln_xm1 > -2.0 * LAMBDA_R_MIN):
+        raise ParameterError(f"lambda * r = {-0.5 * np.max(ln_xm1):.6g} is below "
+                             f"{LAMBDA_R_MIN:.6g}, where coth(lambda r) overflows float64 "
+                             f"(lambda = {lam:.6g})")
+    q = np.exp(ln_xm1)
+    em = -np.expm1(ln_xm1)
+    x = 2.0 * q
+    x /= em
+    x += 1.0
+    ln_xp1 = np.log(em)
+    ln_xm1 += _LN2
+    ln_xm1 -= ln_xp1
+    ln_xp1 = _LN2 - ln_xp1
+    # a 0-d r gives numpy scalars, which asarray turns into freezable arrays
+    pieces = [np.asarray(a) for a in (r.copy(), q, em, x, ln_xm1, ln_xp1)]
+    for a in pieces:
+        a.flags.writeable = False
+    _last_grid = _Grid(lam, *pieces)
+    return _last_grid
 
 
 def x_of_r(lam: float, r):
@@ -115,12 +159,8 @@ def x_of_r(lam: float, r):
     collapses to exactly 1.0 and the inverse map is lost.  Relative round-trip
     accuracy 1e-12 holds for lambda r up to about 6.5.
     """
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
-        raise ParameterError("r must be positive and finite")
-    _, q, em = _coth_pieces(lam, r)
-    x = 1.0 + 2.0 * q / em
-    return x if x.shape else float(x)
+    x = _grid(lam, np.asarray(r, dtype=float)).x
+    return x.copy() if x.shape else float(x)
 
 
 def r_of_x(lam: float, x):
@@ -153,13 +193,12 @@ def potential_value(p: PotentialParams, r):
     a finite float64 raises a ParameterError naming lambda and r.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
-        raise ParameterError("r must be positive and finite")
+    g = _grid(p.lam, r)
     try:
         scale = 0.5 * p.lam**2
     except OverflowError:
         raise ParameterError(f"lambda = {p.lam:.6g} is too large: lambda^2 overflows") from None
-    _, q, em = _coth_pieces(p.lam, r)
+    q, em = g.q, g.em
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q4 = 4.0 * q
         coth_m1 = 2.0 * q / em

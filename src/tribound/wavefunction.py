@@ -16,14 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .potential import PotentialParams, _coth_pieces
+from .potential import PotentialParams, _grid
 from .recursion import BasisParams, h_polynomial_sequence
 from .special import jacobi_sequence, log_gamma_ratio
 
 # Magnitudes with ln|psi| below this emit exact 0.0.
 LOG_UNDERFLOW = -700.0
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -85,54 +83,13 @@ def state_coefficients(k: int, epsilon_k: float, A: float, B: float, C: float
     return basis, h_polynomial_sequence(basis, B, C), _series_normalizations(basis)
 
 
-@dataclass(frozen=True)
-class _GridPieces:
-    """The state-independent arrays of one r grid: x = coth(lambda r),
-    ln(x - 1) and ln(x + 1), with lambda and a read-only copy of r."""
-
-    lam: float
-    r: np.ndarray
-    x: np.ndarray
-    ln_xm1: np.ndarray
-    ln_xp1: np.ndarray
-
-
-# The pieces of the last grid sampled; sample_wavefunction replaces them.
-_last_grid: _GridPieces | None = None
-
-
-def _grid_pieces(lam: float, r: np.ndarray) -> _GridPieces:
-    """x, ln(x - 1) = ln 2 - 2t - ln(1 - e^{-2t}) and ln(x + 1) = ln 2 -
-    ln(1 - e^{-2t}) from the coth pieces of V(r), one log per point.
-
-    The buffers of -2t and e^{-2t} become ln(x - 1) and x in place.  Every
-    float operation keeps the order of the direct formulas (ln(x - 1) is
-    (ln 2 - 2t) - ln(em), not ln(x + 1) - 2t), so psi is bit-identical.
-    """
-    ln_xm1, x, em = _coth_pieces(lam, r)
-    ln_xp1 = np.log(em)
-    x *= 2.0                                       # coth t = 1 + 2e^{-2t}/em
-    x /= em
-    x += 1.0
-    ln_xm1 += _LN2
-    ln_xm1 -= ln_xp1
-    np.subtract(_LN2, ln_xp1, out=ln_xp1)
-    r = r.copy()
-    for a in (r, x, ln_xm1, ln_xp1):
-        a.flags.writeable = False
-    return _GridPieces(lam, r, x, ln_xm1, ln_xp1)
-
-
 def sample_wavefunction(k: int, epsilon_k: float, p: PotentialParams,
                         r_grid: np.ndarray) -> WavefunctionTable:
     """Evaluate psi_k on a strictly ascending positive grid.
 
     The prefactor is evaluated in log space (it spans hundreds of orders over
-    the default grid): ln(x - 1) and ln(x + 1) share the coth pieces of V(r).
-    These and x depend on the grid and lambda only, so the last grid's are
-    kept (four arrays of the grid's size, about 3.2 MB at 10^5 points): a
-    call with an equal lambda and an elementwise-equal grid reuses them,
-    bit-identical to computing them afresh, and skips the grid checks.
+    the default grid).  x, ln(x - 1) and ln(x + 1) come from the grid pieces
+    that V(r) and x_of_r share, computed once for the last grid and lambda.
     The prefactor is combined with the series on the whole grid at once:
     ln|psi| = ln|series| + ln(prefactor), exponentiated and given the
     series' sign.  Points with ln|psi| below -700 flush to exact 0.0 and
@@ -140,18 +97,13 @@ def sample_wavefunction(k: int, epsilon_k: float, p: PotentialParams,
     counted.  Where coth(lambda r) or the series is not a finite float64, a
     ParameterError names r and lambda.
     """
-    global _last_grid
     r = np.asarray(r_grid, dtype=float)
-    grid = _last_grid
-    hit = grid is not None and grid.lam == p.lam and np.array_equal(grid.r, r)
-    if not hit:
-        if r.ndim != 1 or r.size == 0:
-            raise ParameterError("r grid must be a non-empty 1-d array")
-        if np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0):
-            raise ParameterError("r grid must be positive and strictly ascending")
+    if r.ndim != 1 or r.size == 0:
+        raise ParameterError("r grid must be a non-empty 1-d array")
+    if np.any(r[1:] <= r[:-1]):
+        raise ParameterError("r grid must be positive and strictly ascending")
+    grid = _grid(p.lam, r)
     basis, f, c = state_coefficients(k, epsilon_k, p.A, p.B, p.C)
-    if not hit:
-        grid = _last_grid = _grid_pieces(p.lam, r)
     ln_pref = grid.ln_xm1 * (0.5 * basis.mu)
     ln_pref += grid.ln_xp1 * (0.5 * basis.nu)
 

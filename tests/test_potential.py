@@ -80,6 +80,12 @@ class TestPotentialValue:
         with pytest.raises(ParameterError):
             potential_value(p, -1.0)
 
+    def test_empty_r_gives_empty_arrays(self):
+        # like r_of_x and u_of_x; sample_wavefunction still refuses an empty grid
+        v = potential_value(PotentialParams(A=-300.0, B=5.0, C=3.0), np.array([]))
+        x = x_of_r(1.0, [])
+        assert v.shape == x.shape == r_of_x(1.0, []).shape == (0,)
+
     def test_params_validation(self):
         with pytest.raises(ParameterError):
             PotentialParams(A=1.0, B=1.0, C=1.0, lam=0.0)

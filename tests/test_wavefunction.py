@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tribound import potential, wavefunction
+from tribound import potential
 from tribound.errors import ParameterError
 from tribound.potential import PotentialParams
 from tribound.solver import solve_bound_states
@@ -113,6 +113,9 @@ class TestSampleWavefunction:
             sample_wavefunction(0, eps0, REFERENCE_POTENTIAL, np.array([0.0, 1.0]))
         with pytest.raises(ParameterError):
             sample_wavefunction(0, eps0, REFERENCE_POTENTIAL, np.array([2.0, 1.0]))
+        for bad in ([0.5, np.nan, 2.0], [0.5, 2.0, np.inf]):
+            with pytest.raises(ParameterError, match="r must be positive and finite"):
+                sample_wavefunction(0, eps0, REFERENCE_POTENTIAL, np.array(bad))
 
     def test_metadata(self, reference_spectrum):
         eps1 = float(reference_spectrum.epsilons[1])
@@ -172,13 +175,28 @@ def consistent_spectrum():
 
 
 def cold_sample(monkeypatch, k, eps, p, r):
-    """sample_wavefunction with the grid cache emptied first."""
-    monkeypatch.setattr(wavefunction, "_last_grid", None)
+    """sample_wavefunction with the shared grid pieces emptied first."""
+    monkeypatch.setattr(potential, "_last_grid", None)
     return sample_wavefunction(k, eps, p, r)
 
 
+@pytest.fixture
+def expm1_sizes(monkeypatch):
+    """Sizes of the arrays np.expm1 is called on: one call per set of coth
+    pieces built (em = 1 - e^{-2 lambda r})."""
+    sizes, expm1 = [], np.expm1
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return expm1(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "expm1", counting)
+    return sizes
+
+
 class TestGridCache:
-    """The last grid's x, ln(x - 1) and ln(x + 1) are reused bit for bit."""
+    """potential._grid keeps the last grid's pieces; V(r), x_of_r and every
+    state on that grid reuse them bit for bit."""
 
     def test_states_grid_warm_equals_cold(self, monkeypatch, consistent_spectrum):
         grid = np.geomspace(1e-3, 15.0, 10**5)
@@ -191,19 +209,34 @@ class TestGridCache:
             assert np.array_equal(warm.psi, cold.psi)
             assert warm.clamped_count == cold.clamped_count
 
-    def test_one_set_of_coth_pieces_per_grid(self, monkeypatch, consistent_spectrum):
-        calls = []
-
-        def counting(lam, r):
-            calls.append(lam)
-            return potential._coth_pieces(lam, r)
-
-        monkeypatch.setattr(wavefunction, "_coth_pieces", counting)
-        monkeypatch.setattr(wavefunction, "_last_grid", None)
+    def test_one_set_of_coth_pieces_per_grid(self, expm1_sizes, consistent_spectrum):
         grid = np.geomspace(1e-3, 15.0, 2000)
         for k, eps in enumerate(consistent_spectrum.epsilons.tolist()):
             sample_wavefunction(k, eps, REFERENCE_POTENTIAL, grid)
-        assert len(calls) == 1
+        assert expm1_sizes == [2000]
+
+    def test_potential_and_states_share_one_set(self, monkeypatch, expm1_sizes,
+                                                consistent_spectrum):
+        # the states op: V(r), then every bound state, on one 10^5-point grid
+        grid = np.geomspace(1e-3, 15.0, 10**5)
+        v = potential.potential_value(REFERENCE_POTENTIAL, grid)
+        x = potential.x_of_r(REFERENCE_POTENTIAL.lam, grid)
+        tables = [sample_wavefunction(k, eps, REFERENCE_POTENTIAL, grid)
+                  for k, eps in enumerate(consistent_spectrum.epsilons.tolist())]
+        assert expm1_sizes == [10**5]
+        monkeypatch.setattr(potential, "_last_grid", None)
+        assert np.array_equal(v, potential.potential_value(REFERENCE_POTENTIAL, grid))
+        monkeypatch.setattr(potential, "_last_grid", None)
+        assert np.array_equal(x, potential.x_of_r(REFERENCE_POTENTIAL.lam, grid))
+        cold = cold_sample(monkeypatch, 7, consistent_spectrum.epsilons[7],
+                           REFERENCE_POTENTIAL, grid)
+        assert np.array_equal(tables[7].psi, cold.psi)
+
+    def test_x_of_r_returns_a_copy(self):
+        grid = np.geomspace(1e-3, 15.0, 500)
+        x = potential.x_of_r(1.0, grid)
+        x[:] = 0.0
+        assert np.all(potential.x_of_r(1.0, grid) > 1.0)
 
     def test_grid_changed_in_place_is_recomputed(self, monkeypatch, consistent_spectrum):
         eps = float(consistent_spectrum.epsilons[3])
@@ -231,12 +264,14 @@ class TestGridCache:
         assert warm.clamped_count == cold.clamped_count
 
     @pytest.mark.parametrize("bad, message", [
-        (np.array([0.0, 1.0]), "r grid must be positive and strictly ascending"),
+        (np.array([0.0, 1.0]), "r must be positive and finite"),
         (np.array([2.0, 1.0]), "r grid must be positive and strictly ascending"),
         (np.geomspace(1e-3, 15.0, 500)[::-1], "r grid must be positive and strictly ascending"),
         (np.geomspace(1e-3, 15.0, 500).reshape(2, 250), "r grid must be a non-empty 1-d array"),
         (np.array([]), "r grid must be a non-empty 1-d array"),
         (np.array([1e-310, 1.0]), "lambda \\* r = 1e-310 is below"),
+        (np.array([0.5, np.nan, 2.0]), "r must be positive and finite"),
+        (np.array([0.5, 2.0, np.inf]), "r must be positive and finite"),
     ])
     def test_invalid_grid_after_valid_one(self, consistent_spectrum, bad, message):
         eps = float(consistent_spectrum.epsilons[1])
@@ -247,7 +282,10 @@ class TestGridCache:
     def test_grid_error_comes_before_state_error(self, consistent_spectrum):
         grid = np.geomspace(1e-3, 15.0, 500)
         sample_wavefunction(0, float(consistent_spectrum.epsilons[0]), REFERENCE_POTENTIAL, grid)
-        with pytest.raises(ParameterError, match="positive and strictly ascending"):
-            sample_wavefunction(-1, -10.0, REFERENCE_POTENTIAL, grid[::-1])
+        for bad, message in ((grid[::-1], "positive and strictly ascending"),
+                             (np.array([0.5, np.nan, 2.0]), "positive and finite"),
+                             (np.array([1e-310, 1.0]), "lambda \\* r = 1e-310 is below")):
+            with pytest.raises(ParameterError, match=message):
+                sample_wavefunction(-1, -10.0, REFERENCE_POTENTIAL, bad)
         with pytest.raises(ParameterError, match="state index must be >= 0"):
             sample_wavefunction(-1, -10.0, REFERENCE_POTENTIAL, grid)
