@@ -25,7 +25,6 @@ from .potential import (
 )
 from .recursion import (
     BasisParams,
-    auto_nu,
     h_polynomial_sequence,
     recursion_coeffs,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "SolverError",
     "WavefunctionTable",
     "assemble_system",
-    "auto_nu",
     "bound_states",
     "classify_shape",
     "count_sign_changes",

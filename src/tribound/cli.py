@@ -115,7 +115,6 @@ def _load_config(path: str) -> dict[str, str]:
 # Every option, dest -> (flag, type, help).  The type converts flag text, config
 # text and defaults alike, in _convert: float and int by _number, bool (a flag
 # without a value) by _as_bool, a tuple of choices by membership; str is kept.
-# nu also takes 'auto', which is None.
 _OPTIONS = {
     "A": ("--A", float, "strength of the 1/r term"),
     "B": ("--B", float, "strength of the 1/r^2 term (enters with a minus sign)"),
@@ -123,7 +122,6 @@ _OPTIONS = {
     "lam": ("--lambda", float, "range scale (default 1.0)"),
     "basis_degree": ("--basis-degree", int, "number of basis functions (matrix dimension, default 100)"),
     "mu": ("--mu", float, "computational basis parameter (default 1.5)"),
-    "nu": ("--nu", float, "computational basis parameter; 'auto' means -2*basis_degree - mu - 2"),
     "consistent_potential": ("--consistent-potential", bool,
                              "assemble the Hamiltonian consistently with the potential as "
                              "evaluated (default follows the tabulated reference convention, "
@@ -142,7 +140,7 @@ _OPTIONS = {
 
 _REQUIRED = object()  # the default of an option that must be given
 _POTENTIAL = {"A": _REQUIRED, "B": _REQUIRED, "C": _REQUIRED, "lam": 1.0}
-_BASIS = {"basis_degree": 100, "mu": 1.5, "nu": "auto"}
+_BASIS = {"basis_degree": 100, "mu": 1.5}
 _OUTPUT = {"format": "csv", "out": None}
 
 
@@ -171,7 +169,7 @@ def _convert(dest: str, value):
     name = flag[2:]
     if value is _REQUIRED:
         raise ParameterError(f"{flag} is required (flag or config file)")
-    if value is None or (dest == "nu" and value.strip().lower() == "auto"):
+    if value is None:
         return None
     if kind is bool:
         return _as_bool(name, value)
@@ -222,9 +220,9 @@ def _potential(cfg: dict) -> PotentialParams:
 
 def _solve(cfg: dict):
     """Potential, bound spectrum and JSON params block for spectrum and wavefunction."""
-    basis = BasisParams.from_size(cfg["mu"], cfg["nu"], cfg["basis_degree"])
+    basis = BasisParams.from_size(cfg["mu"], cfg["basis_degree"])
     p = _potential(cfg)
-    spectrum = solve_bound_states(p, cfg["basis_degree"], mu=cfg["mu"], nu=basis.nu,
+    spectrum = solve_bound_states(p, cfg["basis_degree"], mu=cfg["mu"],
                                   consistent_potential=cfg["consistent_potential"])
     params = {"A": p.A, "B": p.B, "C": p.C, "lambda": p.lam,
               "basis_size": cfg["basis_degree"], "mu": cfg["mu"], "nu": basis.nu,
@@ -343,7 +341,7 @@ def _cmd_check_quadrature(cfg: dict) -> int:
     mu = cfg["mu"]
     rows = []
     for size in range(2, max_degree + 1):
-        basis = BasisParams.from_size(mu, None, size)
+        basis = BasisParams.from_size(mu, size)
         rule = quadrature_rule(basis)
         for name, w in _KERNELS:
             diff = np.abs(quadrature_matrix(rule, w) - direct_matrix(basis, w))

@@ -31,6 +31,12 @@ SHAPE_RATIO_MAX = 1e150
 _LN2 = math.log(2.0)
 
 
+def _check_lam(lam: float) -> None:
+    """Refuse a range scale lambda that is not positive and finite."""
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ParameterError(f"lambda must be positive, got {lam}")
+
+
 @dataclass(frozen=True)
 class PotentialParams:
     """Strengths (A, B, C) of the 1/r, -1/r^2, 1/r^3 terms and range scale lambda."""
@@ -41,8 +47,7 @@ class PotentialParams:
     lam: float = 1.0
 
     def __post_init__(self):
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise ParameterError(f"lambda must be positive, got {self.lam}")
+        _check_lam(self.lam)
         for name in ("A", "B", "C"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite")
@@ -114,8 +119,8 @@ def _grid(lam: float, r: np.ndarray) -> _Grid:
     and sample_wavefunction.
 
     An equal lambda and an elementwise-equal r return the last grid's
-    pieces.  Otherwise r must be positive and finite; a lambda r that
-    overflows is r = infinity (x = 1), one below LAMBDA_R_MIN is refused.
+    pieces.  Otherwise lambda and r must be positive and finite; a lambda r
+    that overflows is r = infinity (x = 1), one below LAMBDA_R_MIN is refused.
     coth t - 1 = 2q/em, ln(x - 1) = ln 2 - 2t - ln(em) and ln(x + 1) =
     ln 2 - ln(em): one exp, one expm1 and one log per point, each float
     operation in the order of the direct formulas, so every value is
@@ -125,6 +130,7 @@ def _grid(lam: float, r: np.ndarray) -> _Grid:
     g = _last_grid
     if g is not None and g.lam == lam and np.array_equal(g.r, r):
         return g
+    _check_lam(lam)
     if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
         raise ParameterError("r must be positive and finite")
     with np.errstate(over="ignore"):
@@ -167,6 +173,7 @@ def r_of_x(lam: float, x):
     """Inverse map r = arccoth(x)/lambda for x > 1, as log1p(2/(x-1)) / (2 lambda).
 
     The log1p form stays accurate where (x+1)/(x-1) rounds to 1 (x > ~1e16)."""
+    _check_lam(lam)
     x = np.asarray(x, dtype=float)
     if np.any(x <= 1.0):
         raise ParameterError("inverse map needs x > 1 (x = 1 is r = infinity)")
@@ -218,6 +225,8 @@ def max_basis_index(A: float) -> int | None:
     Bounds both the square-integrable series length and the number of bound
     states (count <= index + 1).
     """
+    if not math.isfinite(A):
+        raise ParameterError("A must be finite")
     if A > -0.5:
         return None
     return int(math.floor(math.sqrt(-A / 2.0) - 0.5))

@@ -59,29 +59,22 @@ class BasisParams:
         return self.N + 1
 
     @classmethod
-    def from_size(cls, mu: float, nu: float | None, size: int) -> "BasisParams":
-        """Basis of `size` functions; nu None means auto_nu(mu, size).
+    def from_size(cls, mu: float, size: int) -> "BasisParams":
+        """Basis of `size` functions with the stability-rule nu = -2*size - mu - 2.
 
-        Requires mu > -1 and mu + nu < -2*size - 1.  With auto_nu, mu + nu is
-        -2*size - 2 in exact arithmetic; it fails the check only when float64
-        loses the size term to a large mu, so the error names mu rather than
-        a sum the caller never set.
+        Requires mu > -1.  mu + nu is -2*size - 2 in exact arithmetic; a mu
+        large enough for float64 to lose the size term is refused by name.
+        A basis off the rule is BasisParams(mu, nu, N); its levels are the
+        caller's to certify.
         """
         if not mu > -1.0:
             raise ParameterError(f"mu must exceed -1, got {mu}")
-        used = auto_nu(mu, size) if nu is None else nu
-        if not mu + used < -2.0 * size - 1.0:
-            if nu is None:
-                raise ParameterError(f"mu = {mu:.10g} is too large for a basis of {size} functions")
-            raise ParameterError(f"mu + nu = {mu + nu:.10g} violates mu + nu < -2*{size} - 1")
+        nu = -2.0 * size - mu - 2.0
+        if not mu + nu < -2.0 * size - 1.0:
+            raise ParameterError(f"mu = {mu:.10g} is too large for a basis of {size} functions")
         if size < 1:
             raise ParameterError(f"basis size must be >= 1, got {size}")
-        return cls(mu=mu, nu=used, N=size - 1)
-
-
-def auto_nu(mu: float, size: int) -> float:
-    """Default computational nu for a basis of `size` functions: -2*size - mu - 2."""
-    return -2.0 * size - mu - 2.0
+        return cls(mu=mu, nu=nu, N=size - 1)
 
 
 @dataclass(frozen=True)

@@ -285,15 +285,13 @@ def bound_states(eigs: Sequence[float], max_residual: float = 0.0) -> BoundSpect
 
 
 def solve_bound_states(p: PotentialParams, size: int, mu: float = 1.5,
-                       nu: float | None = None,
                        consistent_potential: bool = False) -> BoundSpectrum:
     """End-to-end spectrum for a basis of `size` functions.
 
-    nu defaults to the stability-plateau choice -2*size - mu - 2; a mu too
-    large for that choice in float64 is refused with an error naming mu.  See
-    assemble_system for the meaning of consistent_potential.
+    nu is the stability-plateau choice -2*size - mu - 2 (BasisParams.from_size).
+    See assemble_system for the meaning of consistent_potential.
     """
-    basis = BasisParams.from_size(mu, nu, size)
+    basis = BasisParams.from_size(mu, size)
     sys = assemble_system(basis, p, consistent_potential=consistent_potential)
     eigs, max_res = _generalized_eigen(sys)
     return bound_states(eigs, max_residual=max_res)
@@ -351,7 +349,7 @@ def plateau_scan(p: PotentialParams, size: int, mu_grid: Sequence[float],
     """Scan the unphysical basis parameter mu and locate stability plateaus.
 
     Computes the bound spectrum at every grid point with
-    nu = auto_nu(mu, size) = -2*size - mu - 2.  An empty plateau for a state
+    nu = -2*size - mu - 2 (BasisParams.from_size).  An empty plateau for a state
     is reported with delta = None rather than raised.
     """
     grid = np.asarray(mu_grid, dtype=float)

@@ -14,7 +14,6 @@ from tribound.oracle import direct_matrix
 from tribound.potential import PotentialParams, classify_shape, u_of_x
 from tribound.recursion import (
     BasisParams,
-    auto_nu,
     h_polynomial_sequence,
 )
 from tribound.solver import (
@@ -105,7 +104,7 @@ def test_criterion_3_quadrature_vs_oracle():
     worst = dict.fromkeys(["x", *poles], 0.0)
     lowest = {}
     for size in (2, 3, 4, 5):
-        basis = BasisParams.from_size(mu, auto_nu(mu, size), size)
+        basis = BasisParams.from_size(mu, size)
         rule = quadrature_rule(basis)
         x_o = direct_matrix(basis, lambda x: x)
         worst["x"] = max(worst["x"],
@@ -211,15 +210,14 @@ def test_criterion_6_structural_invariants(reference_runs):
         mu = rng.uniform(-0.9, 3.0)
         size = int(rng.integers(1, 25))
         nu = -2.0 * size - 1.0 - mu - rng.uniform(1.5, 30.0)
-        rule = quadrature_rule(BasisParams.from_size(mu, nu, size))
+        rule = quadrature_rule(BasisParams(mu=mu, nu=nu, N=size - 1))
         min_tau = min(min_tau, rule.tau.min())
     if not min_tau > 1.0:
         ok = False
         notes.append(f"node positivity: min tau {min_tau}")
 
     for size in (10, 50, 100):
-        sys = assemble_system(BasisParams.from_size(1.5, auto_nu(1.5, size), size),
-                              REFERENCE_POTENTIAL)
+        sys = assemble_system(BasisParams.from_size(1.5, size), REFERENCE_POTENTIAL)
         try:
             np.linalg.cholesky(sys.omega)
         except np.linalg.LinAlgError:

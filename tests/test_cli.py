@@ -101,17 +101,6 @@ class TestSpectrumCommand:
             _, out2, err2 = run_cli(capsys, *args)
             assert out1 == out2 and err1 == err2
 
-    def test_invalid_nu_is_config_error(self, capsys):
-        code, _, err = run_cli(capsys, "spectrum", *REFERENCE_ARGS,
-                               "--basis-degree", "10", "--nu", "-5")
-        assert code == 2
-        assert "mu + nu" in err
-
-    def test_non_numeric_nu_is_config_error(self, capsys):
-        code, out, err = run_cli(capsys, "spectrum", *REFERENCE_ARGS, "--nu", "abc")
-        assert code == 2 and out == ""
-        assert err == "error: nu must be a number, got 'abc'\n"
-
     def test_missing_parameter_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--A", "-300", "--B", "5")
         assert code == 2
@@ -202,6 +191,8 @@ class TestConfigFile:
     ("check-quadrature", "lambda"),
     ("check-quadrature", "basis-degree"),
     ("check-quadrature", "nu"),
+    ("spectrum", "nu"),
+    ("wavefunction", "nu"),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_unread_common_option_refused(capsys, tmp_path, command, option, source):
@@ -362,11 +353,11 @@ def _check_quadrature_defaults(doc):
 # Every command's option contract: the option strings its subparser lists in
 # --help, and its defaults as they show in its JSON output.
 @pytest.mark.parametrize("command, options, argv, check_defaults", [
-    ("spectrum", ["--lambda", "--basis-degree", "--mu", "--nu", "--consistent-potential"],
+    ("spectrum", ["--lambda", "--basis-degree", "--mu", "--consistent-potential"],
      REFERENCE_ARGS, _spectrum_defaults),
     ("potential", ["--lambda", "--r-min", "--r-max", "--samples"],
      REFERENCE_ARGS, _potential_defaults),
-    ("wavefunction", ["--lambda", "--basis-degree", "--mu", "--nu", "--consistent-potential",
+    ("wavefunction", ["--lambda", "--basis-degree", "--mu", "--consistent-potential",
                       "--state", "--r-min", "--r-max", "--samples"],
      REFERENCE_ARGS, _wavefunction_defaults),
     ("plateau", ["--lambda", "--basis-degree", "--consistent-potential",
@@ -451,7 +442,7 @@ def test_unrepresentable_lambda_r_is_config_error(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
-# With nu = auto, mu + nu = -2*size - 2 exactly; a large mu loses the size
+# With the rule nu, mu + nu = -2*size - 2 exactly; a large mu loses the size
 # term in float64, and the error must name mu, not a cancelled sum.
 @pytest.mark.parametrize("argv, message", [
     (["spectrum", *REFERENCE_ARGS, "--basis-degree", "10", "--mu", "1e300"],

@@ -57,7 +57,6 @@ CASES = {
     "check_quadrature_csv": ["check-quadrature", *REF, "--max-degree", "3"],
     "check_quadrature_json": ["check-quadrature", *REF, "--max-degree", "3",
                               "--format", "json"],
-    "error_bad_nu": ["spectrum", *REF, "--basis-degree", "10", "--nu", "-5"],
     "error_state_out_of_range": ["wavefunction", *REF, "--basis-degree", "30",
                                  "--state", "5"],
     "error_descending_mu_grid": ["plateau", *REF, "--basis-degree", "25",

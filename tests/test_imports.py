@@ -21,10 +21,10 @@ LAZY_CLI_NAMES = ("solve_bound_states", "plateau_scan", "quadrature_rule",
 PUBLIC_NAMES = [
     "AssembledSystem", "BasisParams", "BoundSpectrum", "Crossing", "Extremum",
     "ParameterError", "PlateauScan", "PlateauStat", "PotentialParams", "QuadratureRule",
-    "ShapeReport", "SolverError", "WavefunctionTable", "assemble_system", "auto_nu",
-    "bound_states", "classify_shape", "count_sign_changes", "direct_matrix",
-    "h_polynomial_sequence", "jacobi_sequence", "max_basis_index", "plateau_scan",
-    "potential_value", "quadrature_matrix", "quadrature_rule", "r_of_x", "recursion_coeffs",
+    "ShapeReport", "SolverError", "WavefunctionTable", "assemble_system", "bound_states",
+    "classify_shape", "count_sign_changes", "direct_matrix", "h_polynomial_sequence",
+    "jacobi_sequence", "max_basis_index", "plateau_scan", "potential_value",
+    "quadrature_matrix", "quadrature_rule", "r_of_x", "recursion_coeffs",
     "sample_wavefunction", "solve_bound_states", "u_of_x", "x_of_r",
 ]
 
@@ -62,7 +62,7 @@ def test_scipy_loads_in_the_call_that_needs_it():
     assert "scipy.integrate" not in solved
     _, integrated = run_fresh(
         "import tribound\n"
-        "tribound.direct_matrix(tribound.BasisParams.from_size(1.5, None, 2), lambda x: x)")
+        "tribound.direct_matrix(tribound.BasisParams.from_size(1.5, 2), lambda x: x)")
     assert "scipy.integrate" in integrated
 
 

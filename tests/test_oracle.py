@@ -13,7 +13,7 @@ from tribound.special import normalization_c
 
 
 def basis_of_size(size, mu=1.5):
-    return BasisParams.from_size(mu, None, size)
+    return BasisParams.from_size(mu, size)
 
 
 class TestSelfConsistency:
@@ -61,7 +61,7 @@ class TestAgainstQuadrature:
         direct = direct_matrix(BasisParams(mu=mu, nu=nu, N=1), w)
         errs = []
         for size in (2, 4, 6, 8):
-            rule = quadrature_rule(BasisParams.from_size(mu, nu, size))
+            rule = quadrature_rule(BasisParams(mu=mu, nu=nu, N=size - 1))
             q = quadrature_matrix(rule, w)
             errs.append(np.abs(q[:2, :2] - direct).max())
         assert all(b < a for a, b in zip(errs, errs[1:]))
@@ -75,7 +75,7 @@ class TestAgainstQuadrature:
         direct = direct_matrix(BasisParams(mu=mu, nu=nu, N=1), w)
         errs = []
         for size in (2, 4, 6, 8, 10):
-            rule = quadrature_rule(BasisParams.from_size(mu, nu, size))
+            rule = quadrature_rule(BasisParams(mu=mu, nu=nu, N=size - 1))
             q = quadrature_matrix(rule, w)
             errs.append(np.abs(q[:2, :2] - direct).max())
         assert all(b < a for a, b in zip(errs, errs[1:]))

@@ -128,6 +128,19 @@ class TestCoordinateMap:
         with pytest.raises(ParameterError):
             r_of_x(1.0, 0.5)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_lambda_refused_as_potential_params_does(self, lam):
+        message = f"lambda must be positive, got {lam}"
+        with pytest.raises(ParameterError, match=message):
+            PotentialParams(A=-300.0, B=5.0, C=3.0, lam=lam)
+        with pytest.raises(ParameterError, match=message):
+            r_of_x(lam, 2.0)
+        r = np.array([1.0, 2.0])
+        x_of_r(1.0, r)  # a cached grid with another lambda is no escape
+        for arg in (r, 1.0):
+            with pytest.raises(ParameterError, match=message):
+                x_of_r(lam, arg)
+
 
 def direct_coth_pieces(p, r):
     """x_of_r and potential_value by the direct formulas, each piece computing
@@ -225,6 +238,11 @@ class TestMaxBasisIndex:
 
     def test_below_threshold(self):
         assert max_basis_index(-0.4) is None
+
+    @pytest.mark.parametrize("A", [math.nan, -math.inf, math.inf])
+    def test_non_finite_refused(self, A):
+        with pytest.raises(ParameterError, match="A must be finite"):
+            max_basis_index(A)
 
 
 # log-uniform over [1e-320, 1e300]: denormal lambda r up to overflowing lambda^2

@@ -10,7 +10,6 @@ from tribound.recursion import (
     BasisParams,
     _d_array,
     _f_g_arrays,
-    auto_nu,
     h_polynomial_sequence,
     recursion_coeffs,
 )
@@ -132,23 +131,24 @@ class TestRecursionCoeffs:
             BasisParams(mu=1.5, nu=-8.5, N=3)  # mu + nu = -7 = -2N - 1 exactly
 
     def test_from_size(self):
-        basis = BasisParams.from_size(1.5, None, 10)
+        basis = BasisParams.from_size(1.5, 10)
         assert basis.N == 9 and basis.size == 10
-        assert basis.nu == -23.5 == auto_nu(1.5, 10)
-        assert BasisParams.from_size(1.5, -30.0, 10).nu == -30.0
+        assert basis.nu == -23.5  # -2*size - mu - 2
 
-    @pytest.mark.parametrize("mu, nu, size, message", [
-        (-2.0, None, 0, "mu must exceed -1, got -2.0"),
-        (1e300, None, 10, "mu = 1e+300 is too large for a basis of 10 functions"),
-        (1.5, -5.0, 10, "mu + nu = -3.5 violates mu + nu < -2*10 - 1"),
-        (1.5, -22.0, 10, "mu + nu = -20.5 violates mu + nu < -2*10 - 1"),
-        (1.5, None, 0, "basis size must be >= 1, got 0"),
+    # the ids keep the names these cases had while from_size also took nu
+    # (None was the rule nu it now always uses)
+    @pytest.mark.parametrize("mu, size, message", [
+        pytest.param(-2.0, 0, "mu must exceed -1, got -2.0",
+                     id="-2.0-None-0-mu must exceed -1, got -2.0"),
+        pytest.param(1e300, 10, "mu = 1e+300 is too large for a basis of 10 functions",
+                     id="1e+300-None-10-mu = 1e+300 is too large for a basis of 10 functions"),
+        pytest.param(1.5, 0, "basis size must be >= 1, got 0",
+                     id="1.5-None-0-basis size must be >= 1, got 0"),
     ])
-    def test_from_size_checks_in_order(self, mu, nu, size, message):
-        # the mu and mu + nu checks come before the size check; an explicit
-        # nu must satisfy the size bound -2*size - 1, one tighter than -2N - 1
+    def test_from_size_checks_in_order(self, mu, size, message):
+        # both mu checks come before the size check
         with pytest.raises(ParameterError) as err:
-            BasisParams.from_size(mu, nu, size)
+            BasisParams.from_size(mu, size)
         assert str(err.value) == message
 
 
@@ -195,9 +195,7 @@ class TestHPolynomialSequence:
         # tiny C drives |H_n| through 1e150; the global rescale keeps the
         # sequence finite and termwise consistent
         size = 120
-        mu = 1.5
-        nu = auto_nu(mu, size)
-        basis = BasisParams.from_size(mu, nu, size)
+        basis = BasisParams.from_size(1.5, size)
         C = 1e-4
         B = 5.0 * C
         h = h_polynomial_sequence(basis, B, C)

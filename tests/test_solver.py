@@ -25,7 +25,7 @@ REFERENCE_POTENTIAL = PotentialParams(A=-300.0, B=5.0, C=3.0)
 
 
 def sized_basis(size, mu=1.5):
-    return BasisParams.from_size(mu, None, size)
+    return BasisParams.from_size(mu, size)
 
 
 def x_matrix(basis):
@@ -96,7 +96,7 @@ class TestSymtridiagEig:
             size = int(rng.integers(1, 30))
             margin = rng.uniform(1.5, 30.0)
             nu = -2.0 * size - 1.0 - mu - margin
-            rule = quadrature_rule(BasisParams.from_size(mu, nu, size))
+            rule = quadrature_rule(BasisParams(mu=mu, nu=nu, N=size - 1))
             assert rule.tau.min() > 1.0
 
 
@@ -106,7 +106,7 @@ class TestSharedRule:
     def test_shared_rule_bit_identical_to_fresh(self):
         basis = sized_basis(50)
         rule = quadrature_rule(basis)
-        assert quadrature_rule(BasisParams.from_size(1.5, None, 50)) is rule
+        assert quadrature_rule(BasisParams.from_size(1.5, 50)) is rule
         quadrature_rule.cache_clear()
         fresh = quadrature_rule(basis)
         assert fresh is not rule
@@ -423,7 +423,7 @@ class TestBoundStates:
         assert len(spectrum) == 0
 
 
-# With nu = auto, mu + nu = -2*size - 2 exactly; float64 loses the size term
+# With the rule nu, mu + nu = -2*size - 2 exactly; float64 loses the size term
 # once mu is large, and the library must name mu, not the cancelled sum.
 @pytest.mark.parametrize("call, message", [
     (lambda: solve_bound_states(REFERENCE_POTENTIAL, 10, mu=1e300),
