@@ -55,11 +55,11 @@ def _rounded(obj):
     return obj
 
 
-def _csv_cell(v) -> str:
-    """fmt for a float, str for anything else; a list spreads over columns."""
-    if isinstance(v, list):
-        return ",".join(map(_csv_cell, v))
-    return fmt(v) if isinstance(v, float) else str(v)
+def _csv_line(row) -> str:
+    """One CSV line: fmt for a float, str for anything else; a list cell
+    spreads into zero or more fields."""
+    cells = [c for v in row for c in (v if isinstance(v, list) else [v])]
+    return ",".join(fmt(c) if isinstance(c, float) else str(c) for c in cells)
 
 
 def _write_out(text: str, out: str | None):
@@ -83,7 +83,7 @@ def _emit(cfg: dict, doc: dict, rows_key: str, columns: tuple, side=None, header
         _write_out(json.dumps(_rounded(doc), indent=2) + "\n", cfg["out"])
         return
     lines = [",".join(header or columns)]
-    lines += [",".join(map(_csv_cell, row)) for row in doc[rows_key]]
+    lines += [_csv_line(row) for row in doc[rows_key]]
     _write_out("\n".join(lines) + "\n", cfg["out"])
     if isinstance(side, str):
         print(side, file=sys.stderr)
@@ -219,13 +219,13 @@ def _potential(cfg: dict) -> PotentialParams:
 
 
 def _solve(cfg: dict):
-    """Potential, bound spectrum and JSON params block for spectrum and wavefunction."""
-    basis = BasisParams.from_size(cfg["mu"], cfg["basis_degree"])
+    """Potential, bound spectrum and JSON params block, whose basis is the solved one."""
     p = _potential(cfg)
     spectrum = solve_bound_states(p, cfg["basis_degree"], mu=cfg["mu"],
                                   consistent_potential=cfg["consistent_potential"])
+    basis = spectrum.basis
     params = {"A": p.A, "B": p.B, "C": p.C, "lambda": p.lam,
-              "basis_size": cfg["basis_degree"], "mu": cfg["mu"], "nu": basis.nu,
+              "basis_size": basis.size, "mu": basis.mu, "nu": basis.nu,
               "consistent_potential": cfg["consistent_potential"]}
     return p, spectrum, params
 
@@ -242,14 +242,15 @@ def _r_grid(cfg: dict, lam: float, min_samples: int, core: float, tail: float) -
 
 
 def _cmd_spectrum(cfg: dict) -> int:
-    _, spectrum, params = _solve(cfg)
+    p, spectrum, params = _solve(cfg)
+    n_max = max_basis_index(p.A)
     note = None
-    if cfg["A"] > -0.5:
-        note = f"A = {fmt(cfg['A'])} > -1/2 admits no bound states"
+    if n_max is None:
+        note = f"A = {fmt(p.A)} > -1/2 admits no bound states"
     elif len(spectrum) == 0:
-        note = (f"no bound state found at N = {cfg['basis_degree']}, mu = {fmt(cfg['mu'])}: "
+        basis = spectrum.basis
+        note = (f"no bound state found at N = {basis.size}, mu = {fmt(basis.mu)}: "
                 "a mu off the stability plateau can lose states; scan mu with `tribound plateau`")
-    n_max = max_basis_index(cfg["A"])
     doc = {
         "command": "spectrum",
         "params": params,

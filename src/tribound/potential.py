@@ -272,6 +272,6 @@ def classify_shape(p: PotentialParams) -> ShapeReport:
     return ShapeReport(
         crossings=crossings,
         extrema=extrema,
-        admits_bound_states=p.A <= -0.5,
+        admits_bound_states=max_basis_index(p.A) is not None,
         satisfies_B_ge_C=p.B >= p.C,
     )

@@ -17,6 +17,7 @@ known).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,8 @@ class BasisParams:
     N: int
 
     def __post_init__(self):
+        if not isinstance(self.N, numbers.Integral):
+            raise ParameterError(f"highest degree must be an integer, got {self.N}")
         if self.N < 0:
             raise ParameterError(f"highest degree must be >= 0, got {self.N}")
         if not self.mu > -1.0:
@@ -62,8 +65,9 @@ class BasisParams:
     def from_size(cls, mu: float, size: int) -> "BasisParams":
         """Basis of `size` functions with the stability-rule nu = -2*size - mu - 2.
 
-        Requires mu > -1.  mu + nu is -2*size - 2 in exact arithmetic; a mu
-        large enough for float64 to lose the size term is refused by name.
+        Requires mu > -1 and an integer size >= 1.  mu + nu is -2*size - 2 in
+        exact arithmetic; a mu large enough for float64 to lose the size term
+        is refused by name.
         A basis off the rule is BasisParams(mu, nu, N); its levels are the
         caller's to certify.
         """
@@ -72,6 +76,8 @@ class BasisParams:
         nu = -2.0 * size - mu - 2.0
         if not mu + nu < -2.0 * size - 1.0:
             raise ParameterError(f"mu = {mu:.10g} is too large for a basis of {size} functions")
+        if not isinstance(size, numbers.Integral):
+            raise ParameterError(f"basis size must be an integer, got {size}")
         if size < 1:
             raise ParameterError(f"basis size must be >= 1, got {size}")
         return cls(mu=mu, nu=nu, N=size - 1)

@@ -19,7 +19,7 @@ That convergence is what the plateau scan certifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -69,6 +69,8 @@ class BoundSpectrum:
     """Negative eigenvalues eps_k = 2 E_k / lambda^2 and bookkeeping.
 
     report_units lists -eps_k (energies in units of -lambda^2/2), descending.
+    basis is the basis solved in (None when the eigenvalues came from
+    elsewhere, as in a bare bound_states call).
     """
 
     epsilons: np.ndarray
@@ -78,6 +80,7 @@ class BoundSpectrum:
     # contract checks: those that can be bound states and those that never
     # needed refinement (see _generalized_eigen)
     max_residual: float = 0.0
+    basis: BasisParams | None = None
 
     def __len__(self) -> int:
         return self.epsilons.shape[0]
@@ -288,13 +291,14 @@ def solve_bound_states(p: PotentialParams, size: int, mu: float = 1.5,
                        consistent_potential: bool = False) -> BoundSpectrum:
     """End-to-end spectrum for a basis of `size` functions.
 
-    nu is the stability-plateau choice -2*size - mu - 2 (BasisParams.from_size).
-    See assemble_system for the meaning of consistent_potential.
+    nu is the stability-plateau choice -2*size - mu - 2 (BasisParams.from_size),
+    and the spectrum carries that basis.  See assemble_system for the meaning
+    of consistent_potential.
     """
     basis = BasisParams.from_size(mu, size)
     sys = assemble_system(basis, p, consistent_potential=consistent_potential)
     eigs, max_res = _generalized_eigen(sys)
-    return bound_states(eigs, max_residual=max_res)
+    return replace(bound_states(eigs, max_residual=max_res), basis=basis)
 
 
 @dataclass(frozen=True)
@@ -349,8 +353,9 @@ def plateau_scan(p: PotentialParams, size: int, mu_grid: Sequence[float],
     """Scan the unphysical basis parameter mu and locate stability plateaus.
 
     Computes the bound spectrum at every grid point with
-    nu = -2*size - mu - 2 (BasisParams.from_size).  An empty plateau for a state
-    is reported with delta = None rather than raised.
+    nu = -2*size - mu - 2 (BasisParams.from_size); each spectrum carries its
+    basis.  An empty plateau for a state is reported with delta = None rather
+    than raised.
     """
     grid = np.asarray(mu_grid, dtype=float)
     if grid.size == 0:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from tribound.cli import main
+from tribound.recursion import BasisParams
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_DIR = REPO_ROOT / "schemas"
@@ -458,6 +459,28 @@ def test_auto_nu_basis_error_names_mu(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+# The params block reports the basis the solve built; the CLI builds none of its own.
+@pytest.mark.parametrize("argv", [
+    ["spectrum", *REFERENCE_ARGS, "--basis-degree", "20", "--format", "json"],
+    ["wavefunction", *REFERENCE_ARGS, "--basis-degree", "20", "--samples", "50",
+     "--format", "json"],
+], ids=["spectrum", "wavefunction"])
+def test_one_basis_built_per_command(capsys, monkeypatch, argv):
+    sizes = []
+    build = BasisParams.from_size
+
+    def counting(mu, size):
+        sizes.append(size)
+        return build(mu, size)
+
+    monkeypatch.setattr(BasisParams, "from_size", counting)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert sizes == [20]
+    params = json.loads(out)["params"]
+    assert (params["basis_size"], params["mu"], params["nu"]) == (20, 1.5, -43.5)
+
+
 class TestPotentialCommand:
     def test_csv_with_shape_on_stderr(self, capsys):
         code, out, err = run_cli(capsys, "potential", "--A", "-6", "--B", "6", "--C", "3",
@@ -554,6 +577,13 @@ class TestPlateauCommand:
         code, _, _ = run_cli(capsys, "plateau", *REFERENCE_ARGS, "--basis-degree", "30",
                              "--mu-min", "2.0", "--mu-max", "1.0", "--mu-steps", "5")
         assert code == 2
+
+    def test_no_state_rows_match_header(self, capsys):
+        # no bound state: each row holds mu alone, as the header does
+        code, out, _ = run_cli(capsys, "plateau", "--A", "-0.4", "--B", "5", "--C", "3",
+                               "--basis-degree", "20", "--mu-steps", "3")
+        assert code == 0
+        assert out == "mu\n1\n1.5\n2\n"
 
 
 class TestCheckQuadratureCommand:

@@ -144,12 +144,24 @@ class TestRecursionCoeffs:
                      id="1e+300-None-10-mu = 1e+300 is too large for a basis of 10 functions"),
         pytest.param(1.5, 0, "basis size must be >= 1, got 0",
                      id="1.5-None-0-basis size must be >= 1, got 0"),
+        pytest.param(1.5, 2.5, "basis size must be an integer, got 2.5", id="size-2.5"),
+        pytest.param(1.5, 10.0, "basis size must be an integer, got 10.0", id="size-10.0"),
+        pytest.param(1.5, np.float64(10.0), "basis size must be an integer, got 10.0",
+                     id="size-np.float64-10.0"),
     ])
     def test_from_size_checks_in_order(self, mu, size, message):
-        # both mu checks come before the size check
+        # both mu checks come before the size checks
         with pytest.raises(ParameterError) as err:
             BasisParams.from_size(mu, size)
         assert str(err.value) == message
+
+    def test_non_integer_degree_refused(self):
+        with pytest.raises(ParameterError, match=r"^highest degree must be an integer, got 2\.5$"):
+            BasisParams(1.5, -30.0, 2.5)
+
+    def test_numpy_integers_accepted(self):
+        assert BasisParams.from_size(1.5, np.int64(10)) == BasisParams.from_size(1.5, 10)
+        assert BasisParams(1.5, -30.0, np.int32(3)).size == 4
 
 
 class TestHPolynomialSequence:

@@ -437,6 +437,33 @@ def test_auto_nu_basis_error_names_mu(call, message):
     assert str(info.value) == message
 
 
+# A size that is not an integer is refused by name before any assembly.
+@pytest.mark.parametrize("call", [
+    lambda: solve_bound_states(REFERENCE_POTENTIAL, 2.5),
+    lambda: solve_bound_states(REFERENCE_POTENTIAL, 10.0),
+    lambda: plateau_scan(REFERENCE_POTENTIAL, 10.0, [1.5]),
+], ids=["solve_bound_states-2.5", "solve_bound_states-10.0", "plateau_scan-10.0"])
+def test_non_integer_size_refused(call):
+    with pytest.raises(ParameterError, match=r"^basis size must be an integer, got "):
+        call()
+
+
+class TestSolvedBasis:
+    @pytest.mark.parametrize("mu, size", [(1.5, 20), (3.0, 35)])
+    def test_spectrum_carries_its_basis(self, mu, size):
+        spectrum = solve_bound_states(REFERENCE_POTENTIAL, size, mu=mu)
+        assert spectrum.basis == BasisParams.from_size(mu, size)
+
+    def test_bare_bound_states_has_no_basis(self):
+        assert bound_states([-2.0, 1.0]).basis is None
+
+    def test_plateau_spectra_carry_their_grid_mu(self):
+        grid = [1.3, 1.5, 1.7]
+        scan = plateau_scan(REFERENCE_POTENTIAL, 20, grid)
+        assert [s.basis.mu for s in scan.spectra] == grid
+        assert all(s.basis.size == 20 for s in scan.spectra)
+
+
 # At C <= 0 the 1/r^3 core does not repel: the levels grow without bound as
 # the basis grows, so assembly refuses the potential instead.
 @pytest.mark.parametrize("C", [-3.0, 0.0])

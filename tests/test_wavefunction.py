@@ -45,6 +45,11 @@ class TestStateCoefficients:
 
 
 class TestSampleWavefunction:
+    def test_non_integer_state_refused(self, reference_spectrum):
+        eps1 = float(reference_spectrum.epsilons[1])
+        with pytest.raises(ParameterError, match=r"^highest degree must be an integer, got 1\.0$"):
+            sample_wavefunction(1.0, eps1, REFERENCE_POTENTIAL, np.geomspace(1e-3, 15.0, 50))
+
     def test_ground_state_matches_bare_prefactor(self, reference_spectrum):
         # k = 0 has a single series term, so psi is proportional to
         # (x-1)^(mu/2) (x+1)^(nu/2)
