@@ -206,12 +206,25 @@ def potential_value(p: PotentialParams, r):
     except OverflowError:
         raise ParameterError(f"lambda = {p.lam:.6g} is too large: lambda^2 overflows") from None
     q, em = g.q, g.em
+    # three buffers, each operation in the order of
+    # scale * (A 2q/em - B 4q/em^2 + C 4q(1 + q)/em^3)
+    v, q4, t = np.empty_like(q), np.empty_like(q), np.empty_like(q)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        q4 = 4.0 * q
-        coth_m1 = 2.0 * q / em
-        inv_sinh2 = q4 / em**2
-        cosh_over_sinh3 = q4 * (1.0 + q) / em**3
-        v = scale * (p.A * coth_m1 - p.B * inv_sinh2 + p.C * cosh_over_sinh3)
+        np.multiply(q, 4.0, out=q4)
+        np.multiply(q, 2.0, out=v)
+        v /= em
+        v *= p.A                                    # A coth_m1
+        np.square(em, out=t)
+        np.divide(q4, t, out=t)
+        t *= p.B                                    # B / sinh^2
+        v -= t
+        np.add(q, 1.0, out=t)
+        t *= q4
+        np.power(em, 3, out=q4)
+        t /= q4
+        t *= p.C                                    # C cosh / sinh^3
+        v += t
+        v *= scale
     finite = np.isfinite(v)
     if not np.all(finite):
         raise ParameterError(f"V(r) overflows float64 at r = {r.flat[np.argmin(finite)]:.6g}, "

@@ -135,6 +135,39 @@ def quadrature_matrix(rule: QuadratureRule, w: Callable[[np.ndarray], np.ndarray
     return (rule.Lam * wt) @ rule.Lam.T
 
 
+@dataclass(frozen=True)
+class _Kernels:
+    """The potential-independent pieces of one basis, read-only: its rule,
+    w(X) for 1/(1-x) and 1/(1+x), and the symmetrized overlap w(X) for 1/(x^2-1)."""
+
+    rule: QuadratureRule
+    q_minus: np.ndarray
+    q_plus: np.ndarray
+    omega: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _kernels(basis: BasisParams) -> _Kernels:
+    """The kernels of the basis, built once for every potential and convention.
+
+    Keyed and bounded like quadrature_rule.  A rule that breaks its contract
+    or has a node at the pole, or a kernel that is not finite, raises and
+    is not kept.
+    """
+    rule = quadrature_rule(basis)
+    tau = rule.tau
+    if np.any(tau - 1.0 < 1e-12):
+        raise SolverError(f"quadrature node at the kernel pole x = 1 (min tau = {tau.min()})")
+    q_minus = quadrature_matrix(rule, lambda t: 1.0 / (1.0 - t))
+    q_plus = quadrature_matrix(rule, lambda t: 1.0 / (1.0 + t))
+    omega = quadrature_matrix(rule, lambda t: 1.0 / (t * t - 1.0))
+    omega += omega.T
+    omega *= 0.5
+    for m in (q_minus, q_plus, omega):
+        m.flags.writeable = False
+    return _Kernels(rule=rule, q_minus=q_minus, q_plus=q_plus, omega=omega)
+
+
 def assemble_system(basis: BasisParams, p: PotentialParams,
                     consistent_potential: bool = False) -> AssembledSystem:
     """Hamiltonian (times 2/lambda^2) and overlap in the computational basis.
@@ -144,6 +177,10 @@ def assemble_system(basis: BasisParams, p: PotentialParams,
     omega_nm = <1/(x^2-1)>_nm,
     with <w>_nm the quadrature matrices.  tau_n > 1 keeps every kernel finite
     and makes omega positive definite.
+
+    The three kernels depend on the basis alone: the last 16 bases keep
+    theirs, read-only, so a solve on a basis already seen assembles H in
+    O(N^2), and omega is the basis's shared array (a write raises).
 
     The default 1/(1+x) coefficient (nu^2 + A)/2 is the tabulated reference
     convention, which corresponds to the potential with the coth strength
@@ -159,25 +196,19 @@ def assemble_system(basis: BasisParams, p: PotentialParams,
                              f"levels diverge with the basis size), got C = {p.C:.6g}")
     mu, nu = basis.mu, basis.nu
     c = recursion_coeffs(basis)
-    rule = quadrature_rule(basis)
-    tau = rule.tau
-    if np.any(tau - 1.0 < 1e-12):
-        raise SolverError(f"quadrature node at the kernel pole x = 1 (min tau = {tau.min()})")
+    k = _kernels(basis)
     a_pole = 2.0 * p.A if consistent_potential else p.A
     n = np.arange(basis.size, dtype=float)
     diag = 0.25 - p.B - (n + 0.5 * (mu + nu + 1.0)) ** 2
-    # in place, rounding as the sum diag + C X + (mu^2/2) <.> + ((nu^2+a)/2) <.>
-    h = quadrature_matrix(rule, lambda t: 1.0 / (1.0 - t))
-    h *= mu * mu / 2.0
+    # rounding as the sum diag + C X + (mu^2/2) <.> + ((nu^2+a)/2) <.>
+    h = k.q_minus * (mu * mu / 2.0)
     h.flat[::basis.size + 1] += diag + p.C * c.F
     h.flat[1::basis.size + 1] += p.C * c.D
     h.flat[basis.size::basis.size + 1] += p.C * c.D
-    h += ((nu * nu + a_pole) / 2.0) * quadrature_matrix(rule, lambda t: 1.0 / (1.0 + t))
-    omega = quadrature_matrix(rule, lambda t: 1.0 / (t * t - 1.0))
-    for m in (h, omega):
-        m += m.T
-        m *= 0.5
-    return AssembledSystem(H=h, omega=omega, rule=rule)
+    h += ((nu * nu + a_pole) / 2.0) * k.q_plus
+    h += h.T
+    h *= 0.5
+    return AssembledSystem(H=h, omega=k.omega, rule=k.rule)
 
 
 def _refine_pair(h: np.ndarray, omega: np.ndarray, lam: float,
@@ -264,6 +295,9 @@ def _generalized_eigen(sys: AssembledSystem) -> tuple[np.ndarray, float]:
         if res_k < residuals[k]:
             eigs[k], residuals[k] = lam_k, res_k
     worst = residuals[candidate | ~triggered].max(initial=0.0)
+    if not np.isfinite(worst):
+        raise SolverError(f"generalized eigenpair residual overflows float64 "
+                          f"(||H|| = {h_norm:.3e})")
     if worst > tol:
         raise SolverError(
             f"generalized eigenpair residual {worst:.3e} exceeds "
@@ -296,8 +330,11 @@ def solve_bound_states(p: PotentialParams, size: int, mu: float = 1.5,
     of consistent_potential.
     """
     basis = BasisParams.from_size(mu, size)
-    sys = assemble_system(basis, p, consistent_potential=consistent_potential)
-    eigs, max_res = _generalized_eigen(sys)
+    # strengths near the float64 limit overflow H or its residuals: a NaN or
+    # infinite residual raises SolverError in _generalized_eigen, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        sys = assemble_system(basis, p, consistent_potential=consistent_potential)
+        eigs, max_res = _generalized_eigen(sys)
     return replace(bound_states(eigs, max_residual=max_res), basis=basis)
 
 

@@ -76,7 +76,11 @@ def jacobi_sequence(mu: float, nu: float, n_max: int, x) -> np.ndarray:
     if n_max >= 1:
         if abs(mu + nu + 2.0) < DEGENERATE_DENOM_TOL:
             raise ParameterError("degenerate parameters: mu + nu + 2 ~ 0")
-        out[1] = (mu + nu + 2.0) * x / 2.0 + (mu - nu) / 2.0
+        row = out[1, ...]                  # a view, also for 0-d x
+        np.multiply(x, mu + nu + 2.0, out=row)
+        row /= 2.0
+        row += (mu - nu) / 2.0
+    buf = np.empty_like(x)
     for n in range(1, n_max):
         s = 2.0 * n + mu + nu
         if abs(s) < DEGENERATE_DENOM_TOL or abs(s + 2.0) < DEGENERATE_DENOM_TOL:
@@ -86,7 +90,12 @@ def jacobi_sequence(mu: float, nu: float, n_max: int, x) -> np.ndarray:
             raise ParameterError(f"vanishing leading coefficient at n = {n}")
         f_n = (nu * nu - mu * mu) / (s * (s + 2.0))
         a_n = 2.0 * (n + mu) * (n + nu) / (s * (s + 1.0))
-        out[n + 1] = ((x - f_n) * out[n] - a_n * out[n - 1]) / lead
+        # in place, rounding as ((x - f_n) P_n - a_n P_{n-1}) / lead
+        row = out[n + 1, ...]
+        np.subtract(x, f_n, out=row)
+        row *= out[n]
+        row -= np.multiply(out[n - 1], a_n, out=buf)
+        row /= lead
     return out
 
 

@@ -104,13 +104,17 @@ def sample_wavefunction(k: int, epsilon_k: float, p: PotentialParams,
         raise ParameterError("r grid must be positive and strictly ascending")
     grid = _grid(p.lam, r)
     basis, f, c = state_coefficients(k, epsilon_k, p.A, p.B, p.C)
-    ln_pref = grid.ln_xm1 * (0.5 * basis.mu)
-    ln_pref += grid.ln_xp1 * (0.5 * basis.nu)
+    # two grid-sized buffers, ln_pref and psi, besides the series
+    ln_pref = np.multiply(grid.ln_xm1, 0.5 * basis.mu)
+    psi = np.multiply(grid.ln_xp1, 0.5 * basis.nu)
+    ln_pref += psi
 
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         poly = jacobi_sequence(basis.mu, basis.nu, k, grid.x)
         series = (c * f) @ poly.reshape(k + 1, -1)
-        psi = np.log(np.abs(series))
+        del poly
+        np.abs(series, out=psi)
+        np.log(psi, out=psi)
         psi += ln_pref                             # ln|psi|; -inf where series = 0
         keep = psi >= LOG_UNDERFLOW
         np.exp(psi, out=psi)
@@ -120,7 +124,7 @@ def sample_wavefunction(k: int, epsilon_k: float, p: PotentialParams,
         raise ParameterError(f"the series of state {k} overflows float64 at "
                              f"r = {r[np.argmin(finite)]:.6g}, lambda = {p.lam:.6g}")
     clamped = int(np.count_nonzero(series) - np.count_nonzero(keep))
-    psi[~keep] = 0.0
+    psi[np.logical_not(keep, out=keep)] = 0.0
     return WavefunctionTable(
         state_index=k,
         r_grid=r,

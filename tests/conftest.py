@@ -1,5 +1,5 @@
 """Shared test settings: property tests draw the same examples on every run,
-and every test starts with no shared Gauss rule and no shared grid pieces."""
+and every test starts with no shared Gauss rule, kernels or grid pieces."""
 
 import pytest
 from hypothesis import settings
@@ -12,8 +12,10 @@ settings.load_profile("deterministic")
 
 @pytest.fixture(autouse=True)
 def fresh_quadrature_rules():
-    """Empty solver.quadrature_rule's cache, so no test sees another's rules."""
+    """Empty the caches of solver.quadrature_rule and solver._kernels, so no
+    test sees another's rules or kernels."""
     solver.quadrature_rule.cache_clear()
+    solver._kernels.cache_clear()
 
 
 @pytest.fixture(autouse=True)

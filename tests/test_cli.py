@@ -1,7 +1,10 @@
 """Command-line interface: outputs, exit codes, determinism, schemas."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -441,6 +444,28 @@ def test_unrepresentable_lambda_r_is_config_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+# Strengths near the float64 limit overflow the eigenpair residuals.  A fresh
+# interpreter with Python's default warning filters shows what a user sees:
+# exit 3 and one line naming the overflow, no numpy warning.
+@pytest.mark.parametrize("strengths, norm", [
+    (["--A", "-300", "--B", "5", "--C", "1e300"], "2.571e+302"),
+    (["--A", "-1e300", "--B", "5", "--C", "3"], "2.473e+299"),
+    (["--A", "-300", "--B", "1e300", "--C", "3"], "1.000e+300"),
+    (["--A", "-300", "--B", "-1e300", "--C", "3"], "1.000e+300"),
+], ids=["C", "A", "B", "-B"])
+def test_overflowing_strength_is_numerical_failure(strengths, norm):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "tribound.cli", "spectrum", *strengths,
+                           "--basis-degree", "20"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == ("numerical failure: generalized eigenpair residual overflows "
+                           f"float64 (||H|| = {norm})\n")
 
 
 # With the rule nu, mu + nu = -2*size - 2 exactly; a large mu loses the size

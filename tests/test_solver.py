@@ -100,8 +100,20 @@ class TestSymtridiagEig:
             assert rule.tau.min() > 1.0
 
 
+SIX_SOLVES = [(PotentialParams(A=A, B=B, C=C), consistent)
+              for A, B, C in ((-300.0, 5.0, 3.0), (-20.0, 5.0, 3.0), (-2000.0, 1.0, 0.5))
+              for consistent in (False, True)]
+
+
+def clear_shared():
+    """Empty both per-basis caches: the rules and the kernels."""
+    quadrature_rule.cache_clear()
+    solver._kernels.cache_clear()
+
+
 class TestSharedRule:
-    """quadrature_rule computes one rule per basis and shares it read-only."""
+    """quadrature_rule computes one rule per basis and shares it read-only;
+    _kernels does the same for the basis's three kernel matrices."""
 
     def test_shared_rule_bit_identical_to_fresh(self):
         basis = sized_basis(50)
@@ -128,16 +140,13 @@ class TestSharedRule:
             calls.append(d.size)
             return eigh_tridiagonal(d, e)
 
-        cases = [(PotentialParams(A=A, B=B, C=C), consistent)
-                 for A, B, C in ((-300.0, 5.0, 3.0), (-20.0, 5.0, 3.0), (-2000.0, 1.0, 0.5))
-                 for consistent in (False, True)]
         fresh = []
-        for p, consistent in cases:
-            quadrature_rule.cache_clear()
+        for p, consistent in SIX_SOLVES:
+            clear_shared()
             fresh.append(solve_bound_states(p, 50, consistent_potential=consistent))
-        quadrature_rule.cache_clear()
+        clear_shared()
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
-        for (p, consistent), want in zip(cases, fresh):
+        for (p, consistent), want in zip(SIX_SOLVES, fresh):
             got = solve_bound_states(p, 50, consistent_potential=consistent)
             assert got.epsilons.tobytes() == want.epsilons.tobytes()
             assert got.discarded_count == want.discarded_count
@@ -157,6 +166,59 @@ class TestSharedRule:
         monkeypatch.undo()
         rule = quadrature_rule(sized_basis(10))
         assert np.abs((rule.Lam * rule.tau) @ rule.Lam.T - x_matrix(sized_basis(10))).max() < 1e-10
+
+    def test_solves_on_one_basis_build_the_kernels_once(self, monkeypatch):
+        sizes = []
+        build = solver.quadrature_matrix
+
+        def counted(rule, w):
+            sizes.append(rule.tau.size)
+            return build(rule, w)
+
+        monkeypatch.setattr(solver, "quadrature_matrix", counted)
+        for p, consistent in SIX_SOLVES:
+            solve_bound_states(p, 50, consistent_potential=consistent)
+        assert sizes == [50, 50, 50]
+        info = solver._kernels.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
+
+    def test_kernel_arrays_refuse_writes(self):
+        basis = sized_basis(10)
+        sys = assemble_system(basis, REFERENCE_POTENTIAL)
+        kernels = solver._kernels(basis)
+        assert sys.omega is kernels.omega
+        for m in (kernels.q_minus, kernels.q_plus, kernels.omega):
+            with pytest.raises(ValueError):
+                m[0, 0] = 2.0
+        sys.H[:] = 0.0   # H is the caller's own array
+        h, omega = one_expression_assembly(basis, REFERENCE_POTENTIAL, False)
+        again = assemble_system(basis, REFERENCE_POTENTIAL)
+        assert np.array_equal(again.H, h) and np.array_equal(again.omega, omega)
+
+    def test_failed_contract_keeps_no_kernels(self, monkeypatch):
+        eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+
+        def perturbed(d, e):
+            tau, lam = eigh_tridiagonal(d, e)
+            return tau, lam + 1e-6
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
+        with pytest.raises(SolverError, match="exceeds contract"):
+            assemble_system(sized_basis(10), REFERENCE_POTENTIAL)
+        assert solver._kernels.cache_info().currsize == 0
+        monkeypatch.undo()
+        sys = assemble_system(sized_basis(10), REFERENCE_POTENTIAL)
+        h, omega = one_expression_assembly(sized_basis(10), REFERENCE_POTENTIAL, False)
+        assert np.array_equal(sys.H, h) and np.array_equal(sys.omega, omega)
+
+    def test_node_at_pole_keeps_no_kernels(self, monkeypatch):
+        basis = sized_basis(4)
+        rule = quadrature_rule(basis)
+        at_pole = QuadratureRule(tau=np.concatenate(([1.0], rule.tau[1:])), Lam=rule.Lam)
+        monkeypatch.setattr(solver, "quadrature_rule", lambda b: at_pole)
+        with pytest.raises(SolverError, match="quadrature node at the kernel pole"):
+            assemble_system(basis, REFERENCE_POTENTIAL)
+        assert solver._kernels.cache_info().currsize == 0
 
 
 class TestQuadratureMatrix:
@@ -350,6 +412,18 @@ class TestDirectFormulas:
         assert max_res == pytest.approx(want_res, rel=1e-13, abs=0.0)
         assert refined == want_refined
 
+    @pytest.mark.parametrize("size", [10, 100])
+    def test_potentials_on_a_warm_basis_match_direct_formulas(self, size):
+        basis = sized_basis(size)
+        for A, consistent in ((-300.0, False), (-2000.0, True), (-20.0, False)):
+            p = PotentialParams(A=A, B=5.0, C=3.0)
+            sys = assemble_system(basis, p, consistent_potential=consistent)
+            h, omega = one_expression_assembly(basis, p, consistent)
+            assert np.array_equal(sys.H, h)
+            assert np.array_equal(sys.omega, omega)
+        info = solver._kernels.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
 
 class TestBoundStateSelection:
     """Only pairs that can be bound states are refined and checked."""
@@ -435,6 +509,19 @@ def test_auto_nu_basis_error_names_mu(call, message):
     with pytest.raises(ParameterError) as info:
         call()
     assert str(info.value) == message
+
+
+# Strengths near the float64 limit overflow the eigenpair residuals: the solve
+# raises SolverError naming the overflow, with no numpy warning (the test
+# settings turn a RuntimeWarning into an error).  At C = 1e305 the residuals
+# were NaN, and the solve used to return no states with max_residual NaN.
+@pytest.mark.parametrize("A, B, C", [
+    (-300.0, 5.0, 1e300), (-1e300, 5.0, 3.0), (-300.0, 1e300, 3.0), (-300.0, -1e300, 3.0),
+    (-300.0, 5.0, 1e305),
+], ids=["C", "A", "B", "-B", "C-nan"])
+def test_overflowing_strength_is_solver_error(A, B, C):
+    with pytest.raises(SolverError, match=r"^generalized eigenpair residual overflows float64 "):
+        solve_bound_states(PotentialParams(A=A, B=B, C=C), 21)
 
 
 # A size that is not an integer is refused by name before any assembly.

@@ -73,6 +73,37 @@ def weighted_product_integral(mu, nu, n, m, tol=1e-10):
     return val
 
 
+def expression_jacobi_sequence(mu, nu, n_max, x):
+    """jacobi_sequence with each step written as one expression: the reference
+    that the in-place recursion must match bit for bit."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((n_max + 1,) + x.shape, dtype=float)
+    out[0] = 1.0
+    if n_max >= 1:
+        out[1] = (mu + nu + 2.0) * x / 2.0 + (mu - nu) / 2.0
+    for n in range(1, n_max):
+        s = 2.0 * n + mu + nu
+        lead = 2.0 * (n + 1.0) * (n + mu + nu + 1.0) / ((s + 1.0) * (s + 2.0))
+        f_n = (nu * nu - mu * mu) / (s * (s + 2.0))
+        a_n = 2.0 * (n + mu) * (n + nu) / (s * (s + 1.0))
+        out[n + 1] = ((x - f_n) * out[n] - a_n * out[n - 1]) / lead
+    return out
+
+
+@pytest.mark.parametrize("mu, nu", [(1.5, -45.5), (0.3, -9.2), (12.7, -19.2), (28.2, -37.9)])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 7, 17])
+def test_in_place_recursion_bit_identical_to_expression_form(mu, nu, n_max):
+    grids = (np.geomspace(1.0 + 1e-12, 1e6, 3000), np.linspace(-3.0, 3.0, 301),
+             1.0 + 2.0 / np.expm1(np.geomspace(1e-3, 30.0, 1000)), np.array([]))
+    for x in grids:
+        assert np.array_equal(jacobi_sequence(mu, nu, n_max, x),
+                              expression_jacobi_sequence(mu, nu, n_max, x))
+    for x in (1.0, 1.0 + 1e-9, 3.0, 250.5, -0.7):
+        got = jacobi_sequence(mu, nu, n_max, x)
+        assert got.shape == (n_max + 1,)
+        assert np.array_equal(got, expression_jacobi_sequence(mu, nu, n_max, x))
+
+
 class TestJacobiEval:
     def test_degree_zero_is_one(self):
         assert jacobi_sequence(1.5, -25.5, 0, 3.0)[0] == 1.0
