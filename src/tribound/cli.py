@@ -24,19 +24,13 @@ from .errors import ParameterError, SolverError
 from .oracle import direct_matrix
 from .potential import PotentialParams, classify_shape, max_basis_index, potential_value
 from .recursion import BasisParams
-from .solver import plateau_scan, quadrature_matrix, quadrature_rule, solve_bound_states
+from .solver import (_KERNELS, plateau_scan, quadrature_matrix, quadrature_rule,
+                     solve_bound_states)
 from .wavefunction import sample_wavefunction
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-_KERNELS = (
-    ("x", lambda x: x),
-    ("1/(1-x)", lambda x: 1.0 / (1.0 - x)),
-    ("1/(1+x)", lambda x: 1.0 / (1.0 + x)),
-    ("1/(x^2-1)", lambda x: 1.0 / (x * x - 1.0)),
-)
 
 
 def fmt(v: float) -> str:
@@ -344,7 +338,7 @@ def _cmd_check_quadrature(cfg: dict) -> int:
     for size in range(2, max_degree + 1):
         basis = BasisParams.from_size(mu, size)
         rule = quadrature_rule(basis)
-        for name, w in _KERNELS:
+        for name, w in _KERNELS.items():
             diff = np.abs(quadrature_matrix(rule, w) - direct_matrix(basis, w))
             rows.append((size, name, diff.max(), diff[:2, :2].max()))
     doc = {"command": "check_quadrature",

@@ -19,6 +19,7 @@ That convergence is what the plateau scan certifies.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -41,6 +42,14 @@ _REFINE_TRIGGER = 0.01
 
 # Successive relative change defining a plateau point.
 PLATEAU_REL_CHANGE = 1e-6
+
+# The kernels w(x) check-quadrature reports, in its order; assembly reads three.
+_KERNELS = {
+    "x": lambda x: x,
+    "1/(1-x)": lambda x: 1.0 / (1.0 - x),
+    "1/(1+x)": lambda x: 1.0 / (1.0 + x),
+    "1/(x^2-1)": lambda x: 1.0 / (x * x - 1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -86,7 +95,6 @@ class BoundSpectrum:
         return self.epsilons.shape[0]
 
 
-@lru_cache(maxsize=16)
 def quadrature_rule(basis: BasisParams) -> QuadratureRule:
     """Gauss rule of the basis: eigendecomposition of its tridiagonal X.
 
@@ -94,8 +102,8 @@ def quadrature_rule(basis: BasisParams) -> QuadratureRule:
     and enforces the residual contract
     ||X Lam - Lam diag(tau)||_max < 1e-10 max(||X||_max, 1).
 
-    The rule depends on the basis alone: the last 16 bases (at least a plateau
-    grid) keep theirs, shared read-only; a failed contract is not kept.
+    Each call builds a fresh rule; its tau and Lam are read-only, because
+    _kernels shares the rule of each recent basis with every solve on it.
     """
     import scipy.linalg
 
@@ -148,19 +156,19 @@ class _Kernels:
 
 @lru_cache(maxsize=16)
 def _kernels(basis: BasisParams) -> _Kernels:
-    """The kernels of the basis, built once for every potential and convention.
+    """The rule and kernels of the basis, built once for every potential and convention.
 
-    Keyed and bounded like quadrature_rule.  A rule that breaks its contract
-    or has a node at the pole, or a kernel that is not finite, raises and
-    is not kept.
+    The solver's one per-basis cache, shared read-only for the last 16 bases
+    (at least a plateau grid).  A rule that breaks its contract or has a node
+    at the pole, or a kernel that is not finite, raises and is not kept.
     """
     rule = quadrature_rule(basis)
     tau = rule.tau
     if np.any(tau - 1.0 < 1e-12):
         raise SolverError(f"quadrature node at the kernel pole x = 1 (min tau = {tau.min()})")
-    q_minus = quadrature_matrix(rule, lambda t: 1.0 / (1.0 - t))
-    q_plus = quadrature_matrix(rule, lambda t: 1.0 / (1.0 + t))
-    omega = quadrature_matrix(rule, lambda t: 1.0 / (t * t - 1.0))
+    q_minus = quadrature_matrix(rule, _KERNELS["1/(1-x)"])
+    q_plus = quadrature_matrix(rule, _KERNELS["1/(1+x)"])
+    omega = quadrature_matrix(rule, _KERNELS["1/(x^2-1)"])
     omega += omega.T
     omega *= 0.5
     for m in (q_minus, q_plus, omega):
@@ -178,9 +186,10 @@ def assemble_system(basis: BasisParams, p: PotentialParams,
     with <w>_nm the quadrature matrices.  tau_n > 1 keeps every kernel finite
     and makes omega positive definite.
 
-    The three kernels depend on the basis alone: the last 16 bases keep
-    theirs, read-only, so a solve on a basis already seen assembles H in
-    O(N^2), and omega is the basis's shared array (a write raises).
+    The rule and the three kernels depend on the basis alone: _kernels keeps
+    those of the last 16 bases, read-only, so a solve on a basis already seen
+    assembles H in O(N^2), and rule and omega are the basis's shared arrays
+    (a write raises).
 
     The default 1/(1+x) coefficient (nu^2 + A)/2 is the tabulated reference
     convention, which corresponds to the potential with the coth strength
@@ -255,6 +264,8 @@ def _generalized_eigen(sys: AssembledSystem) -> tuple[np.ndarray, float]:
     the cutoff is a continuum artifact: it is neither refined nor checked,
     and its eigenvalue, returned unrefined, is discarded by bound_states.
     """
+    import scipy.linalg
+
     h, omega, rule = sys.H, sys.omega, sys.rule
     if np.any(rule.tau ** 2 <= 1.0):
         raise SolverError("overlap factorization needs all tau > 1")
@@ -289,11 +300,15 @@ def _generalized_eigen(sys: AssembledSystem) -> tuple[np.ndarray, float]:
         radius = np.linalg.norm(res_block, axis=0) * col_norm
     candidate = ~(eigs - radius >= BOUND_STATE_CUTOFF)
     triggered = residuals > _REFINE_TRIGGER * tol
-    for k in np.nonzero(candidate & triggered)[0]:
-        lam_k, f_k = _refine_pair(h, omega, float(eigs[k]), vecs[:, k].copy())
-        res_k = np.linalg.norm(h @ f_k - lam_k * (omega @ f_k))
-        if res_k < residuals[k]:
-            eigs[k], residuals[k] = lam_k, res_k
+    # an exactly singular shift (an overflowed pair) gives inf or NaN, which
+    # _refine_pair rejects; scipy's LinAlgWarning would only repeat it on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        for k in np.nonzero(candidate & triggered)[0]:
+            lam_k, f_k = _refine_pair(h, omega, float(eigs[k]), vecs[:, k].copy())
+            res_k = np.linalg.norm(h @ f_k - lam_k * (omega @ f_k))
+            if res_k < residuals[k]:
+                eigs[k], residuals[k] = lam_k, res_k
     worst = residuals[candidate | ~triggered].max(initial=0.0)
     if not np.isfinite(worst):
         raise SolverError(f"generalized eigenpair residual overflows float64 "

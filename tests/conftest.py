@@ -11,10 +11,9 @@ settings.load_profile("deterministic")
 
 
 @pytest.fixture(autouse=True)
-def fresh_quadrature_rules():
-    """Empty the caches of solver.quadrature_rule and solver._kernels, so no
-    test sees another's rules or kernels."""
-    solver.quadrature_rule.cache_clear()
+def fresh_kernels():
+    """Empty solver._kernels, the solver's one per-basis cache, so no test
+    sees another's rules or kernels."""
     solver._kernels.cache_clear()
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -466,6 +467,18 @@ def test_overflowing_strength_is_numerical_failure(strengths, norm):
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == ("numerical failure: generalized eigenpair residual overflows "
                            f"float64 (||H|| = {norm})\n")
+
+
+def test_overflowed_refinement_prints_no_warning(capsys):
+    # at C = 1e300 a refinement shift is exactly singular: the solve is refused
+    # with one line, and scipy's LinAlgWarning about the shift never escapes
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "plateau", "--A", "-300", "--B", "5", "--C", "1e300",
+                                 "--basis-degree", "20", "--mu-steps", "2")
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure:")
+    assert [str(w.message) for w in seen] == []
 
 
 # With the rule nu, mu + nu = -2*size - 2 exactly; a large mu loses the size

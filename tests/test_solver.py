@@ -106,22 +106,25 @@ SIX_SOLVES = [(PotentialParams(A=A, B=B, C=C), consistent)
 
 
 def clear_shared():
-    """Empty both per-basis caches: the rules and the kernels."""
-    quadrature_rule.cache_clear()
+    """Empty the solver's one per-basis cache, which holds rules and kernels."""
     solver._kernels.cache_clear()
 
 
 class TestSharedRule:
-    """quadrature_rule computes one rule per basis and shares it read-only;
-    _kernels does the same for the basis's three kernel matrices."""
+    """quadrature_rule builds a fresh read-only rule on every call; _kernels
+    keeps one per basis, with its three kernel matrices, and shares it."""
 
     def test_shared_rule_bit_identical_to_fresh(self):
         basis = sized_basis(50)
         rule = quadrature_rule(basis)
-        assert quadrature_rule(BasisParams.from_size(1.5, 50)) is rule
-        quadrature_rule.cache_clear()
-        fresh = quadrature_rule(basis)
-        assert fresh is not rule
+        again = quadrature_rule(BasisParams.from_size(1.5, 50))
+        assert again is not rule
+        assert np.array_equal(again.tau, rule.tau) and np.array_equal(again.Lam, rule.Lam)
+        shared = solver._kernels(basis).rule
+        assert solver._kernels(BasisParams.from_size(1.5, 50)).rule is shared
+        clear_shared()
+        fresh = solver._kernels(basis).rule
+        assert fresh is not shared
         assert np.array_equal(fresh.tau, rule.tau) and np.array_equal(fresh.Lam, rule.Lam)
 
     def test_rule_arrays_refuse_writes(self):
@@ -151,6 +154,8 @@ class TestSharedRule:
             assert got.epsilons.tobytes() == want.epsilons.tobytes()
             assert got.discarded_count == want.discarded_count
             assert got.max_residual == want.max_residual
+            sys = assemble_system(got.basis, p, consistent_potential=consistent)
+            assert sys.rule is solver._kernels(got.basis).rule
         assert calls == [50]
 
     def test_failed_contract_not_kept(self, monkeypatch):
