@@ -26,6 +26,7 @@ from .potential import (
 from .recursion import (
     BasisParams,
     h_polynomial_sequence,
+    jacobi_sequence,
     recursion_coeffs,
 )
 from .solver import (
@@ -41,7 +42,6 @@ from .solver import (
     quadrature_rule,
     solve_bound_states,
 )
-from .special import jacobi_sequence
 from .wavefunction import (
     WavefunctionTable,
     count_sign_changes,

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SolverError
-from .recursion import BasisParams
-from .special import jacobi_sequence, normalization_c
+from .recursion import BasisParams, jacobi_sequence, normalization_c
 
 # Integration window in t = ln(x - 1).  Below -43 the variable x - 1 falls
 # under extended-precision resolution of x; the integrand decays there like

@@ -1,10 +1,15 @@
-"""Parameter algebra and the three-term recursion for expansion coefficients.
+"""The Jacobi pair (mu, nu): its basis, its polynomials and their recursions.
 
 The wavefunction is expanded over weighted Jacobi functions
-phi_n(x) = c_n (x-1)^(mu/2) (x+1)^(nu/2) P_n^(mu,nu)(x).  For a bound state
-of dimensionless energy eps = 2E/lambda^2 the basis parameters are tied to
-the energy by mu = sqrt(-eps), nu = -sqrt(-eps - 2A).  The wave equation then
-collapses to the symmetric three-term recursion
+phi_n(x) = c_n (x-1)^(mu/2) (x+1)^(nu/2) P_n^(mu,nu)(x) on x >= 1, with
+mu > -1 but nu strongly negative (mu + nu < -2N - 1), so the weight
+(x-1)^mu (x+1)^nu has only finitely many moments.  Gamma factors in the
+normalization then carry negative non-integer arguments, which is why the
+closed forms here are assembled in log space with explicit sign bookkeeping.
+
+For a bound state of dimensionless energy eps = 2E/lambda^2 the basis
+parameters are tied to the energy by mu = sqrt(-eps), nu = -sqrt(-eps - 2A).
+The wave equation then collapses to the symmetric three-term recursion
 
     (B/C) f_n = { -(1/C) [ (n + (mu+nu+1)/2)^2 - 1/4 ] + F_n } f_n
                 + D_{n-1} f_{n-1} + D_n f_{n+1},
@@ -23,6 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+
+# |2n + mu + nu| (or |... + 2|) below this is a degenerate recursion denominator.
+DEGENERATE_DENOM_TOL = 1e-10
+
+# |z - round(z)| below this counts as a gamma pole for z <= 0.
+GAMMA_POLE_TOL = 1e-12
 
 # |C D_n| below this makes the recursion step degenerate.
 H_STEP_TOL = 1e-14
@@ -65,14 +76,17 @@ class BasisParams:
     def from_size(cls, mu: float, size: int) -> "BasisParams":
         """Basis of `size` functions with the stability-rule nu = -2*size - mu - 2.
 
-        Requires mu > -1 and an integer size >= 1.  mu + nu is -2*size - 2 in
-        exact arithmetic; a mu large enough for float64 to lose the size term
-        is refused by name.
+        Requires mu > 0 and an integer size >= 1.  Near r = infinity a basis
+        function goes like e^(-mu lambda r), so at mu <= 0 the overlap
+        integral diverges and the solve has no continuum meaning.  mu + nu is
+        -2*size - 2 in exact arithmetic; a mu large enough for float64 to
+        lose the size term is refused by name.
         A basis off the rule is BasisParams(mu, nu, N); its levels are the
         caller's to certify.
         """
-        if not mu > -1.0:
-            raise ParameterError(f"mu must exceed -1, got {mu}")
+        if not mu > 0.0:
+            raise ParameterError(f"mu must be positive, got {mu}: at mu <= 0 the basis "
+                                 "functions are not square-integrable as r -> infinity")
         nu = -2.0 * size - mu - 2.0
         if not mu + nu < -2.0 * size - 1.0:
             raise ParameterError(f"mu = {mu:.10g} is too large for a basis of {size} functions")
@@ -84,6 +98,41 @@ class BasisParams:
 
 
 @dataclass(frozen=True)
+class SignedLogMagnitude:
+    """A real number stored as (log |value|, sign), sign in {-1, 0, +1}."""
+
+    log_abs: float
+    sign: int
+
+
+def _sinpi(z: float) -> tuple[float, int]:
+    """sin(pi z) as (|sin|, sign), with exact argument reduction by floor."""
+    m = math.floor(z)
+    frac = z - m
+    if frac == 0.0:
+        return 0.0, 0
+    s = math.sin(math.pi * (frac if frac <= 0.5 else 1.0 - frac))
+    return s, (1 if m % 2 == 0 else -1)
+
+
+def signed_log_gamma(z: float) -> SignedLogMagnitude:
+    """ln|Gamma(z)| and sign(Gamma(z)); reflection handles z < 0.
+
+    Raises ParameterError at the poles z = 0, -1, -2, ... (within 1e-12).
+    """
+    if not math.isfinite(z):
+        raise ParameterError(f"gamma argument must be finite, got {z}")
+    if z <= 0.0 and abs(z - round(z)) < GAMMA_POLE_TOL:
+        raise ParameterError(f"gamma pole at z = {z}")
+    if z > 0.0:
+        return SignedLogMagnitude(math.lgamma(z), 1)
+    # Gamma(z) = pi / (sin(pi z) Gamma(1 - z)); Gamma(1 - z) > 0 here.
+    s, sgn = _sinpi(z)
+    log_abs = math.log(math.pi) - math.log(s) - math.lgamma(1.0 - z)
+    return SignedLogMagnitude(log_abs, sgn)
+
+
+@dataclass(frozen=True)
 class RecursionCoeffs:
     """Sequences F_n (0..N) and D_n (0..N-1) of the recursion."""
 
@@ -91,17 +140,23 @@ class RecursionCoeffs:
     D: np.ndarray
 
 
-def _f_g_arrays(mu: float, nu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """F_n and G_n for n = 0..count-1.
+def _f(mu: float, nu: float, s):
+    """F_n = (nu^2 - mu^2) / [s (s + 2)] with s = 2n + mu + nu (a float or an array).
 
-    F_n = (nu^2 - mu^2) / [(2n+mu+nu)(2n+mu+nu+2)]
-    G_n = (2n+mu+nu)(2n+mu+nu+2)/4
+    F_n is both the recursion's diagonal term and the Jacobi polynomials'
+    three-term coefficient of P_n.
     """
+    return (nu * nu - mu * mu) / (s * (s + 2.0))
+
+
+def _f_g_arrays(mu: float, nu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """F_n and G_n = (2n+mu+nu)(2n+mu+nu+2)/4 for n = 0..count-1."""
     n = np.arange(count, dtype=float)
     s = 2.0 * n + mu + nu
-    if np.any(np.abs(s) < 1e-10) or np.any(np.abs(s + 2.0) < 1e-10):
+    if (np.any(np.abs(s) < DEGENERATE_DENOM_TOL)
+            or np.any(np.abs(s + 2.0) < DEGENERATE_DENOM_TOL)):
         raise ParameterError("degenerate denominator 2n + mu + nu (+2) ~ 0")
-    return (nu * nu - mu * mu) / (s * (s + 2.0)), 0.25 * s * (s + 2.0)
+    return _f(mu, nu, s), 0.25 * s * (s + 2.0)
 
 
 def _d_array(mu: float, nu: float, count: int) -> np.ndarray:
@@ -112,7 +167,7 @@ def _d_array(mu: float, nu: float, count: int) -> np.ndarray:
     """
     m = np.arange(count, dtype=float)
     sm = 2.0 * m + mu + nu
-    if np.any(np.abs(sm + 2.0) < 1e-10):
+    if np.any(np.abs(sm + 2.0) < DEGENERATE_DENOM_TOL):
         raise ParameterError("degenerate denominator 2n + mu + nu + 2 ~ 0")
     rad = ((m + 1.0) * (m + mu + 1.0) * (m + nu + 1.0) * (m + mu + nu + 1.0)
            / ((sm + 1.0) * (sm + 3.0)))
@@ -162,3 +217,110 @@ def h_polynomial_sequence(basis: BasisParams, B: float, C: float) -> np.ndarray:
         if abs(h[n + 1]) > H_RESCALE_LIMIT:
             h[:n + 2] /= abs(h[n + 1])
     return h
+
+
+def jacobi_sequence(mu: float, nu: float, n_max: int, x) -> np.ndarray:
+    """P_0 .. P_n_max of the pair (mu, nu) at x (scalar or array) by upward recursion.
+
+    Seeds P_0 = 1 and P_1 = (mu+nu+2)x/2 + (mu-nu)/2; each step solves the
+    recursion x P_n = F_n P_n + A_n P_{n-1} + B_n P_{n+1} for P_{n+1}.  Any real
+    pair evaluates; orthogonality on [1, inf) needs more (see normalization_c).
+    """
+    if n_max < 0:
+        raise ParameterError(f"polynomial degree must be >= 0, got {n_max}")
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ParameterError("polynomial argument must be finite")
+    out = np.empty((n_max + 1,) + x.shape, dtype=float)
+    out[0] = 1.0
+    if n_max >= 1:
+        if abs(mu + nu + 2.0) < DEGENERATE_DENOM_TOL:
+            raise ParameterError("degenerate parameters: mu + nu + 2 ~ 0")
+        row = out[1, ...]                  # a view, also for 0-d x
+        np.multiply(x, mu + nu + 2.0, out=row)
+        row /= 2.0
+        row += (mu - nu) / 2.0
+    buf = np.empty_like(x)
+    for n in range(1, n_max):
+        s = 2.0 * n + mu + nu
+        if abs(s) < DEGENERATE_DENOM_TOL or abs(s + 2.0) < DEGENERATE_DENOM_TOL:
+            raise ParameterError(f"degenerate recursion denominator at n = {n}")
+        lead = 2.0 * (n + 1.0) * (n + mu + nu + 1.0) / ((s + 1.0) * (s + 2.0))
+        if abs(lead) < DEGENERATE_DENOM_TOL:
+            raise ParameterError(f"vanishing leading coefficient at n = {n}")
+        f_n = _f(mu, nu, s)
+        a_n = 2.0 * (n + mu) * (n + nu) / (s * (s + 1.0))
+        # in place, rounding as ((x - f_n) P_n - a_n P_{n-1}) / lead
+        row = out[n + 1, ...]
+        np.subtract(x, f_n, out=row)
+        row *= out[n]
+        row -= np.multiply(out[n - 1], a_n, out=buf)
+        row /= lead
+    return out
+
+
+def _log_cn_squared_gammas(mu: float, nu: float, n: int) -> SignedLogMagnitude:
+    """log(c_n^2) from the pure-gamma closed form of the diagonal norm.
+
+    diag_n = (-1)^(n+1) 2^(mu+nu+1)/(2n+mu+nu+1)
+             * Gamma(n+mu+1) Gamma(n+nu+1) Gamma(-n-mu-nu)
+             / (Gamma(n+1) Gamma(-nu) Gamma(nu+1)),
+    and c_n^2 = 1/diag_n.  At integer nu both Gamma(n+nu+1) and Gamma(nu+1)
+    sit on poles; their ratio is then taken as the finite product
+    (nu+1)(nu+2)...(nu+n).
+    """
+    t = 2.0 * n + mu + nu + 1.0
+    num = [signed_log_gamma(n + mu + 1.0)]
+    den = [signed_log_gamma(n + 1.0), signed_log_gamma(-nu)]
+    if nu + 1.0 <= 0.0 and abs(nu - round(nu)) < GAMMA_POLE_TOL:
+        factors = nu + np.arange(1.0, n + 1.0)
+        num.append(SignedLogMagnitude(float(np.log(np.abs(factors)).sum()),
+                                      int(np.prod(np.sign(factors)))))
+    else:
+        num.append(signed_log_gamma(n + nu + 1.0))
+        den.append(signed_log_gamma(nu + 1.0))
+    num.append(signed_log_gamma(-n - mu - nu))  # summed below in the closed form's order
+    sign = (-1) ** (n + 1) * (1 if t > 0 else -1)
+    log_abs = (mu + nu + 1.0) * math.log(2.0) - math.log(abs(t))
+    for g in num:
+        sign *= g.sign
+        log_abs += g.log_abs
+    for g in den:
+        sign *= g.sign
+        log_abs -= g.log_abs
+    return SignedLogMagnitude(-log_abs, sign)
+
+
+def log_gamma_ratio(mu: float, nu: float, n: int) -> SignedLogMagnitude:
+    """ln|t Gamma(n+1) Gamma(n+mu+nu+1) / (Gamma(n+mu+1) Gamma(n+nu+1))| and its sign.
+
+    t = 2n + mu + nu + 1.  This is c_n^2 up to a factor that does not depend
+    on n; the wavefunction series normalizations use it as it stands.
+    """
+    ga = signed_log_gamma(n + 1.0)
+    gb = signed_log_gamma(n + mu + nu + 1.0)
+    gc = signed_log_gamma(n + mu + 1.0)
+    gd = signed_log_gamma(n + nu + 1.0)
+    t = 2.0 * n + mu + nu + 1.0
+    sign = ga.sign * gb.sign * gc.sign * gd.sign * (1 if t > 0 else -1)
+    return SignedLogMagnitude(
+        math.log(abs(t)) + ga.log_abs + gb.log_abs - gc.log_abs - gd.log_abs, sign)
+
+
+def normalization_c(mu: float, nu: float, n: int) -> float:
+    """Normalization c_n making the weighted family orthonormal on [1, inf).
+
+    c_n^2 is the reciprocal of the closed-form diagonal of
+    int_1^inf (x-1)^mu (x+1)^nu P_n P_m dx; requires mu > -1 and
+    mu + nu < -2n - 1 (strict), and the assembled square must be positive.
+    """
+    if not mu > -1.0:
+        raise ParameterError(f"orthogonality requires mu > -1, got mu = {mu}")
+    if not (mu + nu < -2.0 * n - 1.0):
+        raise ParameterError(
+            f"orthogonality requires mu + nu < -2n - 1; got {mu + nu} at n = {n}")
+    cn2 = _log_cn_squared_gammas(mu, nu, n)
+    if cn2.sign <= 0 or not math.isfinite(cn2.log_abs):
+        raise ParameterError(
+            f"assembled c_n^2 is not positive finite for (mu, nu, n) = ({mu}, {nu}, {n})")
+    return math.exp(0.5 * cn2.log_abs)

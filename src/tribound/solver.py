@@ -410,8 +410,8 @@ def plateau_scan(p: PotentialParams, size: int, mu_grid: Sequence[float],
     than raised.
     """
     grid = np.asarray(mu_grid, dtype=float)
-    if grid.size == 0:
-        raise ParameterError("mu grid must not be empty")
+    if grid.ndim != 1 or grid.size == 0:
+        raise ParameterError("mu grid must be a non-empty 1-d array")
     if np.any(np.diff(grid) <= 0.0):
         raise ParameterError("mu grid must be strictly ascending")
     spectra = [solve_bound_states(p, size, mu=float(m),

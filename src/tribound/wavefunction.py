@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .potential import PotentialParams, _grid
-from .recursion import BasisParams, h_polynomial_sequence
-from .special import jacobi_sequence, log_gamma_ratio
+from .recursion import BasisParams, h_polynomial_sequence, jacobi_sequence, log_gamma_ratio
 
 # Magnitudes with ln|psi| below this emit exact 0.0.
 LOG_UNDERFLOW = -700.0

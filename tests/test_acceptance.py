@@ -23,7 +23,7 @@ from tribound.solver import (
     quadrature_rule,
     solve_bound_states,
 )
-from tribound.special import jacobi_sequence
+from tribound.recursion import jacobi_sequence
 from tribound.wavefunction import count_sign_changes, sample_wavefunction
 
 from test_recursion import recursion_residual

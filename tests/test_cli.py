@@ -481,16 +481,32 @@ def test_overflowed_refinement_prints_no_warning(capsys):
     assert [str(w.message) for w in seen] == []
 
 
+NOT_SQUARE_INTEGRABLE = (": at mu <= 0 the basis functions are not square-integrable "
+                         "as r -> infinity")
+
+
 # With the rule nu, mu + nu = -2*size - 2 exactly; a large mu loses the size
-# term in float64, and the error must name mu, not a cancelled sum.
+# term in float64, and the error must name mu, not a cancelled sum.  At
+# mu <= 0 the basis is not square-integrable at r = infinity: spectrum used to
+# print spurious levels there and check-quadrature to exit 3.
 @pytest.mark.parametrize("argv, message", [
     (["spectrum", *REFERENCE_ARGS, "--basis-degree", "10", "--mu", "1e300"],
      "mu = 1e+300 is too large for a basis of 10 functions"),
     (["plateau", *REFERENCE_ARGS, "--mu-min", "1e17", "--mu-max", "2e17", "--mu-steps", "2"],
      "mu = 1e+17 is too large for a basis of 100 functions"),
     (["plateau", *REFERENCE_ARGS, "--mu-min", "-2"],
-     "mu must exceed -1, got -2.0"),
-], ids=["spectrum-huge-mu", "plateau-huge-mu", "plateau-mu-below-minus-one"])
+     "mu must be positive, got -2.0" + NOT_SQUARE_INTEGRABLE),
+    (["spectrum", *REFERENCE_ARGS, "--mu", "-0.5"],
+     "mu must be positive, got -0.5" + NOT_SQUARE_INTEGRABLE),
+    (["plateau", *REFERENCE_ARGS, "--mu-min", "-0.5"],
+     "mu must be positive, got -0.5" + NOT_SQUARE_INTEGRABLE),
+    (["check-quadrature", "--mu", "0", "--max-degree", "2"],
+     "mu must be positive, got 0.0" + NOT_SQUARE_INTEGRABLE),
+    (["check-quadrature", "--mu", "-0.5", "--max-degree", "2"],
+     "mu must be positive, got -0.5" + NOT_SQUARE_INTEGRABLE),
+], ids=["spectrum-huge-mu", "plateau-huge-mu", "plateau-mu-below-minus-one",
+        "spectrum-mu--0.5", "plateau-mu--0.5", "check-quadrature-mu-0",
+        "check-quadrature-mu--0.5"])
 def test_auto_nu_basis_error_names_mu(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""

@@ -9,7 +9,7 @@ from tribound.errors import ParameterError, SolverError
 from tribound.oracle import direct_matrix, direct_matrix_element
 from tribound.recursion import BasisParams, recursion_coeffs
 from tribound.solver import quadrature_matrix, quadrature_rule
-from tribound.special import normalization_c
+from tribound.recursion import normalization_c
 
 
 def basis_of_size(size, mu=1.5):

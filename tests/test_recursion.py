@@ -136,9 +136,10 @@ class TestRecursionCoeffs:
         assert basis.nu == -23.5  # -2*size - mu - 2
 
     # the ids keep the names these cases had while from_size also took nu
-    # (None was the rule nu it now always uses)
+    # (None was the rule nu it now always uses) and refused only mu <= -1
     @pytest.mark.parametrize("mu, size, message", [
-        pytest.param(-2.0, 0, "mu must exceed -1, got -2.0",
+        pytest.param(-2.0, 0, "mu must be positive, got -2.0: at mu <= 0 the basis "
+                     "functions are not square-integrable as r -> infinity",
                      id="-2.0-None-0-mu must exceed -1, got -2.0"),
         pytest.param(1e300, 10, "mu = 1e+300 is too large for a basis of 10 functions",
                      id="1e+300-None-10-mu = 1e+300 is too large for a basis of 10 functions"),

@@ -502,14 +502,25 @@ class TestBoundStates:
         assert len(spectrum) == 0
 
 
+NOT_SQUARE_INTEGRABLE = (": at mu <= 0 the basis functions are not square-integrable "
+                         "as r -> infinity")
+
+
 # With the rule nu, mu + nu = -2*size - 2 exactly; float64 loses the size term
-# once mu is large, and the library must name mu, not the cancelled sum.
+# once mu is large, and the library must name mu, not the cancelled sum.  At
+# mu <= 0 the overlap integral diverges, where the Gauss rule would still
+# return levels.
 @pytest.mark.parametrize("call, message", [
     (lambda: solve_bound_states(REFERENCE_POTENTIAL, 10, mu=1e300),
      "mu = 1e+300 is too large for a basis of 10 functions"),
     (lambda: plateau_scan(REFERENCE_POTENTIAL, 100, [1e17, 2e17]),
      "mu = 1e+17 is too large for a basis of 100 functions"),
-], ids=["solve_bound_states", "plateau_scan"])
+    (lambda: solve_bound_states(REFERENCE_POTENTIAL, 100, mu=-0.5),
+     "mu must be positive, got -0.5" + NOT_SQUARE_INTEGRABLE),
+    (lambda: solve_bound_states(REFERENCE_POTENTIAL, 100, mu=0.0),
+     "mu must be positive, got 0.0" + NOT_SQUARE_INTEGRABLE),
+], ids=["solve_bound_states", "plateau_scan", "solve_bound_states-mu--0.5",
+        "solve_bound_states-mu-0"])
 def test_auto_nu_basis_error_names_mu(call, message):
     with pytest.raises(ParameterError) as info:
         call()
@@ -575,6 +586,11 @@ class TestPlateauScan:
             plateau_scan(REFERENCE_POTENTIAL, 20, [])
         with pytest.raises(ParameterError):
             plateau_scan(REFERENCE_POTENTIAL, 20, [2.0, 1.0])
+
+    @pytest.mark.parametrize("grid", [[[1.0, 1.5]], 1.5], ids=["2-d", "scalar"])
+    def test_grid_not_one_dimensional(self, grid):
+        with pytest.raises(ParameterError, match=r"^mu grid must be a non-empty 1-d array$"):
+            plateau_scan(REFERENCE_POTENTIAL, 10, grid)
 
     def test_small_scan_structure(self):
         grid = [1.3, 1.5, 1.7]

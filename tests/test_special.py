@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 
 from tribound.errors import ParameterError
-from tribound.special import (
+from tribound.recursion import (
     SignedLogMagnitude,
     _log_cn_squared_gammas,
     _sinpi,

@@ -9,7 +9,7 @@ from tribound import potential
 from tribound.errors import ParameterError
 from tribound.potential import PotentialParams
 from tribound.solver import solve_bound_states
-from tribound.special import jacobi_sequence
+from tribound.recursion import jacobi_sequence
 from tribound.wavefunction import (
     LOG_UNDERFLOW,
     count_sign_changes,
