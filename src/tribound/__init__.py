@@ -27,19 +27,12 @@ from .recursion import (
     BasisParams,
     h_polynomial_sequence,
     jacobi_sequence,
-    recursion_coeffs,
 )
 from .solver import (
-    AssembledSystem,
     BoundSpectrum,
     PlateauScan,
     PlateauStat,
-    QuadratureRule,
-    assemble_system,
-    bound_states,
     plateau_scan,
-    quadrature_matrix,
-    quadrature_rule,
     solve_bound_states,
 )
 from .wavefunction import (
@@ -51,7 +44,6 @@ from .wavefunction import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssembledSystem",
     "BasisParams",
     "BoundSpectrum",
     "Crossing",
@@ -60,12 +52,9 @@ __all__ = [
     "PlateauScan",
     "PlateauStat",
     "PotentialParams",
-    "QuadratureRule",
     "ShapeReport",
     "SolverError",
     "WavefunctionTable",
-    "assemble_system",
-    "bound_states",
     "classify_shape",
     "count_sign_changes",
     "direct_matrix",
@@ -74,10 +63,7 @@ __all__ = [
     "max_basis_index",
     "plateau_scan",
     "potential_value",
-    "quadrature_matrix",
-    "quadrature_rule",
     "r_of_x",
-    "recursion_coeffs",
     "sample_wavefunction",
     "solve_bound_states",
     "u_of_x",

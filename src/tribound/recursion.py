@@ -132,14 +132,6 @@ def signed_log_gamma(z: float) -> SignedLogMagnitude:
     return SignedLogMagnitude(log_abs, sgn)
 
 
-@dataclass(frozen=True)
-class RecursionCoeffs:
-    """Sequences F_n (0..N) and D_n (0..N-1) of the recursion."""
-
-    F: np.ndarray
-    D: np.ndarray
-
-
 def _f(mu: float, nu: float, s):
     """F_n = (nu^2 - mu^2) / [s (s + 2)] with s = 2n + mu + nu (a float or an array).
 
@@ -177,15 +169,15 @@ def _d_array(mu: float, nu: float, count: int) -> np.ndarray:
     return 2.0 / (sm + 2.0) * np.sqrt(rad)
 
 
-def recursion_coeffs(basis: BasisParams) -> RecursionCoeffs:
-    """Recursion coefficients of the full basis: F for 0..N and D for 0..N-1.
+def recursion_coeffs(basis: BasisParams) -> tuple[np.ndarray, np.ndarray]:
+    """Recursion coefficients (F, D) of the full basis: F_n for 0..N and D_n for 0..N-1.
 
     Signs are literal: D_n < 0 for every valid basis because 2n+mu+nu+2 < 0.
     A basis with mu + nu = -2N - 2 exactly has a vanishing denominator in F_N
     and is rejected as degenerate (stability-rule choices keep |2n+mu+nu| >= 1).
     """
     F, _ = _f_g_arrays(basis.mu, basis.nu, basis.size)
-    return RecursionCoeffs(F=F, D=_d_array(basis.mu, basis.nu, basis.size - 1))
+    return F, _d_array(basis.mu, basis.nu, basis.size - 1)
 
 
 def h_polynomial_sequence(basis: BasisParams, B: float, C: float) -> np.ndarray:

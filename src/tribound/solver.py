@@ -20,7 +20,7 @@ That convergence is what the plateau scan certifies.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -53,53 +53,32 @@ _KERNELS = {
 
 
 @dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss nodes tau and orthogonal eigenvector matrix Lambda of X.
-
-    Column n of Lambda belongs to tau[n]; nodes ascend and all exceed 1
-    (the weight lives on x >= 1).
-    """
-
-    tau: np.ndarray
-    Lam: np.ndarray
-
-
-@dataclass(frozen=True)
-class AssembledSystem:
-    """Exactly symmetric Hamiltonian (pre-scaled by 2/lambda^2) and overlap, plus their rule."""
-
-    H: np.ndarray
-    omega: np.ndarray
-    rule: QuadratureRule
-
-
-@dataclass(frozen=True)
 class BoundSpectrum:
     """Negative eigenvalues eps_k = 2 E_k / lambda^2 and bookkeeping.
 
-    report_units lists -eps_k (energies in units of -lambda^2/2), descending.
-    basis is the basis solved in (None when the eigenvalues came from
-    elsewhere, as in a bare bound_states call).
+    report_units lists -eps_k (energies in units of -lambda^2/2), descending;
+    basis is the basis solved in.
     """
 
     epsilons: np.ndarray
     report_units: np.ndarray
-    discarded_count: int = 0
+    discarded_count: int
     # max ||H f - eps omega f|| / max(||H||, 1) over the pairs the 1e-8
     # contract checks: those that can be bound states and those that never
     # needed refinement (see _generalized_eigen)
-    max_residual: float = 0.0
-    basis: BasisParams | None = None
+    max_residual: float
+    basis: BasisParams
 
     def __len__(self) -> int:
         return self.epsilons.shape[0]
 
 
-def quadrature_rule(basis: BasisParams) -> QuadratureRule:
-    """Gauss rule of the basis: eigendecomposition of its tridiagonal X.
+def quadrature_rule(basis: BasisParams) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule (tau, Lam) of the basis: eigendecomposition of its tridiagonal X.
 
-    Delegates to LAPACK's tridiagonal solver on the recursion coefficients
-    and enforces the residual contract
+    Column n of Lam belongs to tau[n]; nodes ascend and all exceed 1 (the
+    weight lives on x >= 1).  Delegates to LAPACK's tridiagonal solver on
+    the recursion coefficients and enforces the residual contract
     ||X Lam - Lam diag(tau)||_max < 1e-10 max(||X||_max, 1).
 
     Each call builds a fresh rule; its tau and Lam are read-only, because
@@ -107,26 +86,27 @@ def quadrature_rule(basis: BasisParams) -> QuadratureRule:
     """
     import scipy.linalg
 
-    c = recursion_coeffs(basis)
+    F, D = recursion_coeffs(basis)
     try:
-        tau, lam = scipy.linalg.eigh_tridiagonal(c.F, c.D)
+        tau, lam = scipy.linalg.eigh_tridiagonal(F, D)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"tridiagonal eigensolve failed to converge: {exc}") from exc
-    x_lam = c.F[:, None] * lam
-    x_lam[:-1] += c.D[:, None] * lam[1:]
-    x_lam[1:] += c.D[:, None] * lam[:-1]
+    x_lam = F[:, None] * lam
+    x_lam[:-1] += D[:, None] * lam[1:]
+    x_lam[1:] += D[:, None] * lam[:-1]
     x_lam -= lam * tau
     residual = np.abs(x_lam, out=x_lam).max()
-    scale = max(np.abs(c.F).max(), np.abs(c.D).max(initial=0.0))
+    scale = max(np.abs(F).max(), np.abs(D).max(initial=0.0))
     if residual > TRIDIAG_RESIDUAL_TOL * max(scale, 1.0):
         raise SolverError(
             f"tridiagonal eigensolve residual {residual:.3e} exceeds contract")
     tau.flags.writeable = lam.flags.writeable = False
-    return QuadratureRule(tau=tau, Lam=lam)
+    return tau, lam
 
 
-def quadrature_matrix(rule: QuadratureRule, w: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Lambda diag(w(tau)) Lambda^T, the spectral approximation of w(x).
+def quadrature_matrix(rule: tuple[np.ndarray, np.ndarray],
+                      w: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Lam diag(w(tau)) Lam^T for the rule (tau, Lam), the spectral approximation of w(x).
 
     The result is exactly w(X) for the truncated coordinate matrix X of the
     rule's basis.  It is entrywise exact for w(x) = x (and any linear w),
@@ -135,20 +115,23 @@ def quadrature_matrix(rule: QuadratureRule, w: Callable[[np.ndarray], np.ndarray
     differ by O(1) at small sizes, while the assembled eigenvalues converge
     as the size grows.
     """
+    tau, lam = rule
     with np.errstate(divide="ignore", invalid="ignore"):
-        wt = np.asarray(w(rule.tau), dtype=float)
+        wt = np.asarray(w(tau), dtype=float)
     if not np.all(np.isfinite(wt)):
         bad = int(np.argmax(~np.isfinite(wt)))
-        raise ParameterError(f"kernel is not finite at node tau = {rule.tau[bad]}")
-    return (rule.Lam * wt) @ rule.Lam.T
+        raise ParameterError(f"kernel is not finite at node tau = {tau[bad]}")
+    return (lam * wt) @ lam.T
 
 
 @dataclass(frozen=True)
 class _Kernels:
-    """The potential-independent pieces of one basis, read-only: its rule,
-    w(X) for 1/(1-x) and 1/(1+x), and the symmetrized overlap w(X) for 1/(x^2-1)."""
+    """The potential-independent pieces of one basis, read-only: its Gauss rule
+    (tau, Lam), w(X) for 1/(1-x) and 1/(1+x), and the symmetrized overlap
+    omega = w(X) for 1/(x^2-1)."""
 
-    rule: QuadratureRule
+    tau: np.ndarray
+    Lam: np.ndarray
     q_minus: np.ndarray
     q_plus: np.ndarray
     omega: np.ndarray
@@ -162,8 +145,7 @@ def _kernels(basis: BasisParams) -> _Kernels:
     (at least a plateau grid).  A rule that breaks its contract or has a node
     at the pole, or a kernel that is not finite, raises and is not kept.
     """
-    rule = quadrature_rule(basis)
-    tau = rule.tau
+    tau, lam = rule = quadrature_rule(basis)
     if np.any(tau - 1.0 < 1e-12):
         raise SolverError(f"quadrature node at the kernel pole x = 1 (min tau = {tau.min()})")
     q_minus = quadrature_matrix(rule, _KERNELS["1/(1-x)"])
@@ -173,12 +155,12 @@ def _kernels(basis: BasisParams) -> _Kernels:
     omega *= 0.5
     for m in (q_minus, q_plus, omega):
         m.flags.writeable = False
-    return _Kernels(rule=rule, q_minus=q_minus, q_plus=q_plus, omega=omega)
+    return _Kernels(tau, lam, q_minus, q_plus, omega)
 
 
 def assemble_system(basis: BasisParams, p: PotentialParams,
-                    consistent_potential: bool = False) -> AssembledSystem:
-    """Hamiltonian (times 2/lambda^2) and overlap in the computational basis.
+                    consistent_potential: bool = False) -> np.ndarray:
+    """Exactly symmetric Hamiltonian (times 2/lambda^2) in the computational basis.
 
     H_nm = [1/4 - B - (n + (mu+nu+1)/2)^2] delta_nm + C X_nm
            + (mu^2/2) <1/(1-x)>_nm + ((nu^2 + A)/2) <1/(1+x)>_nm,
@@ -186,10 +168,9 @@ def assemble_system(basis: BasisParams, p: PotentialParams,
     with <w>_nm the quadrature matrices.  tau_n > 1 keeps every kernel finite
     and makes omega positive definite.
 
-    The rule and the three kernels depend on the basis alone: _kernels keeps
-    those of the last 16 bases, read-only, so a solve on a basis already seen
-    assembles H in O(N^2), and rule and omega are the basis's shared arrays
-    (a write raises).
+    The rule and the three kernels, omega among them, depend on the basis
+    alone: _kernels keeps those of the last 16 bases, read-only, so a solve
+    on a basis already seen assembles H in O(N^2).  H is the caller's own.
 
     The default 1/(1+x) coefficient (nu^2 + A)/2 is the tabulated reference
     convention, which corresponds to the potential with the coth strength
@@ -204,20 +185,20 @@ def assemble_system(basis: BasisParams, p: PotentialParams,
         raise ParameterError(f"C must be positive (at C <= 0 the core does not repel and the "
                              f"levels diverge with the basis size), got C = {p.C:.6g}")
     mu, nu = basis.mu, basis.nu
-    c = recursion_coeffs(basis)
+    F, D = recursion_coeffs(basis)
     k = _kernels(basis)
     a_pole = 2.0 * p.A if consistent_potential else p.A
     n = np.arange(basis.size, dtype=float)
     diag = 0.25 - p.B - (n + 0.5 * (mu + nu + 1.0)) ** 2
     # rounding as the sum diag + C X + (mu^2/2) <.> + ((nu^2+a)/2) <.>
     h = k.q_minus * (mu * mu / 2.0)
-    h.flat[::basis.size + 1] += diag + p.C * c.F
-    h.flat[1::basis.size + 1] += p.C * c.D
-    h.flat[basis.size::basis.size + 1] += p.C * c.D
+    h.flat[::basis.size + 1] += diag + p.C * F
+    h.flat[1::basis.size + 1] += p.C * D
+    h.flat[basis.size::basis.size + 1] += p.C * D
     h += ((nu * nu + a_pole) / 2.0) * k.q_plus
     h += h.T
     h *= 0.5
-    return AssembledSystem(H=h, omega=k.omega, rule=k.rule)
+    return h
 
 
 def _refine_pair(h: np.ndarray, omega: np.ndarray, lam: float,
@@ -246,8 +227,9 @@ def _refine_pair(h: np.ndarray, omega: np.ndarray, lam: float,
     return lam, f
 
 
-def _generalized_eigen(sys: AssembledSystem) -> tuple[np.ndarray, float]:
-    """Eigenvalues (ascending) and the max relative residual of the checked pairs.
+def _generalized_eigen(h: np.ndarray, kernels: _Kernels) -> tuple[np.ndarray, float]:
+    """Eigenvalues (ascending) and the max relative residual of the checked pairs
+    of H f = eps omega f, with omega and its rule (tau, Lam) from the basis's kernels.
 
     omega = Lam diag(g) Lam^T exactly, g = 1/(tau^2 - 1) > 0, so the
     whitening S = Lam diag(sqrt g) inverts in closed form and reduces
@@ -266,12 +248,10 @@ def _generalized_eigen(sys: AssembledSystem) -> tuple[np.ndarray, float]:
     """
     import scipy.linalg
 
-    h, omega, rule = sys.H, sys.omega, sys.rule
-    if np.any(rule.tau ** 2 <= 1.0):
-        raise SolverError("overlap factorization needs all tau > 1")
-    g_isqrt = np.sqrt(rule.tau ** 2 - 1.0)
+    omega, lam = kernels.omega, kernels.Lam
+    g_isqrt = np.sqrt(kernels.tau ** 2 - 1.0)   # _kernels keeps only rules with every tau > 1
     # in place, rounding as 0.5 (R + R^T) with R = diag(g_isqrt) Lam^T H Lam diag(g_isqrt)
-    reduced = rule.Lam.T @ h @ rule.Lam
+    reduced = lam.T @ h @ lam
     reduced *= g_isqrt[:, None]
     reduced *= g_isqrt
     reduced += reduced.T
@@ -282,7 +262,7 @@ def _generalized_eigen(sys: AssembledSystem) -> tuple[np.ndarray, float]:
         h_norm = np.abs(np.linalg.eigvalsh(h)).max()   # ||H||_2 of a symmetric H
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"symmetric eigensolve failed: {exc}") from exc
-    vecs = (rule.Lam * g_isqrt) @ y
+    vecs = (lam * g_isqrt) @ y
     del y
     col_norm = np.linalg.norm(vecs, axis=0)
     vecs /= col_norm
@@ -295,7 +275,7 @@ def _generalized_eigen(sys: AssembledSystem) -> tuple[np.ndarray, float]:
     # b = ||r||_{omega^-1} / ||f||_omega, omega^-1 = Lam diag(tau^2 - 1) Lam^T, ||f||_omega
     # = ||y|| / col_norm = 1 / col_norm; a b that overflows (inf, NaN) stays a candidate
     with np.errstate(over="ignore", invalid="ignore"):
-        res_block = rule.Lam.T @ res_block   # frees R; scaled to diag(g_isqrt) Lam^T R
+        res_block = lam.T @ res_block   # frees R; scaled to diag(g_isqrt) Lam^T R
         res_block *= g_isqrt[:, None]
         radius = np.linalg.norm(res_block, axis=0) * col_norm
     candidate = ~(eigs - radius >= BOUND_STATE_CUTOFF)
@@ -320,8 +300,10 @@ def _generalized_eigen(sys: AssembledSystem) -> tuple[np.ndarray, float]:
     return np.sort(eigs, kind="stable"), float(worst / max(h_norm, 1.0))
 
 
-def bound_states(eigs: Sequence[float], max_residual: float = 0.0) -> BoundSpectrum:
-    """Keep eigenvalues below the bound-state cutoff; count what was dropped.
+def bound_states(eigs: Sequence[float], basis: BasisParams,
+                 max_residual: float) -> BoundSpectrum:
+    """The spectrum solved in basis: the eigenvalues below the bound-state
+    cutoff, and a count of the rest.
 
     Non-negative (and barely negative) eigenvalues are discretized-continuum
     artifacts of the finite basis, not physical states.
@@ -333,6 +315,7 @@ def bound_states(eigs: Sequence[float], max_residual: float = 0.0) -> BoundSpect
         report_units=-keep,
         discarded_count=int(eigs.size - keep.size),
         max_residual=max_residual,
+        basis=basis,
     )
 
 
@@ -348,9 +331,9 @@ def solve_bound_states(p: PotentialParams, size: int, mu: float = 1.5,
     # strengths near the float64 limit overflow H or its residuals: a NaN or
     # infinite residual raises SolverError in _generalized_eigen, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        sys = assemble_system(basis, p, consistent_potential=consistent_potential)
-        eigs, max_res = _generalized_eigen(sys)
-    return replace(bound_states(eigs, max_residual=max_res), basis=basis)
+        h = assemble_system(basis, p, consistent_potential=consistent_potential)
+        eigs, max_res = _generalized_eigen(h, _kernels(basis))
+    return bound_states(eigs, basis, max_res)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from tribound.recursion import (
     BasisParams,
     h_polynomial_sequence,
 )
+from tribound import solver
 from tribound.solver import (
-    assemble_system,
     plateau_scan,
     quadrature_matrix,
     quadrature_rule,
@@ -210,16 +210,17 @@ def test_criterion_6_structural_invariants(reference_runs):
         mu = rng.uniform(-0.9, 3.0)
         size = int(rng.integers(1, 25))
         nu = -2.0 * size - 1.0 - mu - rng.uniform(1.5, 30.0)
-        rule = quadrature_rule(BasisParams(mu=mu, nu=nu, N=size - 1))
-        min_tau = min(min_tau, rule.tau.min())
+        tau, _ = quadrature_rule(BasisParams(mu=mu, nu=nu, N=size - 1))
+        min_tau = min(min_tau, tau.min())
     if not min_tau > 1.0:
         ok = False
         notes.append(f"node positivity: min tau {min_tau}")
 
     for size in (10, 50, 100):
-        sys = assemble_system(BasisParams.from_size(1.5, size), REFERENCE_POTENTIAL)
+        # the overlap is potential-independent: the solver's kernels of the basis hold it
+        omega = solver._kernels(BasisParams.from_size(1.5, size)).omega
         try:
-            np.linalg.cholesky(sys.omega)
+            np.linalg.cholesky(omega)
         except np.linalg.LinAlgError:
             ok = False
             notes.append(f"overlap not positive definite at size {size}")

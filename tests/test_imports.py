@@ -6,26 +6,28 @@ has long since imported the solver and the oracle.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 REFERENCE_ARGS = '"--A", "-300", "--B", "5", "--C", "3"'
 LAZY_CLI_NAMES = ("solve_bound_states", "plateau_scan", "quadrature_rule",
                   "quadrature_matrix", "direct_matrix")
 
-# The names the CLI, the benchmark and the paper's method use; helpers that
-# only sibling modules and tests need stay importable from their modules.
+# The paper's method end to end and what it returns; the solver's stages
+# (quadrature_rule, assemble_system, bound_states, ...) and other helpers
+# stay importable from their modules for the CLI, the benchmark and tests.
 PUBLIC_NAMES = [
-    "AssembledSystem", "BasisParams", "BoundSpectrum", "Crossing", "Extremum",
-    "ParameterError", "PlateauScan", "PlateauStat", "PotentialParams", "QuadratureRule",
-    "ShapeReport", "SolverError", "WavefunctionTable", "assemble_system", "bound_states",
-    "classify_shape", "count_sign_changes", "direct_matrix", "h_polynomial_sequence",
-    "jacobi_sequence", "max_basis_index", "plateau_scan", "potential_value",
-    "quadrature_matrix", "quadrature_rule", "r_of_x", "recursion_coeffs",
-    "sample_wavefunction", "solve_bound_states", "u_of_x", "x_of_r",
+    "BasisParams", "BoundSpectrum", "Crossing", "Extremum", "ParameterError",
+    "PlateauScan", "PlateauStat", "PotentialParams", "ShapeReport", "SolverError",
+    "WavefunctionTable", "classify_shape", "count_sign_changes", "direct_matrix",
+    "h_polynomial_sequence", "jacobi_sequence", "max_basis_index", "plateau_scan",
+    "potential_value", "r_of_x", "sample_wavefunction", "solve_bound_states", "u_of_x",
+    "x_of_r",
 ]
 
 
@@ -111,6 +113,17 @@ def test_public_names_resolve_lazily():
     assert sorted(names) == PUBLIC_NAMES
     assert missing == [] and listed == [] and unbound == []
     assert oracle == "tribound.oracle"
+
+
+def test_readme_lists_the_public_names():
+    # README's list of the public names is written by hand: it must give
+    # their number and name each one, no more
+    text = (ROOT / "README.md").read_text()
+    match = re.search(r"`tribound\.__all__` holds the (\d+) names[^\n]*\n[^\n]*:\n\n"
+                      r"((?:[- ] .*\n)+)", text)
+    assert match is not None
+    assert int(match.group(1)) == len(PUBLIC_NAMES)
+    assert sorted(re.findall(r"`(\w+)`", match.group(2))) == PUBLIC_NAMES
 
 
 def test_unknown_attribute_still_raises():

@@ -90,8 +90,8 @@ class TestEnergyParams:
 
 class TestRecursionCoeffs:
     def test_f0_hand_value(self):
-        c = recursion_coeffs(BasisParams(mu=1.5, nu=-25.5, N=10))
-        assert c.F[0] == pytest.approx(648.0 / 528.0, rel=1e-14)
+        F, _ = recursion_coeffs(BasisParams(mu=1.5, nu=-25.5, N=10))
+        assert F[0] == pytest.approx(648.0 / 528.0, rel=1e-14)
 
     def test_d0_hand_value(self):
         # radicand (1*2*(-4)*(-3)) / ((-3)*(-1)) = 8, prefactor 2/(-2)
@@ -115,14 +115,14 @@ class TestRecursionCoeffs:
             basis = random_valid_basis(rng)
             if basis.N == 0:
                 continue
-            c = recursion_coeffs(basis)
-            assert np.all(c.D < 0.0)
+            _, D = recursion_coeffs(basis)
+            assert np.all(D < 0.0)
 
     def test_sizes(self):
         basis = BasisParams(mu=1.5, nu=-25.5, N=7)
-        c = recursion_coeffs(basis)
+        F, D = recursion_coeffs(basis)
         _, G = _f_g_arrays(basis.mu, basis.nu, basis.size)
-        assert c.F.shape == (8,) and G.shape == (8,) and c.D.shape == (7,)
+        assert F.shape == (8,) and G.shape == (8,) and D.shape == (7,)
 
     def test_invalid_basis_rejected(self):
         with pytest.raises(ParameterError):
@@ -184,10 +184,10 @@ class TestHPolynomialSequence:
 
     def test_general_step_matches_low_order_instance(self):
         basis = BasisParams(mu=1.5, nu=-25.5, N=2)
-        c = recursion_coeffs(basis)
+        F, D = recursion_coeffs(basis)
         _, G = _f_g_arrays(basis.mu, basis.nu, basis.size)
         h = h_polynomial_sequence(basis, 5.0, 3.0)
-        h2_hand = ((5.0 + G[1] - 3.0 * c.F[1]) * h[1] - 3.0 * c.D[0] * h[0]) / (3.0 * c.D[1])
+        h2_hand = ((5.0 + G[1] - 3.0 * F[1]) * h[1] - 3.0 * D[0] * h[0]) / (3.0 * D[1])
         assert h[2] == h2_hand  # same arithmetic path, bit for bit
 
     def test_recursion_consistency_randomized(self):

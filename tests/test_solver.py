@@ -11,8 +11,6 @@ from tribound.potential import PotentialParams, max_basis_index
 from tribound.recursion import BasisParams, recursion_coeffs
 from tribound.solver import (
     _generalized_eigen,
-    AssembledSystem,
-    QuadratureRule,
     assemble_system,
     bound_states,
     plateau_scan,
@@ -30,23 +28,30 @@ def sized_basis(size, mu=1.5):
 
 def x_matrix(basis):
     """Dense coordinate matrix X: F_n on the diagonal, D_n beside it."""
-    c = recursion_coeffs(basis)
-    return np.diag(c.F) + np.diag(c.D, 1) + np.diag(c.D, -1)
+    F, D = recursion_coeffs(basis)
+    return np.diag(F) + np.diag(D, 1) + np.diag(D, -1)
+
+
+def assembled(basis, p=REFERENCE_POTENTIAL, consistent=False):
+    """H and the basis's kernels, as solve_bound_states hands them to the eigensolve."""
+    return assemble_system(basis, p, consistent_potential=consistent), solver._kernels(basis)
 
 
 def diagonal_pencil(h, g):
-    """(H, omega = diag(g)) with the rule that factors omega: Lam = I, tau = sqrt(1 + 1/g)."""
+    """(H, kernels with omega = diag(g)) and the rule that factors omega: Lam = I,
+    tau = sqrt(1 + 1/g); the pencil has no potential kernels."""
     g = np.asarray(g, dtype=float)
-    rule = QuadratureRule(tau=np.sqrt(1.0 + 1.0 / g), Lam=np.eye(g.size))
-    return AssembledSystem(H=np.asarray(h, dtype=float), omega=np.diag(g), rule=rule)
+    kernels = solver._Kernels(tau=np.sqrt(1.0 + 1.0 / g), Lam=np.eye(g.size),
+                              q_minus=None, q_plus=None, omega=np.diag(g))
+    return np.asarray(h, dtype=float), kernels
 
 
 class TestXMatrix:
     def test_scalar_basis(self):
         basis = BasisParams(mu=1.5, nu=-25.5, N=0)
         x = x_matrix(basis)
-        c = recursion_coeffs(basis)
-        assert x.shape == (1, 1) and x[0, 0] == c.F[0]
+        F, _ = recursion_coeffs(basis)
+        assert x.shape == (1, 1) and x[0, 0] == F[0]
 
     def test_first_diagonal_entry(self):
         x = x_matrix(BasisParams(mu=1.5, nu=-25.5, N=10))
@@ -64,19 +69,19 @@ class TestSymtridiagEig:
 
     def test_one_by_one(self):
         basis = BasisParams(mu=1.5, nu=-25.5, N=0)
-        rule = quadrature_rule(basis)
-        assert rule.tau.tolist() == recursion_coeffs(basis).F.tolist()
-        assert rule.Lam.tolist() == [[1.0]]
+        tau, lam = quadrature_rule(basis)
+        assert tau.tolist() == recursion_coeffs(basis)[0].tolist()
+        assert lam.tolist() == [[1.0]]
 
     def test_rule_contracts(self):
         basis = sized_basis(10)
         x = x_matrix(basis)
-        rule = quadrature_rule(basis)
-        m = rule.tau.size
-        assert np.abs(rule.Lam.T @ rule.Lam - np.eye(m)).max() < 1e-10
-        assert np.abs((rule.Lam * rule.tau) @ rule.Lam.T - x).max() < 1e-10
-        assert np.all(np.diff(rule.tau) > 0.0)
-        assert rule.tau.min() > 1.0
+        tau, lam = quadrature_rule(basis)
+        m = tau.size
+        assert np.abs(lam.T @ lam - np.eye(m)).max() < 1e-10
+        assert np.abs((lam * tau) @ lam.T - x).max() < 1e-10
+        assert np.all(np.diff(tau) > 0.0)
+        assert tau.min() > 1.0
 
     def test_residual_contract_enforced(self, monkeypatch):
         eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
@@ -96,8 +101,8 @@ class TestSymtridiagEig:
             size = int(rng.integers(1, 30))
             margin = rng.uniform(1.5, 30.0)
             nu = -2.0 * size - 1.0 - mu - margin
-            rule = quadrature_rule(BasisParams(mu=mu, nu=nu, N=size - 1))
-            assert rule.tau.min() > 1.0
+            tau, _ = quadrature_rule(BasisParams(mu=mu, nu=nu, N=size - 1))
+            assert tau.min() > 1.0
 
 
 SIX_SOLVES = [(PotentialParams(A=A, B=B, C=C), consistent)
@@ -116,24 +121,24 @@ class TestSharedRule:
 
     def test_shared_rule_bit_identical_to_fresh(self):
         basis = sized_basis(50)
-        rule = quadrature_rule(basis)
-        again = quadrature_rule(BasisParams.from_size(1.5, 50))
-        assert again is not rule
-        assert np.array_equal(again.tau, rule.tau) and np.array_equal(again.Lam, rule.Lam)
-        shared = solver._kernels(basis).rule
-        assert solver._kernels(BasisParams.from_size(1.5, 50)).rule is shared
+        tau, lam = quadrature_rule(basis)
+        again_tau, again_lam = quadrature_rule(BasisParams.from_size(1.5, 50))
+        assert again_tau is not tau and again_lam is not lam
+        assert np.array_equal(again_tau, tau) and np.array_equal(again_lam, lam)
+        shared = solver._kernels(basis)
+        assert solver._kernels(BasisParams.from_size(1.5, 50)) is shared
         clear_shared()
-        fresh = solver._kernels(basis).rule
-        assert fresh is not shared
-        assert np.array_equal(fresh.tau, rule.tau) and np.array_equal(fresh.Lam, rule.Lam)
+        fresh = solver._kernels(basis)
+        assert fresh.tau is not shared.tau and fresh.Lam is not shared.Lam
+        assert np.array_equal(fresh.tau, tau) and np.array_equal(fresh.Lam, lam)
 
     def test_rule_arrays_refuse_writes(self):
-        rule = quadrature_rule(sized_basis(10))
+        tau, lam = quadrature_rule(sized_basis(10))
         with pytest.raises(ValueError):
-            rule.tau[0] = 2.0
+            tau[0] = 2.0
         with pytest.raises(ValueError):
-            rule.Lam *= 2.0
-        assert quadrature_rule(sized_basis(10)).Lam[0, 0] == rule.Lam[0, 0]
+            lam *= 2.0
+        assert quadrature_rule(sized_basis(10))[1][0, 0] == lam[0, 0]
 
     def test_solves_on_one_basis_share_one_rule(self, monkeypatch):
         calls = []
@@ -154,8 +159,7 @@ class TestSharedRule:
             assert got.epsilons.tobytes() == want.epsilons.tobytes()
             assert got.discarded_count == want.discarded_count
             assert got.max_residual == want.max_residual
-            sys = assemble_system(got.basis, p, consistent_potential=consistent)
-            assert sys.rule is solver._kernels(got.basis).rule
+            assert solver._kernels.cache_info().misses == 1
         assert calls == [50]
 
     def test_failed_contract_not_kept(self, monkeypatch):
@@ -169,36 +173,35 @@ class TestSharedRule:
         with pytest.raises(SolverError, match="exceeds contract"):
             quadrature_rule(sized_basis(10))
         monkeypatch.undo()
-        rule = quadrature_rule(sized_basis(10))
-        assert np.abs((rule.Lam * rule.tau) @ rule.Lam.T - x_matrix(sized_basis(10))).max() < 1e-10
+        tau, lam = quadrature_rule(sized_basis(10))
+        assert np.abs((lam * tau) @ lam.T - x_matrix(sized_basis(10))).max() < 1e-10
 
     def test_solves_on_one_basis_build_the_kernels_once(self, monkeypatch):
         sizes = []
         build = solver.quadrature_matrix
 
         def counted(rule, w):
-            sizes.append(rule.tau.size)
+            sizes.append(rule[0].size)
             return build(rule, w)
 
         monkeypatch.setattr(solver, "quadrature_matrix", counted)
         for p, consistent in SIX_SOLVES:
             solve_bound_states(p, 50, consistent_potential=consistent)
         assert sizes == [50, 50, 50]
+        # each solve looks the basis up twice: in assemble_system and for the eigensolve
         info = solver._kernels.cache_info()
-        assert (info.misses, info.hits) == (1, 5)
+        assert (info.misses, info.hits) == (1, 11)
 
     def test_kernel_arrays_refuse_writes(self):
         basis = sized_basis(10)
-        sys = assemble_system(basis, REFERENCE_POTENTIAL)
-        kernels = solver._kernels(basis)
-        assert sys.omega is kernels.omega
-        for m in (kernels.q_minus, kernels.q_plus, kernels.omega):
+        got, kernels = assembled(basis)
+        for m in (kernels.tau, kernels.Lam, kernels.q_minus, kernels.q_plus, kernels.omega):
             with pytest.raises(ValueError):
-                m[0, 0] = 2.0
-        sys.H[:] = 0.0   # H is the caller's own array
+                m[0] = 2.0
+        got[:] = 0.0   # H is the caller's own array
         h, omega = one_expression_assembly(basis, REFERENCE_POTENTIAL, False)
-        again = assemble_system(basis, REFERENCE_POTENTIAL)
-        assert np.array_equal(again.H, h) and np.array_equal(again.omega, omega)
+        again, kernels = assembled(basis)
+        assert np.array_equal(again, h) and np.array_equal(kernels.omega, omega)
 
     def test_failed_contract_keeps_no_kernels(self, monkeypatch):
         eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
@@ -212,18 +215,20 @@ class TestSharedRule:
             assemble_system(sized_basis(10), REFERENCE_POTENTIAL)
         assert solver._kernels.cache_info().currsize == 0
         monkeypatch.undo()
-        sys = assemble_system(sized_basis(10), REFERENCE_POTENTIAL)
+        got, kernels = assembled(sized_basis(10))
         h, omega = one_expression_assembly(sized_basis(10), REFERENCE_POTENTIAL, False)
-        assert np.array_equal(sys.H, h) and np.array_equal(sys.omega, omega)
+        assert np.array_equal(got, h) and np.array_equal(kernels.omega, omega)
 
     def test_node_at_pole_keeps_no_kernels(self, monkeypatch):
+        # a node at the pole, and one below it, where the overlap is not definite
         basis = sized_basis(4)
-        rule = quadrature_rule(basis)
-        at_pole = QuadratureRule(tau=np.concatenate(([1.0], rule.tau[1:])), Lam=rule.Lam)
-        monkeypatch.setattr(solver, "quadrature_rule", lambda b: at_pole)
-        with pytest.raises(SolverError, match="quadrature node at the kernel pole"):
-            assemble_system(basis, REFERENCE_POTENTIAL)
-        assert solver._kernels.cache_info().currsize == 0
+        tau, lam = quadrature_rule(basis)
+        for low in (1.0, 0.0):
+            bad = (np.concatenate(([low], tau[1:])), lam)
+            monkeypatch.setattr(solver, "quadrature_rule", lambda b: bad)
+            with pytest.raises(SolverError, match="quadrature node at the kernel pole"):
+                assemble_system(basis, REFERENCE_POTENTIAL)
+            assert solver._kernels.cache_info().currsize == 0
 
 
 class TestQuadratureMatrix:
@@ -253,7 +258,7 @@ class TestQuadratureMatrix:
 
     def test_pole_at_node_rejected(self):
         rule = quadrature_rule(sized_basis(4))
-        bad_point = rule.tau[1]
+        bad_point = rule[0][1]
         with pytest.raises(ParameterError):
             quadrature_matrix(rule, lambda t: 1.0 / (t - bad_point))
 
@@ -262,45 +267,38 @@ class TestAssembly:
     def test_scalar_system_closed_form(self):
         basis = sized_basis(1)
         p = REFERENCE_POTENTIAL
-        c = recursion_coeffs(basis)
-        f0 = c.F[0]
-        sys = assemble_system(basis, p)
+        f0 = recursion_coeffs(basis)[0][0]
+        h, kernels = assembled(basis, p)
         mu, nu = basis.mu, basis.nu
         h00 = (0.25 - p.B - (0.5 * (mu + nu + 1.0)) ** 2 + p.C * f0
                + (mu**2 / 2) / (1.0 - f0) + ((nu**2 + p.A) / 2) / (1.0 + f0))
         w00 = 1.0 / (f0**2 - 1.0)
-        assert sys.H[0, 0] == pytest.approx(h00, rel=1e-13)
-        assert sys.omega[0, 0] == pytest.approx(w00, rel=1e-13)
-        assert _generalized_eigen(sys)[0][0] == pytest.approx(h00 / w00, rel=1e-12)
+        assert h[0, 0] == pytest.approx(h00, rel=1e-13)
+        assert kernels.omega[0, 0] == pytest.approx(w00, rel=1e-13)
+        assert _generalized_eigen(h, kernels)[0][0] == pytest.approx(h00 / w00, rel=1e-12)
 
     @pytest.mark.parametrize("size", [10, 20, 50, 100])
     def test_overlap_positive_definite(self, size):
-        sys = assemble_system(sized_basis(size), REFERENCE_POTENTIAL)
-        np.linalg.cholesky(sys.omega)  # raises if not PD
+        _, kernels = assembled(sized_basis(size))
+        np.linalg.cholesky(kernels.omega)  # raises if not PD
 
     def test_symmetry(self):
-        sys = assemble_system(sized_basis(30), REFERENCE_POTENTIAL)
-        assert np.abs(sys.H - sys.H.T).max() < 1e-12 * max(1.0, np.abs(sys.H).max())
-        assert np.abs(sys.omega - sys.omega.T).max() < 1e-12
+        h, kernels = assembled(sized_basis(30))
+        assert np.abs(h - h.T).max() < 1e-12 * max(1.0, np.abs(h).max())
+        assert np.abs(kernels.omega - kernels.omega.T).max() < 1e-12
 
 
 class TestGeneralizedSpectrum:
     def test_identity_pencil(self):
-        sys = diagonal_pencil(np.eye(4), np.ones(4))
-        assert _generalized_eigen(sys)[0] == pytest.approx(np.ones(4), rel=1e-12)
+        pencil = diagonal_pencil(np.eye(4), np.ones(4))
+        assert _generalized_eigen(*pencil)[0] == pytest.approx(np.ones(4), rel=1e-12)
 
     def test_one_by_one(self):
-        sys = diagonal_pencil([[6.0]], [2.0])
-        assert _generalized_eigen(sys)[0][0] == pytest.approx(3.0, rel=1e-14)
-
-    def test_non_definite_overlap_rejected(self):
-        sys = diagonal_pencil(np.eye(2), [1.0, -1.0])
-        with pytest.raises(SolverError):
-            _generalized_eigen(sys)
+        pencil = diagonal_pencil([[6.0]], [2.0])
+        assert _generalized_eigen(*pencil)[0][0] == pytest.approx(3.0, rel=1e-14)
 
     def test_table_energies_small_basis(self):
-        sys = assemble_system(sized_basis(10), REFERENCE_POTENTIAL)
-        eigs = _generalized_eigen(sys)[0]
+        eigs = _generalized_eigen(*assembled(sized_basis(10)))[0]
         neg = eigs[eigs < 0]
         want = [-249.6186960, -121.1023091, -54.5612094, -20.1791388, -4.8218491]
         assert neg == pytest.approx(want, abs=5e-7)
@@ -309,8 +307,7 @@ class TestGeneralizedSpectrum:
         # the residual bound is enforced internally; large sizes exercise the
         # refinement path
         for size in (50, 150):
-            sys = assemble_system(sized_basis(size), REFERENCE_POTENTIAL)
-            _generalized_eigen(sys)  # raises SolverError on violation
+            _generalized_eigen(*assembled(sized_basis(size)))  # raises SolverError on violation
 
 
 def one_expression_assembly(basis, p, consistent):
@@ -346,7 +343,7 @@ def copying_refine(h, omega, lam, f):
     return lam, f
 
 
-def reference_eigen(sys, every_pair=False):
+def reference_eigen(h, kernels, every_pair=False):
     """The eigensolve written directly, with the SVD 2-norm and two-GEMM radius.
 
     Checks that the closed-form ||f||_omega selects the same candidates, and
@@ -354,11 +351,11 @@ def reference_eigen(sys, every_pair=False):
     of each refined pair.  every_pair refines and checks every triggered
     pair, not only the bound-state candidates.
     """
-    h, omega, rule = sys.H, sys.omega, sys.rule
-    g_isqrt = np.sqrt(rule.tau ** 2 - 1.0)
-    reduced = g_isqrt[:, None] * (rule.Lam.T @ h @ rule.Lam) * g_isqrt[None, :]
+    omega, lam = kernels.omega, kernels.Lam
+    g_isqrt = np.sqrt(kernels.tau ** 2 - 1.0)
+    reduced = g_isqrt[:, None] * (lam.T @ h @ lam) * g_isqrt[None, :]
     eigs, y = np.linalg.eigh(0.5 * (reduced + reduced.T))
-    vecs = (rule.Lam * g_isqrt) @ y
+    vecs = (lam * g_isqrt) @ y
     vecs /= np.linalg.norm(vecs, axis=0)
     h_norm = np.linalg.norm(h, 2)
     tol = solver.PAIR_RESIDUAL_TOL * max(h_norm, 1.0)
@@ -366,10 +363,10 @@ def reference_eigen(sys, every_pair=False):
     residuals = np.linalg.norm(res_block, axis=0)
     scale = g_isqrt[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        numerator = np.sum((scale * (rule.Lam.T @ res_block)) ** 2, axis=0)
-        radius = np.sqrt(numerator / np.sum((rule.Lam.T @ vecs / scale) ** 2, axis=0))
+        numerator = np.sum((scale * (lam.T @ res_block)) ** 2, axis=0)
+        radius = np.sqrt(numerator / np.sum((lam.T @ vecs / scale) ** 2, axis=0))
         # ||f||_omega = 1 / ||Lam diag(g_isqrt) y||, the solver's closed form
-        closed = np.sqrt(numerator) * np.linalg.norm((rule.Lam * g_isqrt) @ y, axis=0)
+        closed = np.sqrt(numerator) * np.linalg.norm((lam * g_isqrt) @ y, axis=0)
     cutoff = solver.BOUND_STATE_CUTOFF
     assert np.array_equal(eigs - radius >= cutoff, eigs - closed >= cutoff)
     candidate = every_pair | ~(eigs - radius >= cutoff)
@@ -395,10 +392,10 @@ class TestDirectFormulas:
     def test_solve_matches_direct_formulas(self, A, size, consistent, monkeypatch):
         p = PotentialParams(A=A, B=5.0, C=3.0)
         basis = sized_basis(size)
-        sys = assemble_system(basis, p, consistent_potential=consistent)
+        got, kernels = assembled(basis, p, consistent)
         h, omega = one_expression_assembly(basis, p, consistent)
-        assert np.array_equal(sys.H, h)
-        assert np.array_equal(sys.omega, omega)
+        assert np.array_equal(got, h)
+        assert np.array_equal(kernels.omega, omega)
 
         refined = []
         refine = solver._refine_pair
@@ -411,8 +408,8 @@ class TestDirectFormulas:
             return got
 
         monkeypatch.setattr(solver, "_refine_pair", checked)
-        eigs, max_res = _generalized_eigen(sys)
-        want_eigs, want_res, want_refined = reference_eigen(sys)
+        eigs, max_res = _generalized_eigen(got, kernels)
+        want_eigs, want_res, want_refined = reference_eigen(got, kernels)
         assert np.array_equal(eigs, want_eigs)
         assert max_res == pytest.approx(want_res, rel=1e-13, abs=0.0)
         assert refined == want_refined
@@ -422,12 +419,12 @@ class TestDirectFormulas:
         basis = sized_basis(size)
         for A, consistent in ((-300.0, False), (-2000.0, True), (-20.0, False)):
             p = PotentialParams(A=A, B=5.0, C=3.0)
-            sys = assemble_system(basis, p, consistent_potential=consistent)
+            got = assemble_system(basis, p, consistent_potential=consistent)
             h, omega = one_expression_assembly(basis, p, consistent)
-            assert np.array_equal(sys.H, h)
-            assert np.array_equal(sys.omega, omega)
+            assert np.array_equal(got, h)
         info = solver._kernels.cache_info()
         assert (info.misses, info.hits) == (1, 2)
+        assert np.array_equal(solver._kernels(basis).omega, omega)
 
 
 class TestBoundStateSelection:
@@ -440,8 +437,9 @@ class TestBoundStateSelection:
         p = PotentialParams(A=A, B=5.0, C=3.0)
         for mu in (1.0, 1.5, 3.0):
             got = solve_bound_states(p, size, mu=mu, consistent_potential=consistent)
-            sys = assemble_system(sized_basis(size, mu), p, consistent_potential=consistent)
-            want = bound_states(reference_eigen(sys, every_pair=True)[0])
+            basis = sized_basis(size, mu)
+            eigs = reference_eigen(*assembled(basis, p, consistent), every_pair=True)[0]
+            want = bound_states(eigs, basis, 0.0)
             assert np.array_equal(got.epsilons, want.epsilons)
             assert got.discarded_count == want.discarded_count
 
@@ -475,11 +473,11 @@ class TestBoundStateSelection:
 
 class TestBoundStates:
     def test_all_positive_input_empty(self):
-        spectrum = bound_states([0.5, 1.0, 2.0])
+        spectrum = bound_states([0.5, 1.0, 2.0], sized_basis(3), 0.0)
         assert len(spectrum) == 0 and spectrum.discarded_count == 3
 
     def test_filtering_and_ordering(self):
-        spectrum = bound_states([3.0, -1.0, -7.0, 1e-12])
+        spectrum = bound_states([3.0, -1.0, -7.0, 1e-12], sized_basis(4), 0.0)
         assert spectrum.epsilons.tolist() == [-7.0, -1.0]
         assert spectrum.report_units.tolist() == [7.0, 1.0]
         assert spectrum.discarded_count == 2
@@ -556,9 +554,6 @@ class TestSolvedBasis:
     def test_spectrum_carries_its_basis(self, mu, size):
         spectrum = solve_bound_states(REFERENCE_POTENTIAL, size, mu=mu)
         assert spectrum.basis == BasisParams.from_size(mu, size)
-
-    def test_bare_bound_states_has_no_basis(self):
-        assert bound_states([-2.0, 1.0]).basis is None
 
     def test_plateau_spectra_carry_their_grid_mu(self):
         grid = [1.3, 1.5, 1.7]
