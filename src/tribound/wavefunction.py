@@ -22,6 +22,10 @@ from .recursion import BasisParams, h_polynomial_sequence, jacobi_sequence, log_
 # Magnitudes with ln|psi| below this emit exact 0.0.
 LOG_UNDERFLOW = -700.0
 
+# Grid points sampled per block: one block's Jacobi table and combine
+# buffers stay cache-sized, whatever the grid size.
+SAMPLE_BLOCK = 16384
+
 
 @dataclass(frozen=True)
 class WavefunctionTable:
@@ -89,12 +93,14 @@ def sample_wavefunction(k: int, epsilon_k: float, p: PotentialParams,
     The prefactor is evaluated in log space (it spans hundreds of orders over
     the default grid).  x, ln(x - 1) and ln(x + 1) come from the grid pieces
     that V(r) and x_of_r share, computed once for the last grid and lambda.
-    The prefactor is combined with the series on the whole grid at once:
-    ln|psi| = ln|series| + ln(prefactor), exponentiated and given the
-    series' sign.  Points with ln|psi| below -700 flush to exact 0.0 and
-    count as clamped; a zero series value gives an exact 0.0 and is not
-    counted.  Where coth(lambda r) or the series is not a finite float64, a
-    ParameterError names r and lambda.
+    The grid is walked in blocks of SAMPLE_BLOCK points; in each, the
+    Jacobi table and the series are built for that block alone and combined
+    with the prefactor straight into its slice of psi: ln|psi| = ln|series|
+    + ln(prefactor), exponentiated and given the series' sign.  Memory is
+    psi plus about k + 4 block-sized rows.  Points with ln|psi| below -700
+    flush to exact 0.0 and count as clamped; a zero series value gives an
+    exact 0.0 and is not counted.  Where coth(lambda r) or the series is not
+    a finite float64, a ParameterError names r and lambda.
     """
     r = np.asarray(r_grid, dtype=float)
     if r.ndim != 1 or r.size == 0:
@@ -103,27 +109,28 @@ def sample_wavefunction(k: int, epsilon_k: float, p: PotentialParams,
         raise ParameterError("r grid must be positive and strictly ascending")
     grid = _grid(p.lam, r)
     basis, f, c = state_coefficients(k, epsilon_k, p.A, p.B, p.C)
-    # two grid-sized buffers, ln_pref and psi, besides the series
-    ln_pref = np.multiply(grid.ln_xm1, 0.5 * basis.mu)
-    psi = np.multiply(grid.ln_xp1, 0.5 * basis.nu)
-    ln_pref += psi
-
-    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        poly = jacobi_sequence(basis.mu, basis.nu, k, grid.x)
-        series = (c * f) @ poly.reshape(k + 1, -1)
-        del poly
-        np.abs(series, out=psi)
-        np.log(psi, out=psi)
-        psi += ln_pref                             # ln|psi|; -inf where series = 0
-        keep = psi >= LOG_UNDERFLOW
-        np.exp(psi, out=psi)
-        np.copysign(psi, series, out=psi)
-    finite = np.isfinite(series)
-    if not np.all(finite):
-        raise ParameterError(f"the series of state {k} overflows float64 at "
-                             f"r = {r[np.argmin(finite)]:.6g}, lambda = {p.lam:.6g}")
-    clamped = int(np.count_nonzero(series) - np.count_nonzero(keep))
-    psi[np.logical_not(keep, out=keep)] = 0.0
+    psi = np.empty(r.shape)
+    clamped = 0
+    for start in range(0, r.size, SAMPLE_BLOCK):
+        block = slice(start, start + SAMPLE_BLOCK)
+        out = psi[block]
+        ln_pref = np.multiply(grid.ln_xm1[block], 0.5 * basis.mu)
+        np.multiply(grid.ln_xp1[block], 0.5 * basis.nu, out=out)
+        ln_pref += out
+        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+            series = (c * f) @ jacobi_sequence(basis.mu, basis.nu, k, grid.x[block])
+            np.abs(series, out=out)
+            np.log(out, out=out)
+            out += ln_pref                         # ln|psi|; -inf where series = 0
+            keep = out >= LOG_UNDERFLOW
+            np.exp(out, out=out)
+            np.copysign(out, series, out=out)
+        finite = np.isfinite(series)
+        if not np.all(finite):
+            raise ParameterError(f"the series of state {k} overflows float64 at "
+                                 f"r = {r[start + np.argmin(finite)]:.6g}, lambda = {p.lam:.6g}")
+        clamped += int(np.count_nonzero(series) - np.count_nonzero(keep))
+        out[np.logical_not(keep, out=keep)] = 0.0
     return WavefunctionTable(
         state_index=k,
         r_grid=r,

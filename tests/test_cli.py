@@ -439,8 +439,12 @@ def test_out_of_range_number_is_config_error(capsys, argv, message):
     (["potential", "--A", "-6", "--B", "6", "--C", "3", "--lambda", "1e-170",
       "--r-min", "1e160", "--r-max", "1e170", "--samples", "3"],
      "V / (lambda^2 C / 2) overflows float64 at lambda = 1e-170"),
+    (["wavefunction", *REFERENCE_ARGS, "--basis-degree", "30", "--state", "4",
+      "--r-min", "1e-100", "--samples", "20"],
+     "the series of state 4 overflows float64 at r = 1e-100, lambda = 1"),
 ], ids=["potential-tiny-lambda", "potential-tiny-r", "potential-huge-lambda",
-        "wavefunction-tiny-r", "potential-figure-units-underflow"])
+        "wavefunction-tiny-r", "potential-figure-units-underflow",
+        "wavefunction-series-overflow"])
 def test_unrepresentable_lambda_r_is_config_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""

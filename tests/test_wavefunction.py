@@ -1,6 +1,11 @@
 """Wavefunction series assembly and its qualitative physics."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +17,15 @@ from tribound.solver import solve_bound_states
 from tribound.recursion import jacobi_sequence
 from tribound.wavefunction import (
     LOG_UNDERFLOW,
+    SAMPLE_BLOCK,
     count_sign_changes,
     sample_wavefunction,
     state_coefficients,
 )
 
 REFERENCE_POTENTIAL = PotentialParams(A=-300.0, B=5.0, C=3.0)
+DEEP_POTENTIAL = PotentialParams(A=-2000.0, B=5.0, C=3.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -156,22 +164,72 @@ def masked_index_sampler(k, epsilon_k, p, r):
     return psi, int(np.size(keep) - np.count_nonzero(keep))
 
 
-@pytest.mark.parametrize("consistent", [False, True], ids=["reference", "consistent"])
+@pytest.mark.parametrize("p, size, consistent, count", [
+    (REFERENCE_POTENTIAL, 50, False, 5),
+    (REFERENCE_POTENTIAL, 50, True, 8),
+    (DEEP_POTENTIAL, 100, True, 25),
+], ids=["reference", "consistent", "deep-consistent"])
 @pytest.mark.parametrize("grid, clamps", [
     (np.geomspace(1e-3, 15.0, 10**5), False),
     (np.geomspace(1e-6, 400.0, 5000), True),
-], ids=["states-grid", "wide-grid"])
-def test_sampler_bit_identical_to_masked_index_form(consistent, grid, clamps):
-    spectrum = solve_bound_states(REFERENCE_POTENTIAL, 50, consistent_potential=consistent)
-    assert len(spectrum) == (8 if consistent else 5)
+    (np.geomspace(1e-3, 15.0, SAMPLE_BLOCK - 1), False),
+    (np.geomspace(1e-3, 15.0, SAMPLE_BLOCK + 1), False),
+    (np.geomspace(1e-3, 15.0, 20001), False),
+], ids=["states-grid", "wide-grid", "block-minus-1", "block-plus-1", "20001-points"])
+def test_sampler_bit_identical_to_masked_index_form(p, size, consistent, count, grid, clamps):
+    spectrum = solve_bound_states(p, size, consistent_potential=consistent)
+    assert len(spectrum) == count
     clamped_total = 0
     for k, eps in enumerate(spectrum.epsilons.tolist()):
-        table = sample_wavefunction(k, eps, REFERENCE_POTENTIAL, grid)
-        psi, clamped = masked_index_sampler(k, eps, REFERENCE_POTENTIAL, grid)
+        table = sample_wavefunction(k, eps, p, grid)
+        psi, clamped = masked_index_sampler(k, eps, p, grid)
         assert np.array_equal(table.psi, psi)
         assert table.clamped_count == clamped
         clamped_total += clamped
-    assert (clamped_total > 0) == clamps
+    # the deep spectrum's fast-decaying states clamp on every grid
+    assert (clamped_total > 0) == (clamps or p is DEEP_POTENTIAL)
+
+
+# psi of state 7 of the A = -300 consistent N = 100 spectrum, written to
+# stdout; epsilon is a literal because the solve depends on the thread count
+BLAS_THREADS_SCRIPT = """
+import sys
+import numpy as np
+from tribound.potential import PotentialParams
+from tribound.wavefunction import sample_wavefunction
+table = sample_wavefunction(7, -3.0688620220490272, PotentialParams(A=-300.0, B=5.0, C=3.0),
+                            np.geomspace(1e-3, 15.0, 123457))
+sys.stdout.buffer.write(table.psi.tobytes())
+"""
+
+
+def test_sampler_bits_do_not_depend_on_blas_threads():
+    psis = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT], capture_output=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        psis.append(proc.stdout)
+    assert len(psis[0]) == 8 * 123457
+    assert psis[0] == psis[1]
+
+
+def test_sampler_memory_is_psi_plus_block_rows():
+    # state 24 of the deep spectrum has 25 series terms; a whole-grid table
+    # would take 25 psi-sized rows
+    grid = np.geomspace(1e-3, 15.0, 10**6)
+    eps = solve_bound_states(DEEP_POTENTIAL, 100, consistent_potential=True).epsilons[24]
+    potential.x_of_r(DEEP_POTENTIAL.lam, grid)      # warm grid pieces
+    tracemalloc.start()
+    try:
+        table = sample_wavefunction(24, float(eps), DEEP_POTENTIAL, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.terms_used == 25
+    assert peak < 3 * table.psi.nbytes
 
 
 @pytest.fixture(scope="module")
