@@ -19,8 +19,7 @@ That convergence is what the plateau scan certifies.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -245,9 +244,10 @@ def _generalized_eigen(h: np.ndarray, kernels: _Kernels) -> tuple[np.ndarray, fl
     checked as they are.  A pair that needs refinement but lies wholly above
     the cutoff is a continuum artifact: it is neither refined nor checked,
     and its eigenvalue, returned unrefined, is discarded by bound_states.
+    Every residual norm is taken of R times a power of two near 1/||H||, so
+    finite norms keep their bits and only a non-finite H, reduced matrix or
+    product makes one overflow.
     """
-    import scipy.linalg
-
     omega, lam = kernels.omega, kernels.Lam
     g_isqrt = np.sqrt(kernels.tau ** 2 - 1.0)   # _kernels keeps only rules with every tau > 1
     # in place, rounding as 0.5 (R + R^T) with R = diag(g_isqrt) Lam^T H Lam diag(g_isqrt)
@@ -268,27 +268,25 @@ def _generalized_eigen(h: np.ndarray, kernels: _Kernels) -> tuple[np.ndarray, fl
     vecs /= col_norm
 
     tol = PAIR_RESIDUAL_TOL * max(h_norm, 1.0)
+    unit = 2.0 ** -np.frexp(max(h_norm, 1.0))[1]
     res_block = omega @ vecs
     res_block *= eigs
     np.subtract(h @ vecs, res_block, out=res_block)   # H V - omega V diag(eps)
-    residuals = np.linalg.norm(res_block, axis=0)
+    res_block *= unit
+    residuals = np.linalg.norm(res_block, axis=0) / unit
     # b = ||r||_{omega^-1} / ||f||_omega, omega^-1 = Lam diag(tau^2 - 1) Lam^T, ||f||_omega
     # = ||y|| / col_norm = 1 / col_norm; a b that overflows (inf, NaN) stays a candidate
     with np.errstate(over="ignore", invalid="ignore"):
         res_block = lam.T @ res_block   # frees R; scaled to diag(g_isqrt) Lam^T R
         res_block *= g_isqrt[:, None]
-        radius = np.linalg.norm(res_block, axis=0) * col_norm
+        radius = np.linalg.norm(res_block, axis=0) / unit * col_norm
     candidate = ~(eigs - radius >= BOUND_STATE_CUTOFF)
     triggered = residuals > _REFINE_TRIGGER * tol
-    # an exactly singular shift (an overflowed pair) gives inf or NaN, which
-    # _refine_pair rejects; scipy's LinAlgWarning would only repeat it on stderr
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        for k in np.nonzero(candidate & triggered)[0]:
-            lam_k, f_k = _refine_pair(h, omega, float(eigs[k]), vecs[:, k].copy())
-            res_k = np.linalg.norm(h @ f_k - lam_k * (omega @ f_k))
-            if res_k < residuals[k]:
-                eigs[k], residuals[k] = lam_k, res_k
+    for k in np.nonzero(candidate & triggered)[0]:
+        lam_k, f_k = _refine_pair(h, omega, float(eigs[k]), vecs[:, k].copy())
+        res_k = np.linalg.norm((h @ f_k - lam_k * (omega @ f_k)) * unit) / unit
+        if res_k < residuals[k]:
+            eigs[k], residuals[k] = lam_k, res_k
     worst = residuals[candidate | ~triggered].max(initial=0.0)
     if not np.isfinite(worst):
         raise SolverError(f"generalized eigenpair residual overflows float64 "
@@ -358,7 +356,7 @@ class PlateauScan:
 
     mu_grid: np.ndarray
     spectra: list[BoundSpectrum]
-    stats: list[PlateauStat] = field(default_factory=list)
+    stats: list[PlateauStat]
 
     @property
     def state_count(self) -> int:
@@ -400,11 +398,12 @@ def plateau_scan(p: PotentialParams, size: int, mu_grid: Sequence[float],
     spectra = [solve_bound_states(p, size, mu=float(m),
                                   consistent_potential=consistent_potential)
                for m in grid]
-    scan = PlateauScan(mu_grid=grid, spectra=spectra)
-    for k, col in enumerate(scan.table().T):
+    count = min(len(s) for s in spectra)
+    stats = []
+    for k, col in enumerate(np.array([s.report_units[:count] for s in spectra]).T):
         lo, hi = _longest_plateau(col)
         seg = col[lo:hi]
-        scan.stats.append(PlateauStat(
+        stats.append(PlateauStat(
             state=k, delta=float(seg.max() - seg.min()) if hi - lo > 1 else None,
             mu_lo=float(grid[lo]), mu_hi=float(grid[hi - 1]), points=hi - lo))
-    return scan
+    return PlateauScan(mu_grid=grid, spectra=spectra, stats=stats)

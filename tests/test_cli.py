@@ -451,16 +451,22 @@ def test_unrepresentable_lambda_r_is_config_error(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
-# Strengths near the float64 limit overflow the eigenpair residuals.  A fresh
-# interpreter with Python's default warning filters shows what a user sees:
-# exit 3 and one line naming the overflow, no numpy warning.
-@pytest.mark.parametrize("strengths, norm", [
-    (["--A", "-300", "--B", "5", "--C", "1e300"], "2.571e+302"),
-    (["--A", "-1e300", "--B", "5", "--C", "3"], "2.473e+299"),
-    (["--A", "-300", "--B", "1e300", "--C", "3"], "1.000e+300"),
-    (["--A", "-300", "--B", "-1e300", "--C", "3"], "1.000e+300"),
-], ids=["C", "A", "B", "-B"])
-def test_overflowing_strength_is_numerical_failure(strengths, norm):
+OVERFLOW = "generalized eigenpair residual overflows float64 (||H|| = {})"
+
+
+# Strengths near the float64 limit overflow the whitened eigenproblem or the
+# residual products, or stop the symmetric eigensolve from converging.  A fresh interpreter with
+# Python's default warning filters shows what a user sees: exit 3 and one
+# line naming the failure, no numpy or scipy warning.
+@pytest.mark.parametrize("strengths, message", [
+    (["--A", "-300", "--B", "5", "--C", "1e305"], OVERFLOW.format("2.571e+307")),
+    (["--A", "-1e308", "--B", "5", "--C", "3"], OVERFLOW.format("2.473e+307")),
+    (["--A", "-300", "--B", "1e305", "--C", "3"], OVERFLOW.format("1.000e+305")),
+    (["--A", "-300", "--B", "-1e305", "--C", "3"], OVERFLOW.format("1.000e+305")),
+    (["--A", "-300", "--B", "5", "--C", "1.7e308"],
+     "symmetric eigensolve failed: Eigenvalues did not converge"),
+], ids=["C", "A", "B", "-B", "eigensolve"])
+def test_overflowing_strength_is_numerical_failure(strengths, message):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
@@ -469,20 +475,36 @@ def test_overflowing_strength_is_numerical_failure(strengths, norm):
                            "--basis-degree", "20"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr == ("numerical failure: generalized eigenpair residual overflows "
-                           f"float64 (||H|| = {norm})\n")
+    assert proc.stderr == f"numerical failure: {message}\n"
 
 
 def test_overflowed_refinement_prints_no_warning(capsys):
-    # at C = 1e300 a refinement shift is exactly singular: the solve is refused
-    # with one line, and scipy's LinAlgWarning about the shift never escapes
+    # at C = 1e305 every residual overflows: the solve is refused with one
+    # line, and no numpy or scipy warning escapes
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        code, out, err = run_cli(capsys, "plateau", "--A", "-300", "--B", "5", "--C", "1e300",
+        code, out, err = run_cli(capsys, "plateau", "--A", "-300", "--B", "5", "--C", "1e305",
                                  "--basis-degree", "20", "--mu-steps", "2")
     assert (code, out) == (3, "")
     assert len(err.splitlines()) == 1 and err.startswith("numerical failure:")
     assert [str(w.message) for w in seen] == []
+
+
+def mantissas_and_exponents(out):
+    rows = [line.split(",")[1].split("e+") for line in out.splitlines()[1:]]
+    return [m for m, _ in rows], [int(e) for _, e in rows]
+
+
+# The residual norms are taken at a power-of-two scale, so squaring a
+# residual no longer refuses A = -1e200 as an overflow.  A enters H linearly:
+# the levels at A = -1e200 are those at A = -1e150 times 1e50.
+def test_huge_finite_strength_is_solved(capsys):
+    runs = [run_cli(capsys, "spectrum", "--A", a, "--B", "5", "--C", "3", "--basis-degree", "20")
+            for a in ("-1e200", "-1e150")]
+    assert [(code, err) for code, _, err in runs] == [(0, ""), (0, "")]
+    (mant, exp), (mant_ref, exp_ref) = (mantissas_and_exponents(out) for _, out, _ in runs)
+    assert len(mant) == 20 and mant == mant_ref
+    assert [e - e_ref for e, e_ref in zip(exp, exp_ref)] == [50] * 20
 
 
 NOT_SQUARE_INTEGRABLE = (": at mu <= 0 the basis functions are not square-integrable "

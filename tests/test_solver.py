@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tribound import solver
 from tribound.errors import ParameterError, SolverError
@@ -525,17 +527,51 @@ def test_auto_nu_basis_error_names_mu(call, message):
     assert str(info.value) == message
 
 
-# Strengths near the float64 limit overflow the eigenpair residuals: the solve
-# raises SolverError naming the overflow, with no numpy warning (the test
-# settings turn a RuntimeWarning into an error).  At C = 1e305 the residuals
-# were NaN, and the solve used to return no states with max_residual NaN.
+# Strengths near the float64 limit overflow the whitened eigenproblem or the
+# residual products: the solve raises SolverError naming the overflow, with no
+# numpy warning (the test settings turn a RuntimeWarning into an error).  At
+# C = 1e305 the residuals are NaN, and the solve used to return no states with
+# max_residual NaN.
 @pytest.mark.parametrize("A, B, C", [
-    (-300.0, 5.0, 1e300), (-1e300, 5.0, 3.0), (-300.0, 1e300, 3.0), (-300.0, -1e300, 3.0),
+    (-300.0, 5.0, 1e304), (-1e308, 5.0, 3.0), (-300.0, 1e305, 3.0), (-300.0, -1e305, 3.0),
     (-300.0, 5.0, 1e305),
 ], ids=["C", "A", "B", "-B", "C-nan"])
 def test_overflowing_strength_is_solver_error(A, B, C):
     with pytest.raises(SolverError, match=r"^generalized eigenpair residual overflows float64 "):
         solve_bound_states(PotentialParams(A=A, B=B, C=C), 21)
+
+
+# Strengths of 1e300 leave H finite, and the residual norms, taken at a
+# power-of-two scale, stay finite too: these solves used to be refused.
+@pytest.mark.parametrize("A, B, C", [
+    (-300.0, 5.0, 1e300), (-1e300, 5.0, 3.0), (-300.0, 1e300, 3.0), (-300.0, -1e300, 3.0),
+], ids=["C", "A", "B", "-B"])
+def test_finite_huge_strength_is_solved(A, B, C):
+    spectrum = solve_bound_states(PotentialParams(A=A, B=B, C=C), 21)
+    assert spectrum.max_residual <= 1e-8
+    assert np.all(np.isfinite(spectrum.epsilons)) and np.all(np.diff(spectrum.epsilons) >= 0.0)
+
+
+# log-uniform magnitudes over [1e-3, 1e308]
+LOG_UNIFORM = st.floats(-3.0, 308.0).map(lambda e: 10.0**e)
+SIGNED_LOG_UNIFORM = st.tuples(st.sampled_from((-1.0, 1.0)), LOG_UNIFORM).map(
+    lambda t: t[0] * t[1])
+
+
+# Any strength up to the float64 limit gives a spectrum that meets the pair
+# contract, or a clean error; a numpy or scipy warning (LinAlgWarning is a
+# RuntimeWarning) fails the test through the suite's warning filter.
+@settings(max_examples=200, deadline=None)
+@given(A=SIGNED_LOG_UNIFORM, B=SIGNED_LOG_UNIFORM, C=LOG_UNIFORM, size=st.integers(2, 60),
+       mu=st.floats(1.0, 2.0), consistent=st.booleans())
+def test_extreme_strength_solves_or_refuses(A, B, C, size, mu, consistent):
+    try:
+        spectrum = solve_bound_states(PotentialParams(A=A, B=B, C=C), size, mu=mu,
+                                      consistent_potential=consistent)
+    except (SolverError, ParameterError):
+        return
+    assert spectrum.max_residual <= 1e-8
+    assert np.all(np.isfinite(spectrum.epsilons)) and np.all(np.diff(spectrum.epsilons) >= 0.0)
 
 
 # A size that is not an integer is refused by name before any assembly.
