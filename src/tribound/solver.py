@@ -19,6 +19,7 @@ That convergence is what the plateau scan certifies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -125,10 +126,12 @@ def quadrature_matrix(rule: tuple[np.ndarray, np.ndarray],
 
 @dataclass(frozen=True)
 class _Kernels:
-    """The potential-independent pieces of one basis, read-only: its Gauss rule
-    (tau, Lam), w(X) for 1/(1-x) and 1/(1+x), and the symmetrized overlap
-    omega = w(X) for 1/(x^2-1)."""
+    """The potential-independent pieces of one basis, read-only: its recursion
+    coefficients (F, D), its Gauss rule (tau, Lam), w(X) for 1/(1-x) and
+    1/(1+x), and the symmetrized overlap omega = w(X) for 1/(x^2-1)."""
 
+    F: np.ndarray
+    D: np.ndarray
     tau: np.ndarray
     Lam: np.ndarray
     q_minus: np.ndarray
@@ -144,6 +147,7 @@ def _kernels(basis: BasisParams) -> _Kernels:
     (at least a plateau grid).  A rule that breaks its contract or has a node
     at the pole, or a kernel that is not finite, raises and is not kept.
     """
+    F, D = recursion_coeffs(basis)
     tau, lam = rule = quadrature_rule(basis)
     if np.any(tau - 1.0 < 1e-12):
         raise SolverError(f"quadrature node at the kernel pole x = 1 (min tau = {tau.min()})")
@@ -152,9 +156,9 @@ def _kernels(basis: BasisParams) -> _Kernels:
     omega = quadrature_matrix(rule, _KERNELS["1/(x^2-1)"])
     omega += omega.T
     omega *= 0.5
-    for m in (q_minus, q_plus, omega):
+    for m in (F, D, q_minus, q_plus, omega):
         m.flags.writeable = False
-    return _Kernels(tau, lam, q_minus, q_plus, omega)
+    return _Kernels(F, D, tau, lam, q_minus, q_plus, omega)
 
 
 def assemble_system(basis: BasisParams, p: PotentialParams,
@@ -167,9 +171,10 @@ def assemble_system(basis: BasisParams, p: PotentialParams,
     with <w>_nm the quadrature matrices.  tau_n > 1 keeps every kernel finite
     and makes omega positive definite.
 
-    The rule and the three kernels, omega among them, depend on the basis
-    alone: _kernels keeps those of the last 16 bases, read-only, so a solve
-    on a basis already seen assembles H in O(N^2).  H is the caller's own.
+    The recursion coefficients, the rule and the three kernels, omega among
+    them, depend on the basis alone: _kernels keeps those of the last 16
+    bases, read-only, so a solve on a basis already seen assembles H in
+    O(N^2).  H is the caller's own.
 
     The default 1/(1+x) coefficient (nu^2 + A)/2 is the tabulated reference
     convention, which corresponds to the potential with the coth strength
@@ -184,16 +189,15 @@ def assemble_system(basis: BasisParams, p: PotentialParams,
         raise ParameterError(f"C must be positive (at C <= 0 the core does not repel and the "
                              f"levels diverge with the basis size), got C = {p.C:.6g}")
     mu, nu = basis.mu, basis.nu
-    F, D = recursion_coeffs(basis)
     k = _kernels(basis)
     a_pole = 2.0 * p.A if consistent_potential else p.A
     n = np.arange(basis.size, dtype=float)
     diag = 0.25 - p.B - (n + 0.5 * (mu + nu + 1.0)) ** 2
     # rounding as the sum diag + C X + (mu^2/2) <.> + ((nu^2+a)/2) <.>
     h = k.q_minus * (mu * mu / 2.0)
-    h.flat[::basis.size + 1] += diag + p.C * F
-    h.flat[1::basis.size + 1] += p.C * D
-    h.flat[basis.size::basis.size + 1] += p.C * D
+    h.flat[::basis.size + 1] += diag + p.C * k.F
+    h.flat[1::basis.size + 1] += p.C * k.D
+    h.flat[basis.size::basis.size + 1] += p.C * k.D
     h += ((nu * nu + a_pole) / 2.0) * k.q_plus
     h += h.T
     h *= 0.5
@@ -202,21 +206,30 @@ def assemble_system(basis: BasisParams, p: PotentialParams,
 
 def _refine_pair(h: np.ndarray, omega: np.ndarray, lam: float,
                  f: np.ndarray) -> tuple[float, np.ndarray]:
-    """One or two steps of inverse iteration plus Rayleigh-quotient update."""
-    import scipy.linalg
+    """One or two steps of inverse iteration plus Rayleigh-quotient update.
+
+    Each step factors H - lam omega with LAPACK's dgetrf and solves with
+    dgetrs, the two routines scipy.linalg.lu_factor and lu_solve call, so the
+    bits are theirs without their per-call dispatch.  dgesv would be faster
+    still, but under a multi-threaded OpenBLAS its bits differ from dgetrf +
+    dgetrs.  An exactly singular shift (nonzero info) or a non-finite step
+    ends the iteration and keeps the last pair, with no warning.
+    """
+    from scipy.linalg import lapack
 
     shifted = np.empty_like(h)
     for _ in range(2):
         np.subtract(h, np.multiply(omega, lam, out=shifted), out=shifted)
-        try:
-            # h - lam omega is exactly symmetric: its Fortran-order view is the
-            # same matrix, which lu_factor overwrites instead of copying
-            lu, piv = scipy.linalg.lu_factor(shifted.T, overwrite_a=True, check_finite=False)
-            f_new = scipy.linalg.lu_solve((lu, piv), omega @ f, check_finite=False)
-        except (np.linalg.LinAlgError, ValueError):
+        # h - lam omega is exactly symmetric: its Fortran-order view is the
+        # same matrix, which dgetrf overwrites instead of copying
+        lu, piv, info = lapack.dgetrf(shifted.T, overwrite_a=True)
+        if info != 0:
             break
-        norm = np.linalg.norm(f_new)
-        if not np.isfinite(norm) or norm == 0.0:
+        f_new, info = lapack.dgetrs(lu, piv, omega @ f, overwrite_b=True)
+        if info != 0:
+            break
+        norm = math.sqrt(f_new @ f_new)   # np.linalg.norm of a 1-d vector, undispatched
+        if not math.isfinite(norm) or norm == 0.0:
             break
         f = f_new / norm
         denom = f @ omega @ f
@@ -284,7 +297,8 @@ def _generalized_eigen(h: np.ndarray, kernels: _Kernels) -> tuple[np.ndarray, fl
     triggered = residuals > _REFINE_TRIGGER * tol
     for k in np.nonzero(candidate & triggered)[0]:
         lam_k, f_k = _refine_pair(h, omega, float(eigs[k]), vecs[:, k].copy())
-        res_k = np.linalg.norm((h @ f_k - lam_k * (omega @ f_k)) * unit) / unit
+        r_k = (h @ f_k - lam_k * (omega @ f_k)) * unit
+        res_k = math.sqrt(r_k @ r_k) / unit
         if res_k < residuals[k]:
             eigs[k], residuals[k] = lam_k, res_k
     worst = residuals[candidate | ~triggered].max(initial=0.0)

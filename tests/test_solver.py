@@ -1,5 +1,7 @@
 """Quadrature rule, system assembly and the generalized eigensolve."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -41,9 +43,9 @@ def assembled(basis, p=REFERENCE_POTENTIAL, consistent=False):
 
 def diagonal_pencil(h, g):
     """(H, kernels with omega = diag(g)) and the rule that factors omega: Lam = I,
-    tau = sqrt(1 + 1/g); the pencil has no potential kernels."""
+    tau = sqrt(1 + 1/g); the pencil has no recursion coefficients or potential kernels."""
     g = np.asarray(g, dtype=float)
-    kernels = solver._Kernels(tau=np.sqrt(1.0 + 1.0 / g), Lam=np.eye(g.size),
+    kernels = solver._Kernels(F=None, D=None, tau=np.sqrt(1.0 + 1.0 / g), Lam=np.eye(g.size),
                               q_minus=None, q_plus=None, omega=np.diag(g))
     return np.asarray(h, dtype=float), kernels
 
@@ -197,7 +199,8 @@ class TestSharedRule:
     def test_kernel_arrays_refuse_writes(self):
         basis = sized_basis(10)
         got, kernels = assembled(basis)
-        for m in (kernels.tau, kernels.Lam, kernels.q_minus, kernels.q_plus, kernels.omega):
+        for m in (kernels.F, kernels.D, kernels.tau, kernels.Lam, kernels.q_minus,
+                  kernels.q_plus, kernels.omega):
             with pytest.raises(ValueError):
                 m[0] = 2.0
         got[:] = 0.0   # H is the caller's own array
@@ -311,6 +314,15 @@ class TestGeneralizedSpectrum:
         for size in (50, 150):
             _generalized_eigen(*assembled(sized_basis(size)))  # raises SolverError on violation
 
+    def test_singular_shift_keeps_the_pair_silently(self):
+        # H - 2 omega = diag(-1, 0, 1) is exactly singular: dgetrf reports it
+        # and the pair comes back unchanged, with no LinAlgWarning
+        f = np.array([0.6, 0.0, 0.8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, got = solver._refine_pair(np.diag([1.0, 2.0, 3.0]), np.eye(3), 2.0, f.copy())
+        assert lam == 2.0 and np.array_equal(got, f)
+
 
 def one_expression_assembly(basis, p, consistent):
     """H and omega of assemble_system, each written as one expression."""
@@ -327,7 +339,8 @@ def one_expression_assembly(basis, p, consistent):
 
 
 def copying_refine(h, omega, lam, f):
-    """_refine_pair with the shift built as h - lam*omega and copied by lu_factor."""
+    """_refine_pair through scipy's lu_factor/lu_solve, with the shift built as
+    h - lam*omega and copied: an independent reference for its dgetrf/dgetrs."""
     for _ in range(2):
         try:
             lu, piv = scipy.linalg.lu_factor(h - lam * omega, check_finite=False)
@@ -392,8 +405,17 @@ class TestDirectFormulas:
     @pytest.mark.parametrize("size", [10, 50, 100, 200])
     @pytest.mark.parametrize("A", [-20.0, -300.0, -2000.0])
     def test_solve_matches_direct_formulas(self, A, size, consistent, monkeypatch):
+        self.check_solve(A, sized_basis(size), consistent, monkeypatch)
+
+    @pytest.mark.parametrize("consistent", [False, True], ids=["default", "consistent"])
+    @pytest.mark.parametrize("mu", [1.0, 2.0])
+    @pytest.mark.parametrize("A", [-20.0, -300.0, -2000.0])
+    def test_plateau_ends_match_direct_formulas(self, A, mu, consistent, monkeypatch):
+        self.check_solve(A, sized_basis(100, mu), consistent, monkeypatch)
+
+    @staticmethod
+    def check_solve(A, basis, consistent, monkeypatch):
         p = PotentialParams(A=A, B=5.0, C=3.0)
-        basis = sized_basis(size)
         got, kernels = assembled(basis, p, consistent)
         h, omega = one_expression_assembly(basis, p, consistent)
         assert np.array_equal(got, h)
