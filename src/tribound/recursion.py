@@ -221,7 +221,7 @@ def jacobi_sequence(mu: float, nu: float, n_max: int, x) -> np.ndarray:
     if n_max < 0:
         raise ParameterError(f"polynomial degree must be >= 0, got {n_max}")
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ParameterError("polynomial argument must be finite")
     out = np.empty((n_max + 1,) + x.shape, dtype=float)
     out[0] = 1.0
@@ -230,7 +230,7 @@ def jacobi_sequence(mu: float, nu: float, n_max: int, x) -> np.ndarray:
             raise ParameterError("degenerate parameters: mu + nu + 2 ~ 0")
         row = out[1, ...]                  # a view, also for 0-d x
         np.multiply(x, mu + nu + 2.0, out=row)
-        row /= 2.0
+        row *= 0.5                         # exact: the bits of row / 2
         row += (mu - nu) / 2.0
     buf = np.empty_like(x)
     for n in range(1, n_max):

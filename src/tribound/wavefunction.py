@@ -99,8 +99,10 @@ def sample_wavefunction(k: int, epsilon_k: float, p: PotentialParams,
     + ln(prefactor), exponentiated and given the series' sign.  Memory is
     psi plus about k + 4 block-sized rows.  Points with ln|psi| below -700
     flush to exact 0.0 and count as clamped; a zero series value gives an
-    exact 0.0 and is not counted.  Where coth(lambda r) or the series is not
-    a finite float64, a ParameterError names r and lambda.
+    exact 0.0 and is not counted.  A block whose smallest ln|psi| is at
+    least -700 has neither, so only the other blocks build the clamp mask.
+    Where coth(lambda r) or the series is not a finite float64, a
+    ParameterError names r and lambda.
     """
     r = np.asarray(r_grid, dtype=float)
     if r.ndim != 1 or r.size == 0:
@@ -109,28 +111,33 @@ def sample_wavefunction(k: int, epsilon_k: float, p: PotentialParams,
         raise ParameterError("r grid must be positive and strictly ascending")
     grid = _grid(p.lam, r)
     basis, f, c = state_coefficients(k, epsilon_k, p.A, p.B, p.C)
+    weights = c * f
     psi = np.empty(r.shape)
+    ln_pref_buf = np.empty(min(r.size, SAMPLE_BLOCK))
     clamped = 0
     for start in range(0, r.size, SAMPLE_BLOCK):
         block = slice(start, start + SAMPLE_BLOCK)
         out = psi[block]
-        ln_pref = np.multiply(grid.ln_xm1[block], 0.5 * basis.mu)
+        ln_pref = ln_pref_buf[:out.size]
+        np.multiply(grid.ln_xm1[block], 0.5 * basis.mu, out=ln_pref)
         np.multiply(grid.ln_xp1[block], 0.5 * basis.nu, out=out)
         ln_pref += out
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-            series = (c * f) @ jacobi_sequence(basis.mu, basis.nu, k, grid.x[block])
+            series = weights @ jacobi_sequence(basis.mu, basis.nu, k, grid.x[block])
             np.abs(series, out=out)
+            if not out.max() < math.inf:           # inf, or NaN if any |series| is NaN
+                raise ParameterError(
+                    f"the series of state {k} overflows float64 at "
+                    f"r = {r[start + np.argmin(np.isfinite(series))]:.6g}, lambda = {p.lam:.6g}")
             np.log(out, out=out)
             out += ln_pref                         # ln|psi|; -inf where series = 0
-            keep = out >= LOG_UNDERFLOW
+            # clamp bookkeeping only where some point underflows or the series is 0
+            keep = None if out.min() >= LOG_UNDERFLOW else out >= LOG_UNDERFLOW
             np.exp(out, out=out)
             np.copysign(out, series, out=out)
-        finite = np.isfinite(series)
-        if not np.all(finite):
-            raise ParameterError(f"the series of state {k} overflows float64 at "
-                                 f"r = {r[start + np.argmin(finite)]:.6g}, lambda = {p.lam:.6g}")
-        clamped += int(np.count_nonzero(series) - np.count_nonzero(keep))
-        out[np.logical_not(keep, out=keep)] = 0.0
+        if keep is not None:
+            clamped += int(np.count_nonzero(series) - np.count_nonzero(keep))
+            out[np.logical_not(keep, out=keep)] = 0.0
     return WavefunctionTable(
         state_index=k,
         r_grid=r,

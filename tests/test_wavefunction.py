@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tribound import potential
+from tribound import potential, wavefunction
 from tribound.errors import ParameterError
 from tribound.potential import PotentialParams
 from tribound.solver import solve_bound_states
@@ -141,9 +142,9 @@ class TestSampleWavefunction:
 
 
 def masked_index_sampler(k, epsilon_k, p, r):
-    """psi and clamped count by the direct formulas, combined only at the
-    nonzero series values through masked copies: the reference that the
-    whole-array sampler must match bit for bit."""
+    """psi and the clamped points by the direct formulas, combined only at
+    the nonzero series values through masked copies: the reference that the
+    block sampler must match bit for bit."""
     basis, f, c = state_coefficients(k, epsilon_k, p.A, p.B, p.C)
     n_max = f.shape[0] - 1
     t = p.lam * r
@@ -161,7 +162,9 @@ def masked_index_sampler(k, epsilon_k, p, r):
     vals = np.zeros(ln_mag.shape)
     vals[keep] = np.sign(series[nz][keep]) * np.exp(ln_mag[keep])
     psi[nz] = vals
-    return psi, int(np.size(keep) - np.count_nonzero(keep))
+    clamped = np.zeros(x.shape, dtype=bool)
+    clamped[nz] = ~keep
+    return psi, clamped
 
 
 @pytest.mark.parametrize("p, size, consistent, count", [
@@ -169,25 +172,82 @@ def masked_index_sampler(k, epsilon_k, p, r):
     (REFERENCE_POTENTIAL, 50, True, 8),
     (DEEP_POTENTIAL, 100, True, 25),
 ], ids=["reference", "consistent", "deep-consistent"])
-@pytest.mark.parametrize("grid, clamps", [
-    (np.geomspace(1e-3, 15.0, 10**5), False),
-    (np.geomspace(1e-6, 400.0, 5000), True),
-    (np.geomspace(1e-3, 15.0, SAMPLE_BLOCK - 1), False),
-    (np.geomspace(1e-3, 15.0, SAMPLE_BLOCK + 1), False),
-    (np.geomspace(1e-3, 15.0, 20001), False),
-], ids=["states-grid", "wide-grid", "block-minus-1", "block-plus-1", "20001-points"])
-def test_sampler_bit_identical_to_masked_index_form(p, size, consistent, count, grid, clamps):
+@pytest.mark.parametrize("grid, clamps, mixed", [
+    (np.geomspace(1e-3, 15.0, 10**5), False, False),
+    (np.geomspace(1e-6, 400.0, 5000), True, False),
+    (np.geomspace(1e-3, 15.0, SAMPLE_BLOCK - 1), False, False),
+    (np.geomspace(1e-3, 15.0, SAMPLE_BLOCK + 1), False, False),
+    (np.geomspace(1e-3, 15.0, 20001), False, False),
+    (np.geomspace(1e-3, 400.0, 2 * SAMPLE_BLOCK + 3), True, True),
+    (np.linspace(1e-3, 120.0, 3 * SAMPLE_BLOCK), True, True),
+], ids=["states-grid", "wide-grid", "block-minus-1", "block-plus-1", "20001-points",
+        "late-clamp-geomspace", "late-clamp-linspace"])
+def test_sampler_bit_identical_to_masked_index_form(p, size, consistent, count, grid, clamps,
+                                                    mixed):
     spectrum = solve_bound_states(p, size, consistent_potential=consistent)
     assert len(spectrum) == count
-    clamped_total = 0
+    clamped_total, mixed_calls = 0, 0
     for k, eps in enumerate(spectrum.epsilons.tolist()):
         table = sample_wavefunction(k, eps, p, grid)
         psi, clamped = masked_index_sampler(k, eps, p, grid)
         assert np.array_equal(table.psi, psi)
-        assert table.clamped_count == clamped
-        clamped_total += clamped
+        assert table.clamped_count == np.count_nonzero(clamped)
+        clamped_total += table.clamped_count
+        blocks = [clamped[s:s + SAMPLE_BLOCK].any() for s in range(0, grid.size, SAMPLE_BLOCK)]
+        mixed_calls += any(blocks) and not all(blocks)
     # the deep spectrum's fast-decaying states clamp on every grid
     assert (clamped_total > 0) == (clamps or p is DEEP_POTENTIAL)
+    # on the multi-block grids some call has a block that clamps and one that does not
+    if mixed:
+        assert mixed_calls > 0
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_series_overflow_in_a_later_block_names_its_first_r(monkeypatch, consistent_spectrum,
+                                                           bad):
+    # the grid's x is largest in the first block, so a series that is not
+    # finite only in the second is forced through the table
+    grid = np.geomspace(1e-3, 15.0, 2 * SAMPLE_BLOCK + 3)
+    calls, jacobi = [], wavefunction.jacobi_sequence
+
+    def poisoned(*args):
+        table = jacobi(*args)
+        if len(calls) == 1:
+            table[-1, [7, 12]] = bad, np.nan
+        calls.append(table.shape)
+        return table
+
+    monkeypatch.setattr(wavefunction, "jacobi_sequence", poisoned)
+    message = (f"the series of state 3 overflows float64 at r = {grid[SAMPLE_BLOCK + 7]:.6g}, "
+               "lambda = 1")
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        sample_wavefunction(3, float(consistent_spectrum.epsilons[3]), REFERENCE_POTENTIAL, grid)
+    assert calls == [(4, SAMPLE_BLOCK)] * 2
+
+
+def test_traced_bindings_are_resolved_per_block_and_per_call(monkeypatch, consistent_spectrum):
+    # the benchmark times special.jacobi and wavefunction.coeffs by wrapping
+    # these two names in tribound.wavefunction
+    grid = np.geomspace(1e-3, 15.0, 2 * SAMPLE_BLOCK + 3)
+    counts = {"jacobi_sequence": 0, "state_coefficients": 0}
+
+    def counting(name):
+        fn = getattr(wavefunction, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    eps = consistent_spectrum.epsilons.tolist()
+    plain = [sample_wavefunction(k, e, REFERENCE_POTENTIAL, grid) for k, e in enumerate(eps)]
+    for name in counts:
+        monkeypatch.setattr(wavefunction, name, counting(name))
+    for k, e in enumerate(eps):
+        table = sample_wavefunction(k, e, REFERENCE_POTENTIAL, grid)
+        assert np.array_equal(table.psi, plain[k].psi)
+    assert counts == {"jacobi_sequence": 3 * len(eps), "state_coefficients": len(eps)}
 
 
 # psi of state 7 of the A = -300 consistent N = 100 spectrum, written to
