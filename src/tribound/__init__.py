@@ -5,8 +5,9 @@ x = coth(lambda r) renders the wave operator tridiagonal; the spectrum comes
 from a Gauss-quadrature-assembled generalized eigenproblem and wavefunctions
 from finite series whose coefficients obey a three-term recursion.
 
-Importing the package loads numpy only: scipy.linalg is imported by the first
-Gauss rule or refinement, scipy.integrate by the first direct integral.
+Importing the package loads numpy only: the first Gauss rule or refinement
+loads scipy's LAPACK extension (not the scipy.linalg package), the first
+direct integral scipy.integrate.
 """
 
 from .errors import ParameterError, SolverError

@@ -175,9 +175,16 @@ def recursion_coeffs(basis: BasisParams) -> tuple[np.ndarray, np.ndarray]:
     Signs are literal: D_n < 0 for every valid basis because 2n+mu+nu+2 < 0.
     A basis with mu + nu = -2N - 2 exactly has a vanishing denominator in F_N
     and is rejected as degenerate (stability-rule choices keep |2n+mu+nu| >= 1).
+    A basis whose coefficients overflow float64 (|nu| of order 1e154 or more)
+    is refused by name, with no numpy warning.
     """
-    F, _ = _f_g_arrays(basis.mu, basis.nu, basis.size)
-    return F, _d_array(basis.mu, basis.nu, basis.size - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        F, _ = _f_g_arrays(basis.mu, basis.nu, basis.size)
+        D = _d_array(basis.mu, basis.nu, basis.size - 1)
+    if not (np.isfinite(F).all() and np.isfinite(D).all()):
+        raise ParameterError(f"recursion coefficients are not finite in float64 for "
+                             f"mu = {basis.mu:.6g}, nu = {basis.nu:.6g}, N = {basis.N}")
+    return F, D
 
 
 def h_polynomial_sequence(basis: BasisParams, B: float, C: float) -> np.ndarray:

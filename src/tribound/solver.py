@@ -15,6 +15,10 @@ The approximation is spectral, not entrywise: matrix elements of kernels
 with a pole at the support edge (1/(1-x), 1/(1-x^2)) differ from the true
 integrals at any fixed size, yet the eigenvalues converge as the size grows.
 That convergence is what the plateau scan certifies.
+
+The three LAPACK routines the solve calls, dstevd for the rule and
+dgetrf/dgetrs for refinement, come from scipy's LAPACK extension, loaded
+without the scipy.linalg package (see _lapack).
 """
 
 from __future__ import annotations
@@ -73,24 +77,59 @@ class BoundSpectrum:
         return self.epsilons.shape[0]
 
 
+def _lapack():
+    """scipy's LAPACK extension, scipy.linalg._flapack, without the scipy.linalg package.
+
+    The solver calls three of its routines: dstevd for the Gauss rule and
+    dgetrf/dgetrs for refinement.  Importing scipy.linalg takes over ten
+    times as long as loading the extension, so an extension that is not yet
+    loaded is loaded from scipy's linalg folder under its own name, after
+    the top-level scipy package (which sets up the bundled LAPACK on
+    platforms that need it).  Registered in sys.modules, it is the instance
+    a later import of scipy.linalg uses.  Without the extension file the
+    routines come from the public scipy.linalg.lapack.
+    """
+    import sys
+
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    import scipy
+
+    folder = os.path.join(scipy.__path__[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+            sys.modules[name] = flapack
+            return flapack
+    from scipy.linalg import lapack
+    return lapack
+
+
 def quadrature_rule(basis: BasisParams) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule (tau, Lam) of the basis: eigendecomposition of its tridiagonal X.
 
     Column n of Lam belongs to tau[n]; nodes ascend and all exceed 1 (the
-    weight lives on x >= 1).  Delegates to LAPACK's tridiagonal solver on
-    the recursion coefficients and enforces the residual contract
+    weight lives on x >= 1).  Calls LAPACK's dstevd on the recursion
+    coefficients, the driver scipy.linalg.eigh_tridiagonal picks for a full
+    spectrum, and enforces the residual contract
     ||X Lam - Lam diag(tau)||_max < 1e-10 max(||X||_max, 1).
 
     Each call builds a fresh rule; its tau and Lam are read-only, because
     _kernels shares the rule of each recent basis with every solve on it.
     """
-    import scipy.linalg
-
     F, D = recursion_coeffs(basis)
-    try:
-        tau, lam = scipy.linalg.eigh_tridiagonal(F, D)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"tridiagonal eigensolve failed to converge: {exc}") from exc
+    # the wrapper wants len(e) >= 1; a one-node X ignores e
+    tau, lam, info = _lapack().dstevd(F, D if D.size else np.zeros(1))
+    if info != 0:
+        raise SolverError(f"tridiagonal eigensolve failed to converge: dstevd info = {info}")
     x_lam = F[:, None] * lam
     x_lam[:-1] += D[:, None] * lam[1:]
     x_lam[1:] += D[:, None] * lam[:-1]
@@ -209,14 +248,14 @@ def _refine_pair(h: np.ndarray, omega: np.ndarray, lam: float,
     """One or two steps of inverse iteration plus Rayleigh-quotient update.
 
     Each step factors H - lam omega with LAPACK's dgetrf and solves with
-    dgetrs, the two routines scipy.linalg.lu_factor and lu_solve call, so the
-    bits are theirs without their per-call dispatch.  dgesv would be faster
-    still, but under a multi-threaded OpenBLAS its bits differ from dgetrf +
-    dgetrs.  An exactly singular shift (nonzero info) or a non-finite step
-    ends the iteration and keeps the last pair, with no warning.
+    dgetrs (from _lapack), the two routines scipy.linalg.lu_factor and
+    lu_solve call, so the bits are theirs without their per-call dispatch.
+    dgesv would be faster still, but under a multi-threaded OpenBLAS its
+    bits differ from dgetrf + dgetrs.  An exactly singular shift (nonzero
+    info) or a non-finite step ends the iteration and keeps the last pair,
+    with no warning.
     """
-    from scipy.linalg import lapack
-
+    lapack = _lapack()
     shifted = np.empty_like(h)
     for _ in range(2):
         np.subtract(h, np.multiply(omega, lam, out=shifted), out=shifted)

@@ -1,5 +1,8 @@
 """Import graph: each entry point loads only the scipy layers it runs.
 
+A solve needs scipy's LAPACK extension, scipy.linalg._flapack, and not the
+scipy.linalg package; only a direct integral needs scipy.integrate.
+
 Every check runs in a fresh interpreter, because the test session itself
 has long since imported the solver and the oracle.
 """
@@ -11,10 +14,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 REFERENCE_ARGS = '"--A", "-300", "--B", "5", "--C", "3"'
+REFERENCE_SOLVE = "tribound.solve_bound_states(tribound.PotentialParams(A=-300, B=5, C=3), 10)"
 LAZY_CLI_NAMES = ("solve_bound_states", "plateau_scan", "quadrature_rule",
                   "quadrature_matrix", "direct_matrix")
 
@@ -54,18 +60,41 @@ def test_import_tribound_loads_no_scipy():
 
 def test_scipy_loads_in_the_call_that_needs_it():
     # the solver and the oracle import scipy inside their functions, so no
-    # module of the package loads it at import time
+    # module of the package loads it at import time; a solve loads scipy's
+    # LAPACK extension but not the scipy.linalg package around it
     _, imported = run_fresh("import tribound, tribound.solver, tribound.oracle, tribound.cli")
     assert not scipy_modules(imported)
-    _, solved = run_fresh(
-        "import tribound\n"
-        "tribound.solve_bound_states(tribound.PotentialParams(A=-300, B=5, C=3), 10)")
-    assert "scipy.linalg" in solved
+    _, solved = run_fresh(f"import tribound\n{REFERENCE_SOLVE}")
+    assert "scipy.linalg._flapack" in solved
+    assert "scipy.linalg" not in solved
     assert "scipy.integrate" not in solved
     _, integrated = run_fresh(
         "import tribound\n"
         "tribound.direct_matrix(tribound.BasisParams.from_size(1.5, 2), lambda x: x)")
     assert "scipy.integrate" in integrated
+
+
+def test_later_scipy_linalg_reuses_the_solvers_extension():
+    out, _ = run_fresh(
+        f"import tribound, tribound.solver\n{REFERENCE_SOLVE}\n"
+        "import scipy.linalg\n"
+        "loaded, public = tribound.solver._lapack(), scipy.linalg.lapack\n"
+        "print(public.dgetrf is loaded.dgetrf, public._flapack is loaded)")
+    assert out == "True True"
+
+
+def test_loader_falls_back_to_the_public_lapack_module():
+    # with no extension file to find, the routines come from scipy.linalg.lapack,
+    # the same routines with the same bits
+    code = (f"import tribound, tribound.solver\nname = tribound.solver._lapack().__name__\n"
+            f"print(name, {REFERENCE_SOLVE}.epsilons.tobytes().hex())")
+    out, _ = run_fresh(code)
+    fallback, modules = run_fresh(f"import importlib.machinery\n"
+                                  f"importlib.machinery.EXTENSION_SUFFIXES = []\n{code}")
+    assert out.split()[0] == "scipy.linalg._flapack"
+    assert fallback.split()[0] == "scipy.linalg.lapack"
+    assert fallback.split()[1] == out.split()[1]
+    assert "scipy.linalg" in modules
 
 
 def test_import_cli_loads_neither_scipy_layer():
@@ -82,12 +111,21 @@ def test_potential_command_loads_no_scipy():
     assert not scipy_modules(modules)
 
 
-def test_spectrum_command_loads_linalg_only():
+@pytest.mark.parametrize("argv, first_row", [
+    pytest.param('"spectrum", "--basis-degree", "10"', "0,249.618696,-249.618696",
+                 id="spectrum"),
+    pytest.param('"wavefunction", "--basis-degree", "10", "--samples", "3"',
+                 "0.001,1.390777641e-16", id="wavefunction"),
+    pytest.param('"plateau", "--basis-degree", "10", "--mu-steps", "2"',
+                 "1,249.6389844,121.1216075,54.57518251,20.1734278,4.764310345", id="plateau"),
+])
+def test_solving_command_loads_the_lapack_extension_only(argv, first_row):
     out, modules = run_fresh(
         "from tribound.cli import main\n"
-        f'assert main(["spectrum", {REFERENCE_ARGS}, "--basis-degree", "10"]) == 0')
-    assert out.splitlines()[1] == "0,249.618696,-249.618696"
-    assert "scipy.linalg" in modules
+        f"assert main([{argv}, {REFERENCE_ARGS}]) == 0")
+    assert out.splitlines()[1] == first_row
+    assert "scipy.linalg._flapack" in modules
+    assert "scipy.linalg" not in modules
     assert "scipy.integrate" not in modules
 
 
@@ -96,7 +134,7 @@ def test_check_quadrature_loads_both_layers():
         "from tribound.cli import main\n"
         f'assert main(["check-quadrature", {REFERENCE_ARGS}, "--max-degree", "2"]) == 0')
     assert len(out.splitlines()) == 1 + 4
-    assert {"scipy.linalg", "scipy.integrate"} <= modules
+    assert {"scipy.linalg._flapack", "scipy.linalg", "scipy.integrate"} <= modules
 
 
 def test_public_names_resolve_lazily():

@@ -102,6 +102,15 @@ class TestRecursionCoeffs:
         with pytest.raises(ParameterError):
             recursion_coeffs(BasisParams(mu=1.0, nu=-5.0, N=1))
 
+    @pytest.mark.parametrize("nu, shown", [(-1e155, "-1e+155"), (-math.inf, "-inf")])
+    def test_unrepresentable_basis_refused_by_name(self, nu, shown):
+        # nu^2 in F_n and the radicand of D_n overflow float64; no numpy
+        # warning escapes (pytest makes any RuntimeWarning an error)
+        with pytest.raises(ParameterError) as err:
+            recursion_coeffs(BasisParams(mu=2.0, nu=nu, N=2))
+        assert str(err.value) == ("recursion coefficients are not finite in float64 for "
+                                  f"mu = 2, nu = {shown}, N = 2")
+
     def test_two_g_forms_agree(self):
         mu, nu = 1.5, -503.5
         _, G = _f_g_arrays(mu, nu, 201)

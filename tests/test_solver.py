@@ -1,6 +1,7 @@
 """Quadrature rule, system assembly and the generalized eigensolve."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -50,6 +51,21 @@ def diagonal_pencil(h, g):
     return np.asarray(h, dtype=float), kernels
 
 
+def patch_dstevd(monkeypatch, wrap):
+    """Route the Gauss rule's dstevd through wrap(dstevd, d, e); refinement's
+    dgetrf and dgetrs stay as solver._lapack returns them."""
+    lapack = solver._lapack()
+    stand_in = SimpleNamespace(dstevd=lambda d, e: wrap(lapack.dstevd, d, e),
+                               dgetrf=lapack.dgetrf, dgetrs=lapack.dgetrs)
+    monkeypatch.setattr(solver, "_lapack", lambda: stand_in)
+
+
+def perturbed_lam(dstevd, d, e):
+    """dstevd with every entry of Lam moved by 1e-6, which breaks the rule's contract."""
+    tau, lam, info = dstevd(d, e)
+    return tau, lam + 1e-6, info
+
+
 class TestXMatrix:
     def test_scalar_basis(self):
         basis = BasisParams(mu=1.5, nu=-25.5, N=0)
@@ -87,14 +103,24 @@ class TestSymtridiagEig:
         assert np.all(np.diff(tau) > 0.0)
         assert tau.min() > 1.0
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 10, 100])
+    def test_bits_of_eigh_tridiagonal_stevd(self, size):
+        # the rule calls dstevd itself: the driver eigh_tridiagonal picks for
+        # a full spectrum, with the same bits
+        basis = sized_basis(size)
+        tau, lam = quadrature_rule(basis)
+        want_tau, want_lam = scipy.linalg.eigh_tridiagonal(*recursion_coeffs(basis),
+                                                           lapack_driver="stevd")
+        assert tau.tobytes() == want_tau.tobytes() and lam.tobytes() == want_lam.tobytes()
+
+    def test_nonconvergence_is_a_solver_error(self, monkeypatch):
+        patch_dstevd(monkeypatch, lambda dstevd, d, e: (*dstevd(d, e)[:2], 3))
+        with pytest.raises(SolverError, match="^tridiagonal eigensolve failed to converge: "
+                                              "dstevd info = 3$"):
+            quadrature_rule(sized_basis(10))
+
     def test_residual_contract_enforced(self, monkeypatch):
-        eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
-
-        def perturbed(d, e):
-            tau, lam = eigh_tridiagonal(d, e)
-            return tau, lam + 1e-6
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
+        patch_dstevd(monkeypatch, perturbed_lam)
         with pytest.raises(SolverError, match="exceeds contract"):
             quadrature_rule(sized_basis(10))
 
@@ -146,18 +172,17 @@ class TestSharedRule:
 
     def test_solves_on_one_basis_share_one_rule(self, monkeypatch):
         calls = []
-        eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
 
-        def counted(d, e):
+        def counted(dstevd, d, e):
             calls.append(d.size)
-            return eigh_tridiagonal(d, e)
+            return dstevd(d, e)
 
         fresh = []
         for p, consistent in SIX_SOLVES:
             clear_shared()
             fresh.append(solve_bound_states(p, 50, consistent_potential=consistent))
         clear_shared()
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+        patch_dstevd(monkeypatch, counted)
         for (p, consistent), want in zip(SIX_SOLVES, fresh):
             got = solve_bound_states(p, 50, consistent_potential=consistent)
             assert got.epsilons.tobytes() == want.epsilons.tobytes()
@@ -167,13 +192,7 @@ class TestSharedRule:
         assert calls == [50]
 
     def test_failed_contract_not_kept(self, monkeypatch):
-        eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
-
-        def perturbed(d, e):
-            tau, lam = eigh_tridiagonal(d, e)
-            return tau, lam + 1e-6
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
+        patch_dstevd(monkeypatch, perturbed_lam)
         with pytest.raises(SolverError, match="exceeds contract"):
             quadrature_rule(sized_basis(10))
         monkeypatch.undo()
@@ -209,13 +228,7 @@ class TestSharedRule:
         assert np.array_equal(again, h) and np.array_equal(kernels.omega, omega)
 
     def test_failed_contract_keeps_no_kernels(self, monkeypatch):
-        eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
-
-        def perturbed(d, e):
-            tau, lam = eigh_tridiagonal(d, e)
-            return tau, lam + 1e-6
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
+        patch_dstevd(monkeypatch, perturbed_lam)
         with pytest.raises(SolverError, match="exceeds contract"):
             assemble_system(sized_basis(10), REFERENCE_POTENTIAL)
         assert solver._kernels.cache_info().currsize == 0
