@@ -239,7 +239,7 @@ def _cmd_spectrum(cfg: dict) -> int:
     p, spectrum, params = _solve(cfg)
     n_max = max_basis_index(p.A)
     note = None
-    if n_max is None:
+    if len(spectrum) == 0 and n_max is None:
         note = f"A = {fmt(p.A)} > -1/2 admits no bound states"
     elif len(spectrum) == 0:
         basis = spectrum.basis

@@ -253,7 +253,8 @@ def classify_shape(p: PotentialParams) -> ShapeReport:
     kept when real and x > 1.  Extrema solve dU/dx = 0:
         x_pm~ = [gamma +- sqrt(gamma^2 + 3(1 - xi))] / 3,
     same admissibility.  Both extrema are reported even when no crossing
-    exists (the configuration with a barrier but no negative well).
+    exists (the configuration with a barrier but no negative well).  Each
+    list ascends in x: its - root comes first, and root >= 0.
     """
     gamma, xi = p.gamma, p.xi
     if not max(abs(gamma), abs(xi)) <= SHAPE_RATIO_MAX:
@@ -280,8 +281,6 @@ def classify_shape(p: PotentialParams) -> ShapeReport:
                     raise ParameterError(f"V at the extremum x = {x:.6g} overflows float64")
                 extrema.append(Extremum(x=x, r=r_of_x(p.lam, x), value=value))
 
-    crossings.sort(key=lambda c: c.x)
-    extrema.sort(key=lambda e: e.x)
     return ShapeReport(
         crossings=crossings,
         extrema=extrema,

@@ -87,11 +87,11 @@ class BasisParams:
         if not mu > 0.0:
             raise ParameterError(f"mu must be positive, got {mu}: at mu <= 0 the basis "
                                  "functions are not square-integrable as r -> infinity")
+        if not isinstance(size, numbers.Integral):
+            raise ParameterError(f"basis size must be an integer, got {size}")
         nu = -2.0 * size - mu - 2.0
         if not mu + nu < -2.0 * size - 1.0:
             raise ParameterError(f"mu = {mu:.10g} is too large for a basis of {size} functions")
-        if not isinstance(size, numbers.Integral):
-            raise ParameterError(f"basis size must be an integer, got {size}")
         if size < 1:
             raise ParameterError(f"basis size must be >= 1, got {size}")
         return cls(mu=mu, nu=nu, N=size - 1)
@@ -106,11 +106,9 @@ class SignedLogMagnitude:
 
 
 def _sinpi(z: float) -> tuple[float, int]:
-    """sin(pi z) as (|sin|, sign), with exact argument reduction by floor."""
+    """sin(pi z) as (|sin|, sign) for non-integer z, exact argument reduction by floor."""
     m = math.floor(z)
     frac = z - m
-    if frac == 0.0:
-        return 0.0, 0
     s = math.sin(math.pi * (frac if frac <= 0.5 else 1.0 - frac))
     return s, (1 if m % 2 == 0 else -1)
 
@@ -156,11 +154,10 @@ def _d_array(mu: float, nu: float, count: int) -> np.ndarray:
 
     D_n = 2/(2n+mu+nu+2) * sqrt[ (n+1)(n+mu+1)(n+nu+1)(n+mu+nu+1)
                                  / ((2n+mu+nu+1)(2n+mu+nu+3)) ]
+    Both callers have refused |2n+mu+nu+2| ~ 0 over these n in _f_g_arrays.
     """
     m = np.arange(count, dtype=float)
     sm = 2.0 * m + mu + nu
-    if np.any(np.abs(sm + 2.0) < DEGENERATE_DENOM_TOL):
-        raise ParameterError("degenerate denominator 2n + mu + nu + 2 ~ 0")
     rad = ((m + 1.0) * (m + mu + 1.0) * (m + nu + 1.0) * (m + mu + nu + 1.0)
            / ((sm + 1.0) * (sm + 3.0)))
     if np.any(rad <= 0.0):

@@ -405,11 +405,10 @@ class PlateauStat:
 
 @dataclass(frozen=True)
 class PlateauScan:
-    """Spectra over a mu grid plus per-state plateau summaries."""
+    """Spectra over a mu grid; the table and the plateau summaries derive from them."""
 
     mu_grid: np.ndarray
     spectra: list[BoundSpectrum]
-    stats: list[PlateauStat]
 
     @property
     def state_count(self) -> int:
@@ -419,6 +418,18 @@ class PlateauScan:
         """(len(grid), state_count) array of -eps_k values."""
         k = self.state_count
         return np.array([s.report_units[:k] for s in self.spectra])
+
+    @property
+    def stats(self) -> list[PlateauStat]:
+        """The plateau of each state over the grid, one per column of table()."""
+        stats = []
+        for k, col in enumerate(self.table().T):
+            lo, hi = _longest_plateau(col)
+            seg = col[lo:hi]
+            stats.append(PlateauStat(
+                state=k, delta=float(seg.max() - seg.min()) if hi - lo > 1 else None,
+                mu_lo=float(self.mu_grid[lo]), mu_hi=float(self.mu_grid[hi - 1]), points=hi - lo))
+        return stats
 
 
 def _longest_plateau(values: np.ndarray) -> tuple[int, int]:
@@ -448,15 +459,6 @@ def plateau_scan(p: PotentialParams, size: int, mu_grid: Sequence[float],
         raise ParameterError("mu grid must be a non-empty 1-d array")
     if np.any(np.diff(grid) <= 0.0):
         raise ParameterError("mu grid must be strictly ascending")
-    spectra = [solve_bound_states(p, size, mu=float(m),
-                                  consistent_potential=consistent_potential)
-               for m in grid]
-    count = min(len(s) for s in spectra)
-    stats = []
-    for k, col in enumerate(np.array([s.report_units[:count] for s in spectra]).T):
-        lo, hi = _longest_plateau(col)
-        seg = col[lo:hi]
-        stats.append(PlateauStat(
-            state=k, delta=float(seg.max() - seg.min()) if hi - lo > 1 else None,
-            mu_lo=float(grid[lo]), mu_hi=float(grid[hi - 1]), points=hi - lo))
-    return PlateauScan(mu_grid=grid, spectra=spectra, stats=stats)
+    return PlateauScan(mu_grid=grid, spectra=[
+        solve_bound_states(p, size, mu=float(m), consistent_potential=consistent_potential)
+        for m in grid])

@@ -154,6 +154,4 @@ def count_sign_changes(psi: np.ndarray) -> int:
     """Interior sign changes, ignoring exact zeros (underflowed samples)."""
     s = np.sign(psi)
     s = s[s != 0.0]
-    if s.size < 2:
-        return 0
     return int(np.sum(s[1:] * s[:-1] < 0.0))

@@ -86,6 +86,17 @@ class TestSpectrumCommand:
         assert out.strip().splitlines() == ["n,minus_epsilon,E_over_half_lambda_sq"]
         assert "admits no bound states" in err
 
+    def test_no_note_when_states_found(self, capsys):
+        # A = 0 > -1/2, yet the solve finds six states: no note denies them
+        args = ("spectrum", "--A", "0", "--B", "50", "--C", "3", "--consistent-potential")
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 7
+        assert err == ""
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["note"] is None
+
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", *REFERENCE_ARGS, "--basis-degree", "20",
                                "--format", "json")

@@ -1,5 +1,6 @@
 """Quadrature rule, system assembly and the generalized eigensolve."""
 
+import dataclasses
 import warnings
 from types import SimpleNamespace
 
@@ -614,7 +615,11 @@ def test_extreme_strength_solves_or_refuses(A, B, C, size, mu, consistent):
     lambda: solve_bound_states(REFERENCE_POTENTIAL, 2.5),
     lambda: solve_bound_states(REFERENCE_POTENTIAL, 10.0),
     lambda: plateau_scan(REFERENCE_POTENTIAL, 10.0, [1.5]),
-], ids=["solve_bound_states-2.5", "solve_bound_states-10.0", "plateau_scan-10.0"])
+    lambda: solve_bound_states(REFERENCE_POTENTIAL, "10"),
+    lambda: solve_bound_states(REFERENCE_POTENTIAL, None),
+    lambda: plateau_scan(REFERENCE_POTENTIAL, None, [1.5]),
+], ids=["solve_bound_states-2.5", "solve_bound_states-10.0", "plateau_scan-10.0",
+        "solve_bound_states-str", "solve_bound_states-None", "plateau_scan-None"])
 def test_non_integer_size_refused(call):
     with pytest.raises(ParameterError, match=r"^basis size must be an integer, got "):
         call()
@@ -666,3 +671,12 @@ class TestPlateauScan:
         assert [s.state for s in scan.stats] == [0, 1, 2, 3, 4]
         # deterministic ordering by mu regardless of execution order
         assert scan.mu_grid.tolist() == grid
+
+    def test_stats_derive_from_spectra(self):
+        # a scan whose spectra are replaced has the statistics of its new spectra
+        scan = plateau_scan(REFERENCE_POTENTIAL, 20, [1.3, 1.5, 1.7])
+        flat = dataclasses.replace(scan, spectra=[scan.spectra[1]] * 3)
+        assert flat.state_count == scan.state_count > 0
+        assert [s.delta for s in flat.stats] == [0.0] * flat.state_count
+        assert np.ptp(flat.table(), axis=0).tolist() == [s.delta for s in flat.stats]
+        assert all((s.mu_lo, s.mu_hi, s.points) == (1.3, 1.7, 3) for s in flat.stats)
