@@ -7,7 +7,7 @@ from finite series whose coefficients obey a three-term recursion.
 
 Importing the package loads numpy only: the first Gauss rule or refinement
 loads scipy's LAPACK extension (not the scipy.linalg package), the first
-direct integral scipy.integrate.
+direct integral scipy's QUADPACK extension (not the scipy.integrate package).
 """
 
 from .errors import ParameterError, SolverError

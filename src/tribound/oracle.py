@@ -7,17 +7,23 @@ Independent check of the spectral quadrature path: evaluates
 directly under the substitution x = 1 + e^t, which tames both the x -> 1
 endpoint and the exponential decay at infinity and shares no code with the
 production solver's node-based approximation.
+
+QUADPACK comes from scipy's extension scipy.integrate._quadpack, loaded
+without the scipy.integrate package (solver._scipy_extension).  Each node's
+x, ln(x + 1) and Jacobi table are built once per basis (_node).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ParameterError, SolverError
 from .recursion import BasisParams, jacobi_sequence, normalization_c
+from .solver import _scipy_extension
 
 # Integration window in t = ln(x - 1).  Below -43 the variable x - 1 falls
 # under extended-precision resolution of x; the integrand decays there like
@@ -42,6 +48,30 @@ class IntegrationResult:
     evaluations: int
 
 
+class _Node:
+    """One node t of a basis: x = 1 + e^t in extended precision, ln(x + 1),
+    and on first use the read-only Jacobi table P_0..P_N at x."""
+
+    def __init__(self, basis: BasisParams, t: float):
+        # x - 1 = e^t exactly; extended precision keeps x distinguishable
+        # from 1 down to t ~ -43 so kernels like 1/(1-x) stay accurate.
+        self.basis = basis
+        self.x = np.longdouble(1.0) + np.exp(np.longdouble(t))
+        self.log_x1 = float(np.log(self.x + 1.0))
+
+    @cached_property
+    def jacobi(self) -> np.ndarray:
+        # P_n of the upward recursion does not depend on how far it runs
+        b = self.basis
+        p = jacobi_sequence(b.mu, b.nu, b.N, float(self.x))
+        p.flags.writeable = False
+        return p
+
+
+# a check-quadrature basis visits about 600 nodes where the weight is above underflow
+_node = lru_cache(maxsize=4096)(_Node)
+
+
 def direct_matrix_element(basis: BasisParams, w, n: int, m: int) -> IntegrationResult:
     """Adaptive-quadrature matrix element of the kernel w between states n, m.
 
@@ -51,8 +81,6 @@ def direct_matrix_element(basis: BasisParams, w, n: int, m: int) -> IntegrationR
     integrable product (mu > 0 for a simple 1/(x-1) pole); a small mu leaves
     too much below the window and raises.
     """
-    from scipy import integrate
-
     if basis.N > 8:
         raise ParameterError(
             "direct integration is supported for basis degree <= 8 (cost grows "
@@ -62,18 +90,14 @@ def direct_matrix_element(basis: BasisParams, w, n: int, m: int) -> IntegrationR
     mu, nu = basis.mu, basis.nu
     log_c = (math.log(normalization_c(mu, nu, n))
              + math.log(normalization_c(mu, nu, m)))
-    n_top = max(n, m)
 
     def integrand(t: float) -> float:
-        # x - 1 = e^t exactly; extended precision keeps x distinguishable
-        # from 1 down to t ~ -43 so kernels like 1/(1-x) stay accurate.
-        e = np.exp(np.longdouble(t))
-        x = np.longdouble(1.0) + e
-        log_weight = log_c + mu * t + nu * float(np.log(x + 1.0)) + t
+        node = _node(basis, t)
+        log_weight = log_c + mu * t + nu * node.log_x1 + t
         if log_weight < -745.0:
-            return 0.0
-        p = jacobi_sequence(mu, nu, n_top, float(x))
-        return math.exp(log_weight) * float(w(x)) * float(p[n]) * float(p[m])
+            return 0.0   # before the table, which overflows far out
+        p = node.jacobi
+        return math.exp(log_weight) * float(w(node.x)) * float(p[n]) * float(p[m])
 
     # Peak of the weight at x0 - 1 = (mu + 1)/(-nu - mu - 1) * 2 roughly;
     # hint QUADPACK so narrow concentrated weights are not missed.
@@ -81,12 +105,16 @@ def direct_matrix_element(basis: BasisParams, w, n: int, m: int) -> IntegrationR
     t0 = math.log(max(x0 - 1.0, 1e-300))
     points = [t for t in (t0 - 8.0, t0 - 2.0, t0, t0 + 2.0, t0 + 8.0)
               if _T_LO < t < _T_HI]
+    # as scipy.integrate.quad passes them: sorted, then two spare slots
+    breaks = np.concatenate((np.unique(points), (0.0, 0.0)))
+    quadpack = _scipy_extension("scipy.integrate._quadpack", "scipy.integrate._quadpack")
     try:
-        value, err, info = integrate.quad(
-            integrand, _T_LO, _T_HI, epsabs=_TOL, epsrel=_TOL,
-            limit=_LIMIT, points=points, full_output=True)[:3]
-    except Exception as exc:  # quadpack signals hard failures as exceptions
+        value, err, info, ier = quadpack._qagpe(
+            integrand, _T_LO, _T_HI, breaks, (), 1, _TOL, _TOL, _LIMIT)
+    except Exception as exc:  # an error raised inside the integrand
         raise SolverError(f"direct integration failed: {exc}") from exc
+    if ier not in (0, 1, 2, 3, 4, 5, 7):   # the codes that return a value to judge
+        raise SolverError(f"direct integration failed: QUADPACK error code {ier}")
     evaluations = int(info["neval"])
     if not math.isfinite(value) or err > _TOL * max(1.0, abs(value)):
         raise SolverError(

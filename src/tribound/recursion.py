@@ -57,6 +57,8 @@ class BasisParams:
     N: int
 
     def __post_init__(self):
+        if isinstance(self.N, bool):   # an Integral to numbers, not a degree
+            raise ParameterError(f"highest degree must be an integer, got the bool {self.N}")
         if not isinstance(self.N, numbers.Integral):
             raise ParameterError(f"highest degree must be an integer, got {self.N}")
         if self.N < 0:
@@ -76,17 +78,19 @@ class BasisParams:
     def from_size(cls, mu: float, size: int) -> "BasisParams":
         """Basis of `size` functions with the stability-rule nu = -2*size - mu - 2.
 
-        Requires mu > 0 and an integer size >= 1.  Near r = infinity a basis
-        function goes like e^(-mu lambda r), so at mu <= 0 the overlap
-        integral diverges and the solve has no continuum meaning.  mu + nu is
-        -2*size - 2 in exact arithmetic; a mu large enough for float64 to
-        lose the size term is refused by name.
+        Requires mu > 0 and an integer size >= 1, not a bool.  Near
+        r = infinity a basis function goes like e^(-mu lambda r), so at
+        mu <= 0 the overlap integral diverges and the solve has no continuum
+        meaning.  mu + nu is -2*size - 2 in exact arithmetic; a mu large
+        enough for float64 to lose the size term is refused by name.
         A basis off the rule is BasisParams(mu, nu, N); its levels are the
         caller's to certify.
         """
         if not mu > 0.0:
             raise ParameterError(f"mu must be positive, got {mu}: at mu <= 0 the basis "
                                  "functions are not square-integrable as r -> infinity")
+        if isinstance(size, bool):   # an Integral to numbers, not a size
+            raise ParameterError(f"basis size must be an integer, got the bool {size}")
         if not isinstance(size, numbers.Integral):
             raise ParameterError(f"basis size must be an integer, got {size}")
         nu = -2.0 * size - mu - 2.0

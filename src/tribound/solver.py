@@ -18,7 +18,7 @@ That convergence is what the plateau scan certifies.
 
 The three LAPACK routines the solve calls, dstevd for the rule and
 dgetrf/dgetrs for refinement, come from scipy's LAPACK extension, loaded
-without the scipy.linalg package (see _lapack).
+without the scipy.linalg package (see _scipy_extension).
 """
 
 from __future__ import annotations
@@ -77,40 +77,44 @@ class BoundSpectrum:
         return self.epsilons.shape[0]
 
 
-def _lapack():
-    """scipy's LAPACK extension, scipy.linalg._flapack, without the scipy.linalg package.
+def _scipy_extension(name: str, fallback: str):
+    """scipy's compiled module `name` (say scipy.linalg._flapack), without its package.
 
-    The solver calls three of its routines: dstevd for the Gauss rule and
-    dgetrf/dgetrs for refinement.  Importing scipy.linalg takes over ten
-    times as long as loading the extension, so an extension that is not yet
-    loaded is loaded from scipy's linalg folder under its own name, after
-    the top-level scipy package (which sets up the bundled LAPACK on
-    platforms that need it).  Registered in sys.modules, it is the instance
-    a later import of scipy.linalg uses.  Without the extension file the
-    routines come from the public scipy.linalg.lapack.
+    Importing scipy.linalg or scipy.integrate takes over ten times as long
+    as loading one of their extensions, so an extension that is not yet
+    loaded is loaded from its scipy folder under its own name, after the
+    top-level scipy package (which sets up the bundled LAPACK on platforms
+    that need it).  Registered in sys.modules, it is the instance a later
+    import of its package uses.  Without the extension file the module
+    `fallback` is imported the public way.
     """
     import sys
 
-    name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
+    import importlib
     import importlib.machinery
     import importlib.util
     import os
 
     import scipy
 
-    folder = os.path.join(scipy.__path__[0], "linalg")
+    package, _, leaf = name.rpartition(".")
+    folder = os.path.join(scipy.__path__[0], *package.split(".")[1:])
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_flapack" + suffix)
+        path = os.path.join(folder, leaf + suffix)
         if os.path.isfile(path):
             spec = importlib.util.spec_from_file_location(name, path)
-            flapack = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(flapack)
-            sys.modules[name] = flapack
-            return flapack
-    from scipy.linalg import lapack
-    return lapack
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    return importlib.import_module(fallback)
+
+
+def _lapack():
+    """scipy.linalg._flapack, or else scipy.linalg.lapack: dstevd, dgetrf, dgetrs."""
+    return _scipy_extension("scipy.linalg._flapack", "scipy.linalg.lapack")
 
 
 def quadrature_rule(basis: BasisParams) -> tuple[np.ndarray, np.ndarray]:

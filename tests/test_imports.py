@@ -1,7 +1,9 @@
 """Import graph: each entry point loads only the scipy layers it runs.
 
 A solve needs scipy's LAPACK extension, scipy.linalg._flapack, and not the
-scipy.linalg package; only a direct integral needs scipy.integrate.
+scipy.linalg package; a direct integral needs scipy's QUADPACK extension,
+scipy.integrate._quadpack, and neither the scipy.integrate nor the
+scipy.linalg package.
 
 Every check runs in a fresh interpreter, because the test session itself
 has long since imported the solver and the oracle.
@@ -21,6 +23,7 @@ SRC = ROOT / "src"
 
 REFERENCE_ARGS = '"--A", "-300", "--B", "5", "--C", "3"'
 REFERENCE_SOLVE = "tribound.solve_bound_states(tribound.PotentialParams(A=-300, B=5, C=3), 10)"
+DIRECT_MATRIX = "tribound.direct_matrix(tribound.BasisParams.from_size(1.5, 3), lambda x: x)"
 LAZY_CLI_NAMES = ("solve_bound_states", "plateau_scan", "quadrature_rule",
                   "quadrature_matrix", "direct_matrix")
 
@@ -53,25 +56,29 @@ def scipy_modules(modules: set[str]) -> set[str]:
     return {m for m in modules if m == "scipy" or m.startswith("scipy.")}
 
 
+def scipy_subpackage_modules(modules: set[str]) -> set[str]:
+    """The loaded modules under a public scipy subpackage such as scipy.linalg."""
+    parts = (m.split(".") for m in scipy_modules(modules))
+    return {".".join(p) for p in parts
+            if len(p) > 1 and not p[1].startswith("_") and p[1] != "version"}
+
+
 def test_import_tribound_loads_no_scipy():
     _, modules = run_fresh("import tribound")
     assert not scipy_modules(modules)
 
 
 def test_scipy_loads_in_the_call_that_needs_it():
-    # the solver and the oracle import scipy inside their functions, so no
+    # the solver and the oracle load scipy inside their functions, so no
     # module of the package loads it at import time; a solve loads scipy's
-    # LAPACK extension but not the scipy.linalg package around it
+    # LAPACK extension and a direct integral its QUADPACK extension, each
+    # without the package around it
     _, imported = run_fresh("import tribound, tribound.solver, tribound.oracle, tribound.cli")
     assert not scipy_modules(imported)
     _, solved = run_fresh(f"import tribound\n{REFERENCE_SOLVE}")
-    assert "scipy.linalg._flapack" in solved
-    assert "scipy.linalg" not in solved
-    assert "scipy.integrate" not in solved
-    _, integrated = run_fresh(
-        "import tribound\n"
-        "tribound.direct_matrix(tribound.BasisParams.from_size(1.5, 2), lambda x: x)")
-    assert "scipy.integrate" in integrated
+    assert scipy_subpackage_modules(solved) == {"scipy.linalg._flapack"}
+    _, integrated = run_fresh(f"import tribound\n{DIRECT_MATRIX}")
+    assert scipy_subpackage_modules(integrated) == {"scipy.integrate._quadpack"}
 
 
 def test_later_scipy_linalg_reuses_the_solvers_extension():
@@ -95,6 +102,29 @@ def test_loader_falls_back_to_the_public_lapack_module():
     assert fallback.split()[0] == "scipy.linalg.lapack"
     assert fallback.split()[1] == out.split()[1]
     assert "scipy.linalg" in modules
+
+
+def test_later_scipy_integrate_reuses_the_oracles_extension():
+    out, _ = run_fresh(
+        f"import sys, tribound\n{DIRECT_MATRIX}\n"
+        "loaded = sys.modules['scipy.integrate._quadpack']\n"
+        "import scipy.integrate\n"
+        "print(scipy.integrate._quadpack_py._quadpack is loaded,\n"
+        "      scipy.integrate.quad(lambda t: t, 0, 1)[0])")
+    assert out == "True 0.5"
+
+
+def test_oracle_loader_falls_back_to_the_public_quadpack_module():
+    # with no extension file to find, QUADPACK comes from the scipy.integrate
+    # package: the same routine with the same bits
+    code = (f"import tribound\n"
+            f"print({DIRECT_MATRIX}.tobytes().hex())")
+    out, modules = run_fresh(code)
+    fallback, fallback_modules = run_fresh(f"import importlib.machinery\n"
+                                           f"importlib.machinery.EXTENSION_SUFFIXES = []\n{code}")
+    assert "scipy.integrate" not in modules
+    assert "scipy.integrate" in fallback_modules
+    assert fallback == out
 
 
 def test_import_cli_loads_neither_scipy_layer():
@@ -130,11 +160,14 @@ def test_solving_command_loads_the_lapack_extension_only(argv, first_row):
 
 
 def test_check_quadrature_loads_both_layers():
+    # the Gauss rule's LAPACK extension and the oracle's QUADPACK extension,
+    # and neither package around them
     out, modules = run_fresh(
         "from tribound.cli import main\n"
         f'assert main(["check-quadrature", {REFERENCE_ARGS}, "--max-degree", "2"]) == 0')
     assert len(out.splitlines()) == 1 + 4
-    assert {"scipy.linalg._flapack", "scipy.linalg", "scipy.integrate"} <= modules
+    assert scipy_subpackage_modules(modules) == {"scipy.linalg._flapack",
+                                                 "scipy.integrate._quadpack"}
 
 
 def test_public_names_resolve_lazily():

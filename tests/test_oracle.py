@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from tribound import oracle
 from tribound.errors import ParameterError, SolverError
 from tribound.oracle import direct_matrix, direct_matrix_element
-from tribound.recursion import BasisParams, recursion_coeffs
+from tribound.recursion import BasisParams, jacobi_sequence, recursion_coeffs
 from tribound.solver import quadrature_matrix, quadrature_rule
 from tribound.recursion import normalization_c
 
@@ -111,3 +112,51 @@ class TestAgainstQuadrature:
         with pytest.raises(SolverError, match="misses"):
             direct_matrix_element(BasisParams(mu=mu, nu=nu, N=0),
                                   lambda x: 1.0 / (x * x - 1.0), 0, 0)
+
+
+class TestNodeMemo:
+    """Each node's x, ln(x + 1) and Jacobi table are built once per basis."""
+
+    def test_memo_is_invisible(self):
+        basis = basis_of_size(5, mu=2.5)
+        w = lambda x: 1.0 / (1.0 + x)
+        oracle._node.cache_clear()
+        cold = direct_matrix_element(basis, w, 1, 3)
+        direct_matrix(basis, lambda x: x)   # another kernel fills the memo
+        hits = oracle._node.cache_info().hits
+        warm = direct_matrix_element(basis, w, 1, 3)
+        assert oracle._node.cache_info().hits > hits
+        assert (warm.value.hex(), warm.abs_error_estimate.hex(), warm.evaluations) == \
+            (cold.value.hex(), cold.abs_error_estimate.hex(), cold.evaluations)
+
+    def test_table_rows_do_not_depend_on_its_length(self):
+        # an element (n, m) reads rows of the table up to N, where it used to
+        # run the recursion only to max(n, m)
+        basis = basis_of_size(9)
+        for t in (-40.0, -3.0, 0.0, 0.7, 12.0):
+            node = oracle._node(basis, t)
+            for k in range(basis.size):
+                short = jacobi_sequence(basis.mu, basis.nu, k, float(node.x))
+                assert node.jacobi[:k + 1].tobytes() == short.tobytes()
+
+    def test_cached_table_is_read_only(self):
+        table = oracle._node(basis_of_size(3), 0.25).jacobi
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 0.0
+
+    def test_kernel_that_raises_is_a_solver_error(self):
+        def kernel(x):
+            raise ZeroDivisionError("kernel failed")
+        with pytest.raises(SolverError, match="^direct integration failed: kernel failed$") as err:
+            direct_matrix_element(basis_of_size(2), kernel, 0, 1)
+        assert isinstance(err.value.__cause__, ZeroDivisionError)
+
+    def test_quadpack_input_error_is_a_solver_error(self, monkeypatch):
+        # error code 6 (invalid input) returns no usable value
+        class StandIn:
+            @staticmethod
+            def _qagpe(*args):
+                return 0.0, 0.0, {"neval": 0}, 6
+        monkeypatch.setattr(oracle, "_scipy_extension", lambda name, fallback: StandIn)
+        with pytest.raises(SolverError, match="^direct integration failed: QUADPACK error code 6$"):
+            direct_matrix_element(basis_of_size(2), lambda x: x, 0, 0)

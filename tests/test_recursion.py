@@ -158,6 +158,9 @@ class TestRecursionCoeffs:
         pytest.param(1.5, 10.0, "basis size must be an integer, got 10.0", id="size-10.0"),
         pytest.param(1.5, np.float64(10.0), "basis size must be an integer, got 10.0",
                      id="size-np.float64-10.0"),
+        # numbers.Integral admits a bool; True would silently be one function
+        pytest.param(1.5, True, "basis size must be an integer, got the bool True",
+                     id="size-True"),
     ])
     def test_from_size_checks_in_order(self, mu, size, message):
         # both mu checks come before the size checks
@@ -168,6 +171,9 @@ class TestRecursionCoeffs:
     def test_non_integer_degree_refused(self):
         with pytest.raises(ParameterError, match=r"^highest degree must be an integer, got 2\.5$"):
             BasisParams(1.5, -30.0, 2.5)
+        with pytest.raises(ParameterError,
+                           match=r"^highest degree must be an integer, got the bool True$"):
+            BasisParams(1.5, -10.0, True)
 
     def test_numpy_integers_accepted(self):
         assert BasisParams.from_size(1.5, np.int64(10)) == BasisParams.from_size(1.5, 10)

@@ -618,8 +618,10 @@ def test_extreme_strength_solves_or_refuses(A, B, C, size, mu, consistent):
     lambda: solve_bound_states(REFERENCE_POTENTIAL, "10"),
     lambda: solve_bound_states(REFERENCE_POTENTIAL, None),
     lambda: plateau_scan(REFERENCE_POTENTIAL, None, [1.5]),
+    lambda: solve_bound_states(REFERENCE_POTENTIAL, True),
 ], ids=["solve_bound_states-2.5", "solve_bound_states-10.0", "plateau_scan-10.0",
-        "solve_bound_states-str", "solve_bound_states-None", "plateau_scan-None"])
+        "solve_bound_states-str", "solve_bound_states-None", "plateau_scan-None",
+        "solve_bound_states-True"])
 def test_non_integer_size_refused(call):
     with pytest.raises(ParameterError, match=r"^basis size must be an integer, got "):
         call()
