@@ -6,8 +6,9 @@ from a Gauss-quadrature-assembled generalized eigenproblem and wavefunctions
 from finite series whose coefficients obey a three-term recursion.
 
 Importing the package loads numpy only: the first Gauss rule or refinement
-loads scipy's LAPACK extension (not the scipy.linalg package), the first
-direct integral scipy's QUADPACK extension (not the scipy.integrate package).
+loads scipy's LAPACK extension (not the scipy.linalg package, nor scipy's
+package initializer), the first direct integral scipy's QUADPACK extension
+(not the scipy.integrate package; its callback layer imports scipy).
 """
 
 from .errors import ParameterError, SolverError

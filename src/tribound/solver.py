@@ -18,7 +18,8 @@ That convergence is what the plateau scan certifies.
 
 The three LAPACK routines the solve calls, dstevd for the rule and
 dgetrf/dgetrs for refinement, come from scipy's LAPACK extension, loaded
-without the scipy.linalg package (see _scipy_extension).
+without the scipy.linalg package and, where the platform allows, without
+running scipy's package initializer (see _scipy_extension).
 """
 
 from __future__ import annotations
@@ -81,11 +82,15 @@ def _scipy_extension(name: str, fallback: str):
     """scipy's compiled module `name` (say scipy.linalg._flapack), without its package.
 
     Importing scipy.linalg or scipy.integrate takes over ten times as long
-    as loading one of their extensions, so an extension that is not yet
-    loaded is loaded from its scipy folder under its own name, after the
-    top-level scipy package (which sets up the bundled LAPACK on platforms
-    that need it).  Registered in sys.modules, it is the instance a later
-    import of its package uses.  Without the extension file the module
+    as loading one of their extensions, so an extension not yet loaded is
+    loaded under its own name from its folder, found by scipy's import spec
+    without running scipy's initializer.  Only if that load raises
+    ImportError is the top-level scipy package imported (on some platforms
+    it sets up the bundled LAPACK) and the file loaded again.  Registered in
+    sys.modules, it is the instance a later import of its package, or
+    `from scipy.linalg import _flapack`, gets, though such an import leaves
+    the package attribute (scipy.linalg._flapack, scipy.integrate._quadpack)
+    unbound.  Without the file, or if it still fails to load, the module
     `fallback` is imported the public way.
     """
     import sys
@@ -97,16 +102,26 @@ def _scipy_extension(name: str, fallback: str):
     import importlib.util
     import os
 
-    import scipy
+    def load(path):
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
 
+    scipy = importlib.util.find_spec("scipy")
+    roots = scipy and scipy.submodule_search_locations
     package, _, leaf = name.rpartition(".")
-    folder = os.path.join(scipy.__path__[0], *package.split(".")[1:])
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, leaf + suffix)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES if roots else ():
+        path = os.path.join(roots[0], *package.split(".")[1:], leaf + suffix)
         if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location(name, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
+            try:
+                module = load(path)
+            except ImportError:
+                try:
+                    importlib.import_module("scipy")
+                    module = load(path)
+                except ImportError:
+                    break
             sys.modules[name] = module
             return module
     return importlib.import_module(fallback)

@@ -1,9 +1,10 @@
 """Import graph: each entry point loads only the scipy layers it runs.
 
-A solve needs scipy's LAPACK extension, scipy.linalg._flapack, and not the
-scipy.linalg package; a direct integral needs scipy's QUADPACK extension,
-scipy.integrate._quadpack, and neither the scipy.integrate nor the
-scipy.linalg package.
+A solve needs scipy's LAPACK extension, scipy.linalg._flapack, and neither
+the scipy.linalg package nor scipy's package initializer; a direct integral
+needs scipy's QUADPACK extension, scipy.integrate._quadpack, and neither the
+scipy.integrate nor the scipy.linalg package, though QUADPACK's callback
+layer (scipy._lib._ccallback) imports the top-level scipy package.
 
 Every check runs in a fresh interpreter, because the test session itself
 has long since imported the solver and the oracle.
@@ -24,6 +25,8 @@ SRC = ROOT / "src"
 REFERENCE_ARGS = '"--A", "-300", "--B", "5", "--C", "3"'
 REFERENCE_SOLVE = "tribound.solve_bound_states(tribound.PotentialParams(A=-300, B=5, C=3), 10)"
 DIRECT_MATRIX = "tribound.direct_matrix(tribound.BasisParams.from_size(1.5, 3), lambda x: x)"
+# what scipy's package initializer imports and a solve never needs
+SCIPY_INITIALIZER = {"scipy", "scipy._lib._testutils"}
 LAZY_CLI_NAMES = ("solve_bound_states", "plateau_scan", "quadrature_rule",
                   "quadrature_matrix", "direct_matrix")
 
@@ -71,23 +74,26 @@ def test_import_tribound_loads_no_scipy():
 def test_scipy_loads_in_the_call_that_needs_it():
     # the solver and the oracle load scipy inside their functions, so no
     # module of the package loads it at import time; a solve loads scipy's
-    # LAPACK extension and a direct integral its QUADPACK extension, each
-    # without the package around it
+    # LAPACK extension alone, without scipy's initializer, and a direct
+    # integral its QUADPACK extension without the package around it, whose
+    # callback layer runs the initializer
     _, imported = run_fresh("import tribound, tribound.solver, tribound.oracle, tribound.cli")
     assert not scipy_modules(imported)
     _, solved = run_fresh(f"import tribound\n{REFERENCE_SOLVE}")
-    assert scipy_subpackage_modules(solved) == {"scipy.linalg._flapack"}
+    assert scipy_modules(solved) == {"scipy.linalg._flapack"}
     _, integrated = run_fresh(f"import tribound\n{DIRECT_MATRIX}")
     assert scipy_subpackage_modules(integrated) == {"scipy.integrate._quadpack"}
+    assert SCIPY_INITIALIZER | {"scipy._lib._ccallback"} <= integrated
 
 
 def test_later_scipy_linalg_reuses_the_solvers_extension():
     out, _ = run_fresh(
         f"import tribound, tribound.solver\n{REFERENCE_SOLVE}\n"
         "import scipy.linalg\n"
+        "from scipy.linalg import _flapack\n"
         "loaded, public = tribound.solver._lapack(), scipy.linalg.lapack\n"
-        "print(public.dgetrf is loaded.dgetrf, public._flapack is loaded)")
-    assert out == "True True"
+        "print(public.dgetrf is loaded.dgetrf, public._flapack is loaded, _flapack is loaded)")
+    assert out == "True True True"
 
 
 def test_loader_falls_back_to_the_public_lapack_module():
@@ -102,6 +108,50 @@ def test_loader_falls_back_to_the_public_lapack_module():
     assert fallback.split()[0] == "scipy.linalg.lapack"
     assert fallback.split()[1] == out.split()[1]
     assert "scipy.linalg" in modules
+
+
+@pytest.mark.parametrize("refusals, name, loads", [
+    pytest.param(1, "scipy.linalg._flapack", 2, id="retry-after-initializer"),
+    pytest.param(2, "scipy.linalg.lapack", 3, id="public-after-retry"),
+])
+def test_loader_runs_scipys_initializer_when_the_extension_fails_alone(refusals, name, loads):
+    # where scipy's initializer sets up the bundled LAPACK (delvewheel-patched
+    # Windows wheels), the extension's own load raises ImportError: the loader
+    # imports scipy and loads the file once more, and only if that fails too
+    # imports the public module; the routines and their bits are the same
+    code = (f"import tribound, tribound.solver\n"
+            f"print(tribound.solver._lapack().__name__, {REFERENCE_SOLVE}.epsilons.tobytes().hex())")
+    out, _ = run_fresh(code)
+    refused, modules = run_fresh(
+        "import importlib.machinery, sys\n"
+        "create, loads = importlib.machinery.ExtensionFileLoader.create_module, []\n"
+        "def refuse(self, spec):\n"
+        "    if spec.name == 'scipy.linalg._flapack':\n"
+        "        loads.append('scipy' in sys.modules)\n"
+        f"        if len(loads) <= {refusals}:\n"
+        "            raise ImportError('DLL load failed')\n"
+        "    return create(self, spec)\n"
+        "importlib.machinery.ExtensionFileLoader.create_module = refuse\n"
+        f"{code}\nprint(loads)")
+    refused, attempts = refused.splitlines()
+    assert refused.split()[0] == name
+    assert refused.split()[1] == out.split()[1]
+    assert attempts == str([False] + [True] * (loads - 1))
+    assert "scipy" in modules
+    assert ("scipy.linalg" in modules) == (name == "scipy.linalg.lapack")
+
+
+def test_loader_without_scipy_raises_module_not_found():
+    # no scipy to find: the public import names it, and no scipy module is
+    # left half-registered
+    out, _ = run_fresh(
+        "import sys, tribound.solver\n"
+        "sys.modules['scipy'] = None\n"
+        "try:\n"
+        "    tribound.solver._lapack()\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print('scipy' in str(exc), sorted(m for m in sys.modules if m.startswith('scipy.')))")
+    assert out == "True []"
 
 
 def test_later_scipy_integrate_reuses_the_oracles_extension():
@@ -154,20 +204,20 @@ def test_solving_command_loads_the_lapack_extension_only(argv, first_row):
         "from tribound.cli import main\n"
         f"assert main([{argv}, {REFERENCE_ARGS}]) == 0")
     assert out.splitlines()[1] == first_row
-    assert "scipy.linalg._flapack" in modules
-    assert "scipy.linalg" not in modules
-    assert "scipy.integrate" not in modules
+    assert scipy_modules(modules) == {"scipy.linalg._flapack"}
 
 
 def test_check_quadrature_loads_both_layers():
     # the Gauss rule's LAPACK extension and the oracle's QUADPACK extension,
-    # and neither package around them
+    # and neither package around them; QUADPACK's callback layer runs
+    # scipy's initializer
     out, modules = run_fresh(
         "from tribound.cli import main\n"
         f'assert main(["check-quadrature", {REFERENCE_ARGS}, "--max-degree", "2"]) == 0')
     assert len(out.splitlines()) == 1 + 4
     assert scipy_subpackage_modules(modules) == {"scipy.linalg._flapack",
                                                  "scipy.integrate._quadpack"}
+    assert SCIPY_INITIALIZER | {"scipy._lib._ccallback"} <= modules
 
 
 def test_public_names_resolve_lazily():
