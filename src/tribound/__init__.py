@@ -8,7 +8,8 @@ from finite series whose coefficients obey a three-term recursion.
 Importing the package loads numpy only: the first Gauss rule or refinement
 loads scipy's LAPACK extension (not the scipy.linalg package, nor scipy's
 package initializer), the first direct integral scipy's QUADPACK extension
-(not the scipy.integrate package; its callback layer imports scipy).
+(not the scipy.integrate package; its callback layer imports scipy); only an
+extension that will not load on its own is imported with its package.
 """
 
 from .errors import ParameterError, SolverError

@@ -6,7 +6,7 @@ numeric output uses decimal notation with 10 significant digits; identical
 configurations produce byte-identical output.  Each command builds one
 document of unrounded values and hands it to `_emit`, which rounds only as it
 writes the JSON or CSV.  scipy loads inside the library calls that use it,
-so a command loads only the scipy layers it runs.
+one extension at a time, so a command loads only the scipy extensions it runs.
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ directly under the substitution x = 1 + e^t, which tames both the x -> 1
 endpoint and the exponential decay at infinity and shares no code with the
 production solver's node-based approximation.
 
-QUADPACK comes from scipy's extension scipy.integrate._quadpack, loaded
-without the scipy.integrate package (solver._scipy_extension).  Each node's
-x, ln(x + 1) and Jacobi table are built once per basis (_node).
+QUADPACK comes from scipy's extension scipy.integrate._quadpack, loaded on
+its own where it can be, without the scipy.integrate package
+(solver._scipy_extension).  Each node's x, ln(x + 1) and Jacobi table are
+built once per basis (_node).
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def direct_matrix_element(basis: BasisParams, w, n: int, m: int) -> IntegrationR
               if _T_LO < t < _T_HI]
     # as scipy.integrate.quad passes them: sorted, then two spare slots
     breaks = np.concatenate((np.unique(points), (0.0, 0.0)))
-    quadpack = _scipy_extension("scipy.integrate._quadpack", "scipy.integrate._quadpack")
+    quadpack = _scipy_extension("scipy.integrate._quadpack")
     try:
         value, err, info, ier = quadpack._qagpe(
             integrand, _T_LO, _T_HI, breaks, (), 1, _TOL, _TOL, _LIMIT)

@@ -43,6 +43,13 @@ H_STEP_TOL = 1e-14
 H_RESCALE_LIMIT = 1e150
 
 
+def _check_integer(value, what: str) -> None:
+    """Refuse a value that is not an integer; a bool is an Integral to numbers, not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        shown = f"the bool {value}" if isinstance(value, bool) else value
+        raise ParameterError(f"{what} must be an integer, got {shown}")
+
+
 @dataclass(frozen=True)
 class BasisParams:
     """Jacobi basis: pair (mu, nu) and highest degree N, for the solver and for
@@ -57,10 +64,7 @@ class BasisParams:
     N: int
 
     def __post_init__(self):
-        if isinstance(self.N, bool):   # an Integral to numbers, not a degree
-            raise ParameterError(f"highest degree must be an integer, got the bool {self.N}")
-        if not isinstance(self.N, numbers.Integral):
-            raise ParameterError(f"highest degree must be an integer, got {self.N}")
+        _check_integer(self.N, "highest degree")
         if self.N < 0:
             raise ParameterError(f"highest degree must be >= 0, got {self.N}")
         if not self.mu > -1.0:
@@ -89,10 +93,7 @@ class BasisParams:
         if not mu > 0.0:
             raise ParameterError(f"mu must be positive, got {mu}: at mu <= 0 the basis "
                                  "functions are not square-integrable as r -> infinity")
-        if isinstance(size, bool):   # an Integral to numbers, not a size
-            raise ParameterError(f"basis size must be an integer, got the bool {size}")
-        if not isinstance(size, numbers.Integral):
-            raise ParameterError(f"basis size must be an integer, got {size}")
+        _check_integer(size, "basis size")
         nu = -2.0 * size - mu - 2.0
         if not mu + nu < -2.0 * size - 1.0:
             raise ParameterError(f"mu = {mu:.10g} is too large for a basis of {size} functions")
@@ -196,26 +197,29 @@ def h_polynomial_sequence(basis: BasisParams, B: float, C: float) -> np.ndarray:
 
     Magnitudes can sweep many orders for deep states; if |H| passes 1e150 the
     whole accumulated sequence is rescaled (overall scale is irrelevant and
-    the termwise recursion residual is preserved).
+    the termwise recursion residual is preserved).  A non-finite B or C, or a
+    term that overflows float64, is refused by name, with no numpy warning.
     """
+    for name, value in (("B", B), ("C", C)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
     h = np.empty(basis.size, dtype=float)
     h[0] = 1.0
     if basis.N == 0:
         return h
     # only indices 0..N-1 of each sequence enter the steps here
-    F, G = _f_g_arrays(basis.mu, basis.nu, basis.N)
-    D = _d_array(basis.mu, basis.nu, basis.N)
-    if abs(C * D[0]) < H_STEP_TOL:
-        raise ParameterError("degenerate recursion step: |C D_0| ~ 0")
-    h[1] = (B + G[0] - C * F[0]) / (C * D[0])
-    for n in range(1, basis.N):
-        if abs(C * D[n]) < H_STEP_TOL:
-            raise ParameterError(f"degenerate recursion step: |C D_{n}| ~ 0")
-        h[n + 1] = ((B + G[n] - C * F[n]) * h[n] - C * D[n - 1] * h[n - 1]) / (C * D[n])
-        if not math.isfinite(h[n + 1]):
-            raise ParameterError(f"recursion overflowed within one step at n = {n + 1}")
-        if abs(h[n + 1]) > H_RESCALE_LIMIT:
-            h[:n + 2] /= abs(h[n + 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        F, G = _f_g_arrays(basis.mu, basis.nu, basis.N)
+        D = _d_array(basis.mu, basis.nu, basis.N)
+        for n in range(basis.N):
+            if abs(C * D[n]) < H_STEP_TOL:
+                raise ParameterError(f"degenerate recursion step: |C D_{n}| ~ 0")
+            back = C * D[n - 1] * h[n - 1] if n else 0.0   # H_{-1} = 0
+            h[n + 1] = ((B + G[n] - C * F[n]) * h[n] - back) / (C * D[n])
+            if not math.isfinite(h[n + 1]):
+                raise ParameterError(f"recursion overflowed within one step at n = {n + 1}")
+            if n and abs(h[n + 1]) > H_RESCALE_LIMIT:   # H_0 = 1 is kept through step 1
+                h[:n + 2] /= abs(h[n + 1])
     return h
 
 
@@ -226,8 +230,11 @@ def jacobi_sequence(mu: float, nu: float, n_max: int, x) -> np.ndarray:
     recursion x P_n = F_n P_n + A_n P_{n-1} + B_n P_{n+1} for P_{n+1}.  Any real
     pair evaluates; orthogonality on [1, inf) needs more (see normalization_c).
     """
+    _check_integer(n_max, "polynomial degree")
     if n_max < 0:
         raise ParameterError(f"polynomial degree must be >= 0, got {n_max}")
+    if not (math.isfinite(mu) and math.isfinite(nu)):
+        raise ParameterError(f"Jacobi parameters must be finite, got mu = {mu}, nu = {nu}")
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ParameterError("polynomial argument must be finite")
@@ -243,7 +250,7 @@ def jacobi_sequence(mu: float, nu: float, n_max: int, x) -> np.ndarray:
     buf = np.empty_like(x)
     for n in range(1, n_max):
         s = 2.0 * n + mu + nu
-        if abs(s) < DEGENERATE_DENOM_TOL or abs(s + 2.0) < DEGENERATE_DENOM_TOL:
+        if min(abs(s), abs(s + 1.0), abs(s + 2.0)) < DEGENERATE_DENOM_TOL:
             raise ParameterError(f"degenerate recursion denominator at n = {n}")
         lead = 2.0 * (n + 1.0) * (n + mu + nu + 1.0) / ((s + 1.0) * (s + 2.0))
         if abs(lead) < DEGENERATE_DENOM_TOL:

@@ -18,8 +18,7 @@ That convergence is what the plateau scan certifies.
 
 The three LAPACK routines the solve calls, dstevd for the rule and
 dgetrf/dgetrs for refinement, come from scipy's LAPACK extension, loaded
-without the scipy.linalg package and, where the platform allows, without
-running scipy's package initializer (see _scipy_extension).
+without the scipy.linalg package or scipy's initializer (_scipy_extension).
 """
 
 from __future__ import annotations
@@ -78,58 +77,48 @@ class BoundSpectrum:
         return self.epsilons.shape[0]
 
 
-def _scipy_extension(name: str, fallback: str):
+def _scipy_extension(name: str):
     """scipy's compiled module `name` (say scipy.linalg._flapack), without its package.
 
     Importing scipy.linalg or scipy.integrate takes over ten times as long
     as loading one of their extensions, so an extension not yet loaded is
-    loaded under its own name from its folder, found by scipy's import spec
-    without running scipy's initializer.  Only if that load raises
-    ImportError is the top-level scipy package imported (on some platforms
-    it sets up the bundled LAPACK) and the file loaded again.  Registered in
-    sys.modules, it is the instance a later import of its package, or
-    `from scipy.linalg import _flapack`, gets, though such an import leaves
-    the package attribute (scipy.linalg._flapack, scipy.integrate._quadpack)
-    unbound.  Without the file, or if it still fails to load, the module
-    `fallback` is imported the public way.
+    loaded on its own from its folder, found by scipy's import spec without
+    running scipy's initializer, and registered in sys.modules once it has
+    loaded.  A later import of its package, or `from scipy.linalg import
+    _flapack`, gets that instance, though such an import leaves the package
+    attribute (scipy.linalg._flapack, scipy.integrate._quadpack) unbound.
+    Without scipy or the file, or if the file will not load on its own, the
+    module is imported the standard way, package and all.
     """
     import sys
 
     if name in sys.modules:
         return sys.modules[name]
     import importlib
-    import importlib.machinery
+    import importlib.machinery as machinery
     import importlib.util
     import os
 
-    def load(path):
-        spec = importlib.util.spec_from_file_location(name, path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
     scipy = importlib.util.find_spec("scipy")
-    roots = scipy and scipy.submodule_search_locations
-    package, _, leaf = name.rpartition(".")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES if roots else ():
-        path = os.path.join(roots[0], *package.split(".")[1:], leaf + suffix)
-        if os.path.isfile(path):
+    if scipy and scipy.submodule_search_locations:
+        folder = os.path.join(scipy.submodule_search_locations[0], *name.split(".")[1:-1])
+        extensions = machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES
+        spec = machinery.FileFinder(folder, extensions).find_spec(name)
+        if spec:
             try:
-                module = load(path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
             except ImportError:
-                try:
-                    importlib.import_module("scipy")
-                    module = load(path)
-                except ImportError:
-                    break
-            sys.modules[name] = module
-            return module
-    return importlib.import_module(fallback)
+                pass
+            else:
+                sys.modules[name] = module
+                return module
+    return importlib.import_module(name)
 
 
 def _lapack():
-    """scipy.linalg._flapack, or else scipy.linalg.lapack: dstevd, dgetrf, dgetrs."""
-    return _scipy_extension("scipy.linalg._flapack", "scipy.linalg.lapack")
+    """scipy.linalg._flapack: dstevd, dgetrf, dgetrs."""
+    return _scipy_extension("scipy.linalg._flapack")
 
 
 def quadrature_rule(basis: BasisParams) -> tuple[np.ndarray, np.ndarray]:

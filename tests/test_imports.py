@@ -96,49 +96,51 @@ def test_later_scipy_linalg_reuses_the_solvers_extension():
     assert out == "True True True"
 
 
-def test_loader_falls_back_to_the_public_lapack_module():
-    # with no extension file to find, the routines come from scipy.linalg.lapack,
-    # the same routines with the same bits
-    code = (f"import tribound, tribound.solver\nname = tribound.solver._lapack().__name__\n"
-            f"print(name, {REFERENCE_SOLVE}.epsilons.tobytes().hex())")
-    out, _ = run_fresh(code)
-    fallback, modules = run_fresh(f"import importlib.machinery\n"
-                                  f"importlib.machinery.EXTENSION_SUFFIXES = []\n{code}")
-    assert out.split()[0] == "scipy.linalg._flapack"
-    assert fallback.split()[0] == "scipy.linalg.lapack"
-    assert fallback.split()[1] == out.split()[1]
-    assert "scipy.linalg" in modules
+# Records each load of the extension EXTENSION (whether scipy was imported by
+# then) and refuses the first REFUSALS with ImportError, as a platform whose
+# scipy initializer sets up a bundled LAPACK (delvewheel-patched Windows
+# wheels) would refuse a load on its own.
+RECORD_LOADS = (
+    "import importlib.machinery, json, sys\n"
+    "create, loads = importlib.machinery.ExtensionFileLoader.create_module, []\n"
+    "def record(self, spec):\n"
+    "    if spec.name == EXTENSION:\n"
+    "        loads.append('scipy' in sys.modules)\n"
+    "        if len(loads) <= REFUSALS:\n"
+    "            raise ImportError('DLL load failed')\n"
+    "    return create(self, spec)\n"
+    "importlib.machinery.ExtensionFileLoader.create_module = record\n")
+EXTENSION_CALLS = {"scipy.linalg._flapack": f"{REFERENCE_SOLVE}.epsilons",
+                   "scipy.integrate._quadpack": DIRECT_MATRIX}
 
 
-@pytest.mark.parametrize("refusals, name, loads", [
-    pytest.param(1, "scipy.linalg._flapack", 2, id="retry-after-initializer"),
-    pytest.param(2, "scipy.linalg.lapack", 3, id="public-after-retry"),
+def load_and_call(extension: str, no_file: bool, refusals: int) -> tuple[list, set[str]]:
+    """The loader's module name, the call's bytes and the recorded loads."""
+    out, modules = run_fresh(
+        f"EXTENSION, REFUSALS = {extension!r}, {refusals}\n{RECORD_LOADS}"
+        + ("importlib.machinery.EXTENSION_SUFFIXES = []\n" if no_file else "")
+        + "import tribound, tribound.solver\n"
+        "name = tribound.solver._scipy_extension(EXTENSION).__name__\n"
+        f"print(json.dumps([name, {EXTENSION_CALLS[extension]}.tobytes().hex(), loads]))")
+    return json.loads(out), modules
+
+
+@pytest.mark.parametrize("extension", list(EXTENSION_CALLS))
+@pytest.mark.parametrize("no_file, refusals, loads", [
+    pytest.param(True, 0, [True], id="no-file"),
+    pytest.param(False, 1, [False, True], id="refused-alone"),
 ])
-def test_loader_runs_scipys_initializer_when_the_extension_fails_alone(refusals, name, loads):
-    # where scipy's initializer sets up the bundled LAPACK (delvewheel-patched
-    # Windows wheels), the extension's own load raises ImportError: the loader
-    # imports scipy and loads the file once more, and only if that fails too
-    # imports the public module; the routines and their bits are the same
-    code = (f"import tribound, tribound.solver\n"
-            f"print(tribound.solver._lapack().__name__, {REFERENCE_SOLVE}.epsilons.tobytes().hex())")
-    out, _ = run_fresh(code)
-    refused, modules = run_fresh(
-        "import importlib.machinery, sys\n"
-        "create, loads = importlib.machinery.ExtensionFileLoader.create_module, []\n"
-        "def refuse(self, spec):\n"
-        "    if spec.name == 'scipy.linalg._flapack':\n"
-        "        loads.append('scipy' in sys.modules)\n"
-        f"        if len(loads) <= {refusals}:\n"
-        "            raise ImportError('DLL load failed')\n"
-        "    return create(self, spec)\n"
-        "importlib.machinery.ExtensionFileLoader.create_module = refuse\n"
-        f"{code}\nprint(loads)")
-    refused, attempts = refused.splitlines()
-    assert refused.split()[0] == name
-    assert refused.split()[1] == out.split()[1]
-    assert attempts == str([False] + [True] * (loads - 1))
-    assert "scipy" in modules
-    assert ("scipy.linalg" in modules) == (name == "scipy.linalg.lapack")
+def test_loader_takes_the_standard_import(extension, no_file, refusals, loads):
+    # with no extension file to find, or a file that will not load on its
+    # own, the loader imports the module the standard way, after scipy and
+    # the package around it: the same routines with the same bits
+    package = extension.rpartition(".")[0]
+    alone, alone_modules = load_and_call(extension, no_file=False, refusals=0)
+    standard, standard_modules = load_and_call(extension, no_file, refusals)
+    assert alone == [extension, alone[1], [False]]
+    assert standard == [extension, alone[1], loads]
+    assert package not in alone_modules
+    assert {"scipy", package} <= standard_modules
 
 
 def test_loader_without_scipy_raises_module_not_found():
@@ -162,19 +164,6 @@ def test_later_scipy_integrate_reuses_the_oracles_extension():
         "print(scipy.integrate._quadpack_py._quadpack is loaded,\n"
         "      scipy.integrate.quad(lambda t: t, 0, 1)[0])")
     assert out == "True 0.5"
-
-
-def test_oracle_loader_falls_back_to_the_public_quadpack_module():
-    # with no extension file to find, QUADPACK comes from the scipy.integrate
-    # package: the same routine with the same bits
-    code = (f"import tribound\n"
-            f"print({DIRECT_MATRIX}.tobytes().hex())")
-    out, modules = run_fresh(code)
-    fallback, fallback_modules = run_fresh(f"import importlib.machinery\n"
-                                           f"importlib.machinery.EXTENSION_SUFFIXES = []\n{code}")
-    assert "scipy.integrate" not in modules
-    assert "scipy.integrate" in fallback_modules
-    assert fallback == out
 
 
 def test_import_cli_loads_neither_scipy_layer():

@@ -37,6 +37,9 @@ class TestSelfConsistency:
         basis = basis_of_size(3)
         with pytest.raises(ParameterError):
             direct_matrix_element(basis, lambda x: x, 0, 3)
+        with pytest.raises(ParameterError, match=r"^direct integration is supported for "
+                           r"basis degree <= 8 "):
+            direct_matrix(basis_of_size(10), lambda x: x)
 
     def test_divergent_kernel_flagged(self):
         # (x-1)^(mu-3) is not integrable at the lower endpoint for mu = 1.5
@@ -157,6 +160,6 @@ class TestNodeMemo:
             @staticmethod
             def _qagpe(*args):
                 return 0.0, 0.0, {"neval": 0}, 6
-        monkeypatch.setattr(oracle, "_scipy_extension", lambda name, fallback: StandIn)
+        monkeypatch.setattr(oracle, "_scipy_extension", lambda name: StandIn)
         with pytest.raises(SolverError, match="^direct integration failed: QUADPACK error code 6$"):
             direct_matrix_element(basis_of_size(2), lambda x: x, 0, 0)

@@ -228,6 +228,12 @@ class TestClassifyShape:
         with pytest.raises(ParameterError):
             classify_shape(PotentialParams(A=-6.0, B=6.0, C=0.0))
 
+    def test_extremum_value_overflow_refused(self):
+        # B/C = 1e150 passes the ratio bound, but U at the extremum x ~ 2B/(3C) overflows
+        with pytest.raises(ParameterError,
+                           match=r"^V at the extremum x = 6\.66667e\+149 overflows float64$"):
+            classify_shape(PotentialParams(A=0.0, B=1e150, C=1.0))
+
 
 class TestMaxBasisIndex:
     def test_table_parameters(self):

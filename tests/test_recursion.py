@@ -138,6 +138,8 @@ class TestRecursionCoeffs:
             BasisParams(mu=-1.0, nu=-25.0, N=3)
         with pytest.raises(ParameterError):
             BasisParams(mu=1.5, nu=-8.5, N=3)  # mu + nu = -7 = -2N - 1 exactly
+        with pytest.raises(ParameterError, match=r"^highest degree must be >= 0, got -1$"):
+            BasisParams(mu=1.5, nu=-10.0, N=-1)
 
     def test_from_size(self):
         basis = BasisParams.from_size(1.5, 10)
@@ -246,6 +248,18 @@ class TestHPolynomialSequence:
         basis = BasisParams(mu=1.0, nu=-5.0, N=1)
         with pytest.raises(ParameterError):
             h_polynomial_sequence(basis, 5.0, 1e-20)
+
+    @pytest.mark.parametrize("B, C, message", [
+        # H_1 is checked like every later term, with no numpy overflow warning
+        (1e300, 1e-10, "recursion overflowed within one step at n = 1"),
+        (math.nan, 3.0, "B must be finite, got nan"),
+        (5.0, math.inf, "C must be finite, got inf"),
+        (5.0, -math.inf, "C must be finite, got -inf"),
+    ])
+    def test_overflow_and_non_finite_input_refused_by_name(self, B, C, message):
+        with pytest.raises(ParameterError) as err:
+            h_polynomial_sequence(BasisParams(mu=1.5, nu=-30.0, N=5), B, C)
+        assert str(err.value) == message
 
 
 class TestExpansionCoefficients:

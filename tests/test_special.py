@@ -1,6 +1,7 @@
 """Jacobi evaluation, signed log-gamma and normalization constants."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -135,13 +136,34 @@ class TestJacobiEval:
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
     def test_rejects_non_finite_argument(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^polynomial argument must be finite$"):
             jacobi_sequence(1.5, -25.5, 2, math.inf)
+        # a NaN parameter would otherwise give [1, nan, nan]
+        for mu, nu in ((math.nan, -25.5), (1.5, math.nan)):
+            with pytest.raises(ParameterError, match=r"^Jacobi parameters must be finite, "
+                               rf"got mu = {mu}, nu = {nu}$"):
+                jacobi_sequence(mu, nu, 2, 2.0)
 
     def test_rejects_degenerate_denominator(self):
-        # 2n + mu + nu = 0 exactly at n = 2
-        with pytest.raises(ParameterError):
-            jacobi_sequence(1.0, -5.0, 3, 2.0)
+        cases = [
+            ((1.0, -5.0, 3), "degenerate recursion denominator at n = 1"),   # 2n + mu + nu + 2 = 0
+            ((0.5, -3.5, 3), "degenerate recursion denominator at n = 1"),   # 2n + mu + nu + 1 = 0
+            ((0.5, -2.5, 3), "degenerate parameters: mu + nu + 2 ~ 0"),
+            # the leading coefficient 2(n+1)(n+mu+nu+1)/... at n = 3 is 8e-11
+            ((0.5, -4.5 + 1.2e-10, 4), "vanishing leading coefficient at n = 3"),
+        ]
+        for (mu, nu, n_max), message in cases:
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                jacobi_sequence(mu, nu, n_max, 2.0)
+
+    @pytest.mark.parametrize("n_max, message", [
+        (2.5, "polynomial degree must be an integer, got 2.5"),
+        (True, "polynomial degree must be an integer, got the bool True"),
+        (-1, "polynomial degree must be >= 0, got -1"),
+    ])
+    def test_rejects_bad_degree(self, n_max, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            jacobi_sequence(1.5, -10.0, n_max, 2.0)
 
     def test_differential_equation_residual(self):
         # (1-x^2) P'' - [(mu+nu+2)x + mu - nu] P' + n(n+mu+nu+1) P = 0
@@ -188,7 +210,8 @@ class TestSignedLogGamma:
         assert signed_log_gamma(-1.5).sign == 1
         assert signed_log_gamma(-2.5).sign == -1
 
-    @pytest.mark.parametrize("z", [0.0, -1.0, -2.0, -3.0 + 1e-13])
+    @pytest.mark.parametrize("z", [0.0, -1.0, -2.0, -3.0 + 1e-13,
+                                   pytest.param(math.inf, id="not-finite")])
     def test_poles_rejected(self, z):
         with pytest.raises(ParameterError):
             signed_log_gamma(z)
