@@ -115,32 +115,55 @@ EXTENSION_CALLS = {"scipy.linalg._flapack": f"{REFERENCE_SOLVE}.epsilons",
 
 
 def load_and_call(extension: str, no_file: bool, refusals: int) -> tuple[list, set[str]]:
-    """The loader's module name, the call's bytes and the recorded loads."""
+    """The loader's module name (or its ImportError), the call's bytes and the recorded loads."""
     out, modules = run_fresh(
         f"EXTENSION, REFUSALS = {extension!r}, {refusals}\n{RECORD_LOADS}"
         + ("importlib.machinery.EXTENSION_SUFFIXES = []\n" if no_file else "")
         + "import tribound, tribound.solver\n"
-        "name = tribound.solver._scipy_extension(EXTENSION).__name__\n"
-        f"print(json.dumps([name, {EXTENSION_CALLS[extension]}.tobytes().hex(), loads]))")
+        "try:\n"
+        "    name = tribound.solver._scipy_extension(EXTENSION).__name__\n"
+        f"    print(json.dumps([name, {EXTENSION_CALLS[extension]}.tobytes().hex(), loads]))\n"
+        "except ImportError as exc:\n"
+        "    print(json.dumps([str(exc), None, loads]))")
     return json.loads(out), modules
 
 
-@pytest.mark.parametrize("extension", list(EXTENSION_CALLS))
-@pytest.mark.parametrize("no_file, refusals, loads", [
-    pytest.param(True, 0, [True], id="no-file"),
-    pytest.param(False, 1, [False, True], id="refused-alone"),
-])
-def test_loader_takes_the_standard_import(extension, no_file, refusals, loads):
-    # with no extension file to find, or a file that will not load on its
-    # own, the loader imports the module the standard way, after scipy and
-    # the package around it: the same routines with the same bits
+@pytest.mark.parametrize("extension", [pytest.param(e, id=f"no-file-{e}") for e in EXTENSION_CALLS])
+def test_loader_takes_the_standard_import(extension):
+    # with no extension file to find, the loader imports the module the
+    # standard way, after scipy and the package around it: the same routines
+    # with the same bits
     package = extension.rpartition(".")[0]
     alone, alone_modules = load_and_call(extension, no_file=False, refusals=0)
-    standard, standard_modules = load_and_call(extension, no_file, refusals)
+    standard, standard_modules = load_and_call(extension, no_file=True, refusals=0)
     assert alone == [extension, alone[1], [False]]
-    assert standard == [extension, alone[1], loads]
+    assert standard == [extension, alone[1], [True]]
     assert package not in alone_modules
     assert {"scipy", package} <= standard_modules
+
+
+@pytest.mark.parametrize("extension", list(EXTENSION_CALLS))
+@pytest.mark.parametrize("refusals", [
+    pytest.param(1, id="retry-after-initializer"),
+    pytest.param(2, id="public-after-refusal-raises"),
+])
+def test_loader_runs_scipys_initializer_when_the_extension_fails_alone(extension, refusals):
+    # where scipy's initializer sets up the bundled LAPACK (delvewheel-patched
+    # Windows wheels), the extension's own load raises ImportError: the
+    # standard import runs the initializer and loads the file once more, with
+    # the same routines and bits; if that load is refused too, its ImportError
+    # reaches the caller and neither the extension nor its package is left
+    # registered
+    package = extension.rpartition(".")[0]
+    refused, modules = load_and_call(extension, no_file=False, refusals=refusals)
+    assert "scipy" in modules
+    if refusals == 1:
+        alone, _ = load_and_call(extension, no_file=False, refusals=0)
+        assert refused == [extension, alone[1], [False, True]]
+        assert package in modules
+    else:
+        assert refused == ["DLL load failed", None, [False, True]]
+        assert not {extension, package} & modules
 
 
 def test_loader_without_scipy_raises_module_not_found():
