@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ParameterError, SolverError
-from .recursion import BasisParams, jacobi_sequence, normalization_c
+from .recursion import BasisParams, _check_integer, jacobi_sequence, normalization_c
 from .solver import _scipy_extension
 
 # Integration window in t = ln(x - 1).  Below -43 the variable x - 1 falls
@@ -86,6 +86,8 @@ def direct_matrix_element(basis: BasisParams, w, n: int, m: int) -> IntegrationR
         raise ParameterError(
             "direct integration is supported for basis degree <= 8 (cost grows "
             "with the oscillation of the polynomials)")
+    _check_integer(n, "matrix index n")
+    _check_integer(m, "matrix index m")
     if not (0 <= n <= basis.N and 0 <= m <= basis.N):
         raise ParameterError(f"indices must lie in 0..{basis.N}, got ({n}, {m})")
     mu, nu = basis.mu, basis.nu

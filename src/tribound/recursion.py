@@ -121,14 +121,18 @@ def _sinpi(z: float) -> tuple[float, int]:
 def signed_log_gamma(z: float) -> SignedLogMagnitude:
     """ln|Gamma(z)| and sign(Gamma(z)); reflection handles z < 0.
 
-    Raises ParameterError at the poles z = 0, -1, -2, ... (within 1e-12).
+    Raises ParameterError at the poles z = 0, -1, -2, ... (within 1e-12)
+    and where ln Gamma(z) overflows float64 (z above about 2.5e305).
     """
     if not math.isfinite(z):
         raise ParameterError(f"gamma argument must be finite, got {z}")
     if z <= 0.0 and abs(z - round(z)) < GAMMA_POLE_TOL:
         raise ParameterError(f"gamma pole at z = {z}")
     if z > 0.0:
-        return SignedLogMagnitude(math.lgamma(z), 1)
+        try:
+            return SignedLogMagnitude(math.lgamma(z), 1)
+        except OverflowError:
+            raise ParameterError(f"ln Gamma(z) overflows float64 at z = {z}") from None
     # Gamma(z) = pi / (sin(pi z) Gamma(1 - z)); Gamma(1 - z) > 0 here.
     s, sgn = _sinpi(z)
     log_abs = math.log(math.pi) - math.log(s) - math.lgamma(1.0 - z)
@@ -195,18 +199,17 @@ def h_polynomial_sequence(basis: BasisParams, B: float, C: float) -> np.ndarray:
     H_1 = (B + G_0 - C F_0) / (C D_0) and
     H_{n+1} = [ (B + G_n - C F_n) H_n - C D_{n-1} H_{n-1} ] / (C D_n).
 
-    Magnitudes can sweep many orders for deep states; if |H| passes 1e150 the
-    whole accumulated sequence is rescaled (overall scale is irrelevant and
-    the termwise recursion residual is preserved).  A non-finite B or C, or a
-    term that overflows float64, is refused by name, with no numpy warning.
+    Magnitudes can sweep many orders for deep states; from the first step on,
+    whenever |H| passes 1e150 the whole accumulated sequence is rescaled, H_0
+    with it (overall scale is irrelevant and the termwise recursion residual
+    is preserved).  A non-finite B or C, or a term that overflows float64, is
+    refused by name, with no numpy warning.
     """
     for name, value in (("B", B), ("C", C)):
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
     h = np.empty(basis.size, dtype=float)
     h[0] = 1.0
-    if basis.N == 0:
-        return h
     # only indices 0..N-1 of each sequence enter the steps here
     with np.errstate(over="ignore", invalid="ignore"):
         F, G = _f_g_arrays(basis.mu, basis.nu, basis.N)
@@ -218,7 +221,7 @@ def h_polynomial_sequence(basis: BasisParams, B: float, C: float) -> np.ndarray:
             h[n + 1] = ((B + G[n] - C * F[n]) * h[n] - back) / (C * D[n])
             if not math.isfinite(h[n + 1]):
                 raise ParameterError(f"recursion overflowed within one step at n = {n + 1}")
-            if n and abs(h[n + 1]) > H_RESCALE_LIMIT:   # H_0 = 1 is kept through step 1
+            if abs(h[n + 1]) > H_RESCALE_LIMIT:
                 h[:n + 2] /= abs(h[n + 1])
     return h
 
@@ -241,8 +244,6 @@ def jacobi_sequence(mu: float, nu: float, n_max: int, x) -> np.ndarray:
     out = np.empty((n_max + 1,) + x.shape, dtype=float)
     out[0] = 1.0
     if n_max >= 1:
-        if abs(mu + nu + 2.0) < DEGENERATE_DENOM_TOL:
-            raise ParameterError("degenerate parameters: mu + nu + 2 ~ 0")
         row = out[1, ...]                  # a view, also for 0-d x
         np.multiply(x, mu + nu + 2.0, out=row)
         row *= 0.5                         # exact: the bits of row / 2
@@ -319,8 +320,10 @@ def normalization_c(mu: float, nu: float, n: int) -> float:
 
     c_n^2 is the reciprocal of the closed-form diagonal of
     int_1^inf (x-1)^mu (x+1)^nu P_n P_m dx; requires mu > -1 and
-    mu + nu < -2n - 1 (strict), and the assembled square must be positive.
+    mu + nu < -2n - 1 (strict) with n an integer, and the assembled square
+    must be positive with a square root that float64 can hold.
     """
+    _check_integer(n, "index n")
     if not mu > -1.0:
         raise ParameterError(f"orthogonality requires mu > -1, got mu = {mu}")
     if not (mu + nu < -2.0 * n - 1.0):
@@ -330,4 +333,8 @@ def normalization_c(mu: float, nu: float, n: int) -> float:
     if cn2.sign <= 0 or not math.isfinite(cn2.log_abs):
         raise ParameterError(
             f"assembled c_n^2 is not positive finite for (mu, nu, n) = ({mu}, {nu}, {n})")
-    return math.exp(0.5 * cn2.log_abs)
+    try:
+        return math.exp(0.5 * cn2.log_abs)
+    except OverflowError:
+        raise ParameterError(
+            f"c_n overflows float64 for (mu, nu, n) = ({mu}, {nu}, {n})") from None

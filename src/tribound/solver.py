@@ -208,44 +208,36 @@ def _kernels(basis: BasisParams) -> _Kernels:
     return _Kernels(F, D, tau, lam, q_minus, q_plus, omega)
 
 
-def assemble_system(basis: BasisParams, p: PotentialParams,
-                    consistent_potential: bool = False) -> np.ndarray:
-    """Exactly symmetric Hamiltonian (times 2/lambda^2) in the computational basis.
+def assemble_system(basis: BasisParams, p: PotentialParams) -> np.ndarray:
+    """Exactly symmetric Hamiltonian (times 2/lambda^2) of V(r) in the computational basis.
 
     H_nm = [1/4 - B - (n + (mu+nu+1)/2)^2] delta_nm + C X_nm
-           + (mu^2/2) <1/(1-x)>_nm + ((nu^2 + A)/2) <1/(1+x)>_nm,
+           + (mu^2/2) <1/(1-x)>_nm + ((nu^2 + 2A)/2) <1/(1+x)>_nm,
     omega_nm = <1/(x^2-1)>_nm,
     with <w>_nm the quadrature matrices.  tau_n > 1 keeps every kernel finite
-    and makes omega positive definite.
+    and makes omega positive definite.  Substituting
+    U(x) = A(x-1) + (1-x^2)(B-Cx) into the wave operator gives
+    -U/(1-x^2) = A/(1+x) - B + Cx, which with the nu^2 from the basis puts
+    (nu^2 + 2A)/2 on the 1/(1+x) pole.
 
     The recursion coefficients, the rule and the three kernels, omega among
     them, depend on the basis alone: _kernels keeps those of the last 16
     bases, read-only, so a solve on a basis already seen assembles H in
     O(N^2).  H is the caller's own.
-
-    The default 1/(1+x) coefficient (nu^2 + A)/2 is the tabulated reference
-    convention, which corresponds to the potential with the coth strength
-    halved: substituting U(x) = A(x-1) + (1-x^2)(B-Cx) into the wave
-    operator gives -U/(1-x^2) = A/(1+x) - B + Cx, i.e. the full A on the
-    1/(1+x) pole, so the operator-consistent coefficient is (nu^2 + 2A)/2.
-    Pass consistent_potential=True for the spectrum of V(r) exactly as
-    potential_value evaluates it (validated against an independent
-    finite-difference solution of the radial equation).
     """
     if not p.C > 0.0:
         raise ParameterError(f"C must be positive (at C <= 0 the core does not repel and the "
                              f"levels diverge with the basis size), got C = {p.C:.6g}")
     mu, nu = basis.mu, basis.nu
     k = _kernels(basis)
-    a_pole = 2.0 * p.A if consistent_potential else p.A
     n = np.arange(basis.size, dtype=float)
     diag = 0.25 - p.B - (n + 0.5 * (mu + nu + 1.0)) ** 2
-    # rounding as the sum diag + C X + (mu^2/2) <.> + ((nu^2+a)/2) <.>
+    # rounding as the sum diag + C X + (mu^2/2) <.> + ((nu^2+2A)/2) <.>
     h = k.q_minus * (mu * mu / 2.0)
     h.flat[::basis.size + 1] += diag + p.C * k.F
     h.flat[1::basis.size + 1] += p.C * k.D
     h.flat[basis.size::basis.size + 1] += p.C * k.D
-    h += ((nu * nu + a_pole) / 2.0) * k.q_plus
+    h += ((nu * nu + 2.0 * p.A) / 2.0) * k.q_plus
     h += h.T
     h *= 0.5
     return h
@@ -383,14 +375,20 @@ def solve_bound_states(p: PotentialParams, size: int, mu: float = 1.5,
     """End-to-end spectrum for a basis of `size` functions.
 
     nu is the stability-plateau choice -2*size - mu - 2 (BasisParams.from_size),
-    and the spectrum carries that basis.  See assemble_system for the meaning
-    of consistent_potential.
+    and the spectrum carries that basis.  consistent_potential=True solves
+    V(r) exactly as potential_value evaluates it (validated against an
+    independent finite-difference solution of the radial equation).  The
+    default is the tabulated reference convention: V with the coth strength
+    halved, A/2 in place of A.  2 (A/2) is A in binary arithmetic, so its
+    1/(1+x) coefficient is (nu^2 + A)/2 bit for bit (A/2 drops a bit only
+    below the normal range, far under the last bit of nu^2).
     """
     basis = BasisParams.from_size(mu, size)
+    solved = p if consistent_potential else PotentialParams(0.5 * p.A, p.B, p.C, p.lam)
     # strengths near the float64 limit overflow H or its residuals: a NaN or
     # infinite residual raises SolverError in _generalized_eigen, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        h = assemble_system(basis, p, consistent_potential=consistent_potential)
+        h = assemble_system(basis, solved)
         eigs, max_res = _generalized_eigen(h, _kernels(basis))
     return bound_states(eigs, basis, max_res)
 

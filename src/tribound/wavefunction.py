@@ -74,12 +74,10 @@ def state_coefficients(k: int, epsilon_k: float, A: float, B: float, C: float
     """
     if k < 0:
         raise ParameterError(f"state index must be >= 0, got {k}")
-    if A > -0.5:
+    if not A <= -0.5:
         raise ParameterError(f"bound states require A <= -1/2, got A = {A}")
     if not epsilon_k < 0.0:
         raise ParameterError(f"bound states require eps < 0, got {epsilon_k}")
-    if not epsilon_k + 2.0 * A < 0.0:
-        raise ParameterError(f"eps + 2A must be negative, got {epsilon_k + 2.0 * A}")
     if not (C > 0.0 and B >= C):
         raise ParameterError(f"association needs B >= C > 0, got B = {B}, C = {C}")
     basis = BasisParams(mu=math.sqrt(-epsilon_k), nu=-math.sqrt(-epsilon_k - 2.0 * A), N=k)

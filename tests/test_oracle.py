@@ -37,6 +37,15 @@ class TestSelfConsistency:
         basis = basis_of_size(3)
         with pytest.raises(ParameterError):
             direct_matrix_element(basis, lambda x: x, 0, 3)
+        # an index that is not an integer is refused before the range check
+        for n, shown in ((0.5, "0.5"), (True, "the bool True")):
+            with pytest.raises(ParameterError, match=rf"^matrix index n must be an integer, "
+                               rf"got {shown}$"):
+                direct_matrix_element(basis, lambda x: x, n, 0)
+        with pytest.raises(ParameterError, match=r"^matrix index m must be an integer, got 1.0$"):
+            direct_matrix_element(basis, lambda x: x, 0, 1.0)
+        with pytest.raises(ParameterError, match=r"^index n must be an integer, got 0.5$"):
+            normalization_c(0.5, -10.0, 0.5)
         with pytest.raises(ParameterError, match=r"^direct integration is supported for "
                            r"basis degree <= 8 "):
             direct_matrix(basis_of_size(10), lambda x: x)

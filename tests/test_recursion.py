@@ -84,7 +84,8 @@ class TestEnergyParams:
             state_basis(0.0, -300.0)
         with pytest.raises(ParameterError, match="bound states require A <= -1/2"):
             state_basis(-1.0, -0.4)
-        with pytest.raises(ParameterError, match="eps \\+ 2A must be negative"):
+        # a NaN A fails the A test (eps + 2A < 0 follows from A <= -1/2 and eps < 0)
+        with pytest.raises(ParameterError, match="^bound states require A <= -1/2, got A = nan$"):
             state_basis(-1.0, math.nan)
 
 
@@ -222,27 +223,29 @@ class TestHPolynomialSequence:
             assert res < 1e-10
 
     def test_rescaling_guard_preserves_recursion(self):
-        # tiny C drives |H_n| through 1e150; the global rescale keeps the
-        # sequence finite and termwise consistent
-        size = 120
-        basis = BasisParams.from_size(1.5, size)
-        C = 1e-4
-        B = 5.0 * C
-        h = h_polynomial_sequence(basis, B, C)
-        assert np.all(np.isfinite(h))
-        assert np.max(np.abs(h)) <= 1e150 * (1.0 + 1e-12)
-        # entries rescaled into the denormal range cannot satisfy the
-        # per-term residual; the contract here is relative to max |H|
-        F, G = _f_g_arrays(basis.mu, basis.nu, basis.N)
-        D = _d_array(basis.mu, basis.nu, basis.N)
-        worst = 0.0
-        for n in range(basis.N):
-            lhs = (B / C) * h[n]
-            rhs = (-(1.0 / C) * G[n] + F[n]) * h[n] + D[n] * h[n + 1]
-            if n > 0:
-                rhs += D[n - 1] * h[n - 1]
-            worst = max(worst, abs(lhs - rhs))
-        assert worst < 1e-10 * np.max(np.abs(h))
+        # the global rescale keeps the sequence finite and termwise consistent
+        cases = [
+            # tiny C drives |H_n| through 1e150
+            (BasisParams.from_size(1.5, 120), 5e-4, 1e-4),
+            # |H_1| ~ 7.9e200 already: rescaled from the first step, H_2 stays finite
+            (BasisParams(mu=1.5, nu=-30.0, N=2), 1e200, 1.0),
+        ]
+        for basis, B, C in cases:
+            h = h_polynomial_sequence(basis, B, C)
+            assert np.all(np.isfinite(h))
+            assert np.max(np.abs(h)) <= 1e150 * (1.0 + 1e-12)
+            # entries rescaled into the denormal range cannot satisfy the
+            # per-term residual; the contract here is relative to max |H|
+            F, G = _f_g_arrays(basis.mu, basis.nu, basis.N)
+            D = _d_array(basis.mu, basis.nu, basis.N)
+            worst = 0.0
+            for n in range(basis.N):
+                lhs = (B / C) * h[n]
+                rhs = (-(1.0 / C) * G[n] + F[n]) * h[n] + D[n] * h[n + 1]
+                if n > 0:
+                    rhs += D[n - 1] * h[n - 1]
+                worst = max(worst, abs(lhs - rhs))
+            assert worst < 1e-10 * np.max(np.abs(h))
 
     def test_degenerate_step_rejected(self):
         basis = BasisParams(mu=1.0, nu=-5.0, N=1)

@@ -38,9 +38,14 @@ def x_matrix(basis):
     return np.diag(F) + np.diag(D, 1) + np.diag(D, -1)
 
 
+def solved_potential(p, consistent):
+    """The potential a solve assembles: p itself, or p at A/2 in the reference convention."""
+    return p if consistent else PotentialParams(A=0.5 * p.A, B=p.B, C=p.C, lam=p.lam)
+
+
 def assembled(basis, p=REFERENCE_POTENTIAL, consistent=False):
     """H and the basis's kernels, as solve_bound_states hands them to the eigensolve."""
-    return assemble_system(basis, p, consistent_potential=consistent), solver._kernels(basis)
+    return assemble_system(basis, solved_potential(p, consistent)), solver._kernels(basis)
 
 
 def diagonal_pencil(h, g):
@@ -457,12 +462,21 @@ class TestDirectFormulas:
         basis = sized_basis(size)
         for A, consistent in ((-300.0, False), (-2000.0, True), (-20.0, False)):
             p = PotentialParams(A=A, B=5.0, C=3.0)
-            got = assemble_system(basis, p, consistent_potential=consistent)
+            got = assemble_system(basis, solved_potential(p, consistent))
             h, omega = one_expression_assembly(basis, p, consistent)
             assert np.array_equal(got, h)
         info = solver._kernels.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         assert np.array_equal(solver._kernels(basis).omega, omega)
+
+    @pytest.mark.parametrize("size", [10, 50, 100])
+    @pytest.mark.parametrize("A", [-20.0, -300.0, -2000.0])
+    def test_default_convention_is_the_consistent_solve_at_half_A(self, A, size):
+        default = solve_bound_states(PotentialParams(A=A, B=5.0, C=3.0), size)
+        halved = solve_bound_states(PotentialParams(A=0.5 * A, B=5.0, C=3.0), size,
+                                    consistent_potential=True)
+        assert default.epsilons.tobytes() == halved.epsilons.tobytes()
+        assert repr(default.max_residual) == repr(halved.max_residual)
 
 
 class TestBoundStateSelection:

@@ -9,7 +9,9 @@ import pytest
 from scipy import integrate
 
 from tribound.errors import ParameterError
+from tribound.oracle import direct_matrix
 from tribound.recursion import (
+    BasisParams,
     SignedLogMagnitude,
     _log_cn_squared_gammas,
     _sinpi,
@@ -114,6 +116,8 @@ class TestJacobiEval:
         p1 = jacobi_sequence(2.0, -10.0, 1, 3.0)[1]
         assert p1 == pytest.approx(-3.0, abs=1e-14)
         assert hypergeometric_oracle(2.0, -10.0, 1, 3.0) == pytest.approx(-3.0, rel=1e-12)
+        # at mu + nu + 2 = 0 the x term vanishes and P_1 = (mu - nu)/2
+        assert jacobi_sequence(0.5, -2.5, 1, 2.0).tolist() == [1.0, 1.5]
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_matches_hypergeometric_sum(self, n):
@@ -148,7 +152,7 @@ class TestJacobiEval:
         cases = [
             ((1.0, -5.0, 3), "degenerate recursion denominator at n = 1"),   # 2n + mu + nu + 2 = 0
             ((0.5, -3.5, 3), "degenerate recursion denominator at n = 1"),   # 2n + mu + nu + 1 = 0
-            ((0.5, -2.5, 3), "degenerate parameters: mu + nu + 2 ~ 0"),
+            ((0.5, -2.5, 3), "degenerate recursion denominator at n = 1"),   # 2n + mu + nu = 0
             # the leading coefficient 2(n+1)(n+mu+nu+1)/... at n = 3 is 8e-11
             ((0.5, -4.5 + 1.2e-10, 4), "vanishing leading coefficient at n = 3"),
         ]
@@ -211,7 +215,8 @@ class TestSignedLogGamma:
         assert signed_log_gamma(-2.5).sign == -1
 
     @pytest.mark.parametrize("z", [0.0, -1.0, -2.0, -3.0 + 1e-13,
-                                   pytest.param(math.inf, id="not-finite")])
+                                   pytest.param(math.inf, id="not-finite"),
+                                   pytest.param(1e307, id="lgamma-overflows")])
     def test_poles_rejected(self, z):
         with pytest.raises(ParameterError):
             signed_log_gamma(z)
@@ -232,6 +237,14 @@ class TestNormalization:
     def test_mu_constraint(self):
         with pytest.raises(ParameterError):
             normalization_c(-1.0, -20.0, 0)
+
+    def test_overflow_refused_by_name(self):
+        message = "c_n overflows float64 for (mu, nu, n) = (0.5, -1e+200, 0)"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            normalization_c(0.5, -1e200, 0)
+        # the oracle's elements carry c_n and refuse the basis the same way
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            direct_matrix(BasisParams(0.5, -1e200, 2), lambda x: x)
 
     def test_gamma_form_equals_sine_form(self):
         rng = np.random.default_rng(7)
