@@ -288,20 +288,21 @@ def _cmd_wavefunction(cfg: dict) -> int:
     if not 0 <= k < len(spectrum):
         raise ParameterError(f"state {k} out of range: {len(spectrum)} bound state(s) available")
     grid = _r_grid(cfg, p.lam, 1, 1e-3, 15.0)
-    table = sample_wavefunction(k, float(spectrum.epsilons[k]), p, grid)
+    epsilon = float(spectrum.epsilons[k])
+    table = sample_wavefunction(k, epsilon, p, grid)
     doc = {
         "command": "wavefunction",
         "params": params,
         "state": {
             "state": k,
-            "epsilon": table.epsilon,
-            "minus_epsilon": -table.epsilon,
+            "epsilon": epsilon,
+            "minus_epsilon": -epsilon,
             "mu_k": table.mu_k,
             "nu_k": table.nu_k,
             "terms_used": table.terms_used,
             "clamped_count": table.clamped_count,
         },
-        "samples": list(zip(table.r_grid.tolist(), table.psi.tolist())),
+        "samples": list(zip(grid.tolist(), table.psi.tolist())),
     }
     _emit(cfg, doc, "samples", ("r", "psi"), doc["state"])
     return EXIT_OK

@@ -12,7 +12,7 @@ U(x) = (x-1)[A + (x+1)(Cx - B)] and makes crossings and extrema elementary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,10 +90,10 @@ class Extremum:
 
 @dataclass(frozen=True)
 class ShapeReport:
-    crossings: list[Crossing] = field(default_factory=list)
-    extrema: list[Extremum] = field(default_factory=list)
-    admits_bound_states: bool = False
-    satisfies_B_ge_C: bool = False
+    crossings: list[Crossing]
+    extrema: list[Extremum]
+    admits_bound_states: bool
+    satisfies_B_ge_C: bool
 
 
 @dataclass(frozen=True)
@@ -185,9 +185,17 @@ def r_of_x(lam: float, x):
 
 
 def u_of_x(p: PotentialParams, x):
-    """U(x) = A(x-1) + (1-x^2)(B - Cx): the potential in units lambda^2/2."""
+    """U(x) = A(x-1) + (1-x^2)(B - Cx): the potential in units lambda^2/2.
+
+    A U that is not a finite float64 (x is NaN or infinite, or U overflows)
+    raises a ParameterError naming x, with no numpy warning.
+    """
     x = np.asarray(x, dtype=float)
-    u = p.A * (x - 1.0) + (1.0 - x * x) * (p.B - p.C * x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = p.A * (x - 1.0) + (1.0 - x * x) * (p.B - p.C * x)
+    finite = np.isfinite(u)
+    if not np.all(finite):
+        raise ParameterError(f"U(x) is not a finite float64 at x = {x.flat[np.argmin(finite)]:.6g}")
     return u if u.shape else float(u)
 
 
@@ -275,10 +283,7 @@ def classify_shape(p: PotentialParams) -> ShapeReport:
         root = math.sqrt(disc_e)
         for x in ((gamma - root) / 3.0, (gamma + root) / 3.0):
             if x >= 1.0 + ROOT_ADMISSIBLE_TOL:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    value = u_of_x(p, x)
-                if not math.isfinite(value):
-                    raise ParameterError(f"V at the extremum x = {x:.6g} overflows float64")
+                value = u_of_x(p, x)
                 extrema.append(Extremum(x=x, r=r_of_x(p.lam, x), value=value))
 
     return ShapeReport(

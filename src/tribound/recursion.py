@@ -102,14 +102,6 @@ class BasisParams:
         return cls(mu=mu, nu=nu, N=size - 1)
 
 
-@dataclass(frozen=True)
-class SignedLogMagnitude:
-    """A real number stored as (log |value|, sign), sign in {-1, 0, +1}."""
-
-    log_abs: float
-    sign: int
-
-
 def _sinpi(z: float) -> tuple[float, int]:
     """sin(pi z) as (|sin|, sign) for non-integer z, exact argument reduction by floor."""
     m = math.floor(z)
@@ -118,8 +110,8 @@ def _sinpi(z: float) -> tuple[float, int]:
     return s, (1 if m % 2 == 0 else -1)
 
 
-def signed_log_gamma(z: float) -> SignedLogMagnitude:
-    """ln|Gamma(z)| and sign(Gamma(z)); reflection handles z < 0.
+def signed_log_gamma(z: float) -> tuple[float, int]:
+    """(ln|Gamma(z)|, sign(Gamma(z))); reflection handles z < 0.
 
     Raises ParameterError at the poles z = 0, -1, -2, ... (within 1e-12)
     and where ln Gamma(z) overflows float64 (z above about 2.5e305).
@@ -130,13 +122,12 @@ def signed_log_gamma(z: float) -> SignedLogMagnitude:
         raise ParameterError(f"gamma pole at z = {z}")
     if z > 0.0:
         try:
-            return SignedLogMagnitude(math.lgamma(z), 1)
+            return math.lgamma(z), 1
         except OverflowError:
             raise ParameterError(f"ln Gamma(z) overflows float64 at z = {z}") from None
     # Gamma(z) = pi / (sin(pi z) Gamma(1 - z)); Gamma(1 - z) > 0 here.
     s, sgn = _sinpi(z)
-    log_abs = math.log(math.pi) - math.log(s) - math.lgamma(1.0 - z)
-    return SignedLogMagnitude(log_abs, sgn)
+    return math.log(math.pi) - math.log(s) - math.lgamma(1.0 - z), sgn
 
 
 def _f(mu: float, nu: float, s):
@@ -226,12 +217,15 @@ def h_polynomial_sequence(basis: BasisParams, B: float, C: float) -> np.ndarray:
     return h
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def jacobi_sequence(mu: float, nu: float, n_max: int, x) -> np.ndarray:
     """P_0 .. P_n_max of the pair (mu, nu) at x (scalar or array) by upward recursion.
 
     Seeds P_0 = 1 and P_1 = (mu+nu+2)x/2 + (mu-nu)/2; each step solves the
     recursion x P_n = F_n P_n + A_n P_{n-1} + B_n P_{n+1} for P_{n+1}.  Any real
     pair evaluates; orthogonality on [1, inf) needs more (see normalization_c).
+    Rows past float64 hold +-inf or NaN, with no numpy warning, for the caller
+    to refuse.
     """
     _check_integer(n_max, "polynomial degree")
     if n_max < 0:
@@ -267,8 +261,8 @@ def jacobi_sequence(mu: float, nu: float, n_max: int, x) -> np.ndarray:
     return out
 
 
-def _log_cn_squared_gammas(mu: float, nu: float, n: int) -> SignedLogMagnitude:
-    """log(c_n^2) from the pure-gamma closed form of the diagonal norm.
+def _log_cn_squared_gammas(mu: float, nu: float, n: int) -> tuple[float, int]:
+    """(log(c_n^2), sign) from the pure-gamma closed form of the diagonal norm.
 
     diag_n = (-1)^(n+1) 2^(mu+nu+1)/(2n+mu+nu+1)
              * Gamma(n+mu+1) Gamma(n+nu+1) Gamma(-n-mu-nu)
@@ -278,41 +272,36 @@ def _log_cn_squared_gammas(mu: float, nu: float, n: int) -> SignedLogMagnitude:
     (nu+1)(nu+2)...(nu+n).
     """
     t = 2.0 * n + mu + nu + 1.0
-    num = [signed_log_gamma(n + mu + 1.0)]
-    den = [signed_log_gamma(n + 1.0), signed_log_gamma(-nu)]
+    l1, s1 = signed_log_gamma(n + mu + 1.0)
+    l4, s4 = signed_log_gamma(n + 1.0)
+    l5, s5 = signed_log_gamma(-nu)
     if nu + 1.0 <= 0.0 and abs(nu - round(nu)) < GAMMA_POLE_TOL:
         factors = nu + np.arange(1.0, n + 1.0)
-        num.append(SignedLogMagnitude(float(np.log(np.abs(factors)).sum()),
-                                      int(np.prod(np.sign(factors)))))
+        l2, s2 = float(np.log(np.abs(factors)).sum()), int(np.prod(np.sign(factors)))
+        l6, s6 = 0.0, 1                            # x - 0.0 is x: the sum keeps its bits
     else:
-        num.append(signed_log_gamma(n + nu + 1.0))
-        den.append(signed_log_gamma(nu + 1.0))
-    num.append(signed_log_gamma(-n - mu - nu))  # summed below in the closed form's order
-    sign = (-1) ** (n + 1) * (1 if t > 0 else -1)
-    log_abs = (mu + nu + 1.0) * math.log(2.0) - math.log(abs(t))
-    for g in num:
-        sign *= g.sign
-        log_abs += g.log_abs
-    for g in den:
-        sign *= g.sign
-        log_abs -= g.log_abs
-    return SignedLogMagnitude(-log_abs, sign)
+        l2, s2 = signed_log_gamma(n + nu + 1.0)
+        l6, s6 = signed_log_gamma(nu + 1.0)
+    l3, s3 = signed_log_gamma(-n - mu - nu)
+    # l1..l3 are the numerator's logs, l4..l6 the denominator's, summed in that order
+    log_abs = ((mu + nu + 1.0) * math.log(2.0) - math.log(abs(t))
+               + l1 + l2 + l3 - l4 - l5 - l6)
+    sign = (-1) ** (n + 1) * (1 if t > 0 else -1) * s1 * s2 * s3 * s4 * s5 * s6
+    return -log_abs, sign
 
 
-def log_gamma_ratio(mu: float, nu: float, n: int) -> SignedLogMagnitude:
-    """ln|t Gamma(n+1) Gamma(n+mu+nu+1) / (Gamma(n+mu+1) Gamma(n+nu+1))| and its sign.
+def log_gamma_ratio(mu: float, nu: float, n: int) -> tuple[float, int]:
+    """(ln|t Gamma(n+1) Gamma(n+mu+nu+1) / (Gamma(n+mu+1) Gamma(n+nu+1))|, sign).
 
     t = 2n + mu + nu + 1.  This is c_n^2 up to a factor that does not depend
     on n; the wavefunction series normalizations use it as it stands.
     """
-    ga = signed_log_gamma(n + 1.0)
-    gb = signed_log_gamma(n + mu + nu + 1.0)
-    gc = signed_log_gamma(n + mu + 1.0)
-    gd = signed_log_gamma(n + nu + 1.0)
+    la, sa = signed_log_gamma(n + 1.0)
+    lb, sb = signed_log_gamma(n + mu + nu + 1.0)
+    lc, sc = signed_log_gamma(n + mu + 1.0)
+    ld, sd = signed_log_gamma(n + nu + 1.0)
     t = 2.0 * n + mu + nu + 1.0
-    sign = ga.sign * gb.sign * gc.sign * gd.sign * (1 if t > 0 else -1)
-    return SignedLogMagnitude(
-        math.log(abs(t)) + ga.log_abs + gb.log_abs - gc.log_abs - gd.log_abs, sign)
+    return math.log(abs(t)) + la + lb - lc - ld, sa * sb * sc * sd * (1 if t > 0 else -1)
 
 
 def normalization_c(mu: float, nu: float, n: int) -> float:
@@ -329,12 +318,12 @@ def normalization_c(mu: float, nu: float, n: int) -> float:
     if not (mu + nu < -2.0 * n - 1.0):
         raise ParameterError(
             f"orthogonality requires mu + nu < -2n - 1; got {mu + nu} at n = {n}")
-    cn2 = _log_cn_squared_gammas(mu, nu, n)
-    if cn2.sign <= 0 or not math.isfinite(cn2.log_abs):
+    log_cn2, sign = _log_cn_squared_gammas(mu, nu, n)
+    if sign <= 0 or not math.isfinite(log_cn2):
         raise ParameterError(
             f"assembled c_n^2 is not positive finite for (mu, nu, n) = ({mu}, {nu}, {n})")
     try:
-        return math.exp(0.5 * cn2.log_abs)
+        return math.exp(0.5 * log_cn2)
     except OverflowError:
         raise ParameterError(
             f"c_n overflows float64 for (mu, nu, n) = ({mu}, {nu}, {n})") from None

@@ -252,8 +252,9 @@ def _refine_pair(h: np.ndarray, omega: np.ndarray, lam: float,
     lu_solve call, so the bits are theirs without their per-call dispatch.
     dgesv would be faster still, but under a multi-threaded OpenBLAS its
     bits differ from dgetrf + dgetrs.  An exactly singular shift (nonzero
-    info) or a non-finite step ends the iteration and keeps the last pair,
-    with no warning.
+    dgetrf info; dgetrs's info flags only an illegal argument) or a
+    non-finite step ends the iteration and keeps the last pair, with no
+    warning.
     """
     lapack = _lapack()
     shifted = np.empty_like(h)
@@ -264,9 +265,7 @@ def _refine_pair(h: np.ndarray, omega: np.ndarray, lam: float,
         lu, piv, info = lapack.dgetrf(shifted.T, overwrite_a=True)
         if info != 0:
             break
-        f_new, info = lapack.dgetrs(lu, piv, omega @ f, overwrite_b=True)
-        if info != 0:
-            break
+        f_new, _ = lapack.dgetrs(lu, piv, omega @ f, overwrite_b=True)
         norm = math.sqrt(f_new @ f_new)   # np.linalg.norm of a 1-d vector, undispatched
         if not math.isfinite(norm) or norm == 0.0:
             break

@@ -29,20 +29,17 @@ SAMPLE_BLOCK = 16384
 
 @dataclass(frozen=True)
 class WavefunctionTable:
-    """Sampled un-normalized wavefunction of one bound state.
+    """Sampled un-normalized wavefunction of one bound state on the caller's grid.
 
     clamped_count reports grid points whose magnitude fell below the
     log-space representable range and were flushed to exact 0.0.
     """
 
-    state_index: int
-    r_grid: np.ndarray
     psi: np.ndarray
-    epsilon: float
     mu_k: float
     nu_k: float
     terms_used: int
-    clamped_count: int = 0
+    clamped_count: int
 
 
 def _series_normalizations(basis: BasisParams) -> np.ndarray:
@@ -55,13 +52,11 @@ def _series_normalizations(basis: BasisParams) -> np.ndarray:
     the overall normalization); a mixed-sign sequence signals an invalid
     state and is rejected.
     """
-    ratios = [log_gamma_ratio(basis.mu, basis.nu, n) for n in range(basis.size)]
-    logs = np.array([r.log_abs for r in ratios])
-    signs = np.array([r.sign for r in ratios])
-    if np.any(signs != signs[0]):
+    logs, signs = zip(*(log_gamma_ratio(basis.mu, basis.nu, n) for n in range(basis.size)))
+    if len(set(signs)) > 1:
         raise ParameterError(
             "series normalizations have mixed signs; state parameters invalid")
-    return np.exp(0.5 * logs)
+    return np.exp(0.5 * np.array(logs))
 
 
 def state_coefficients(k: int, epsilon_k: float, A: float, B: float, C: float
@@ -136,16 +131,8 @@ def sample_wavefunction(k: int, epsilon_k: float, p: PotentialParams,
         if keep is not None:
             clamped += int(np.count_nonzero(series) - np.count_nonzero(keep))
             out[np.logical_not(keep, out=keep)] = 0.0
-    return WavefunctionTable(
-        state_index=k,
-        r_grid=r,
-        psi=psi,
-        epsilon=epsilon_k,
-        mu_k=basis.mu,
-        nu_k=basis.nu,
-        terms_used=k + 1,
-        clamped_count=clamped,
-    )
+    return WavefunctionTable(psi=psi, mu_k=basis.mu, nu_k=basis.nu, terms_used=k + 1,
+                             clamped_count=clamped)
 
 
 def count_sign_changes(psi: np.ndarray) -> int:

@@ -1,14 +1,15 @@
 """Potential evaluation, coordinate maps and shape classification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from tribound.errors import ParameterError
+from tribound.errors import ParameterError, SolverError
 from tribound.potential import (
     PotentialParams,
     classify_shape,
@@ -18,6 +19,7 @@ from tribound.potential import (
     u_of_x,
     x_of_r,
 )
+from tribound.recursion import jacobi_sequence, log_gamma_ratio, normalization_c, signed_log_gamma
 from tribound.solver import solve_bound_states
 from tribound.wavefunction import sample_wavefunction
 
@@ -65,6 +67,15 @@ class TestPotentialValue:
         for x in (1.0, 1.5, 3.0, 10.0):
             factored = (x - 1.0) * (p.A + (x + 1.0) * (p.C * x - p.B))
             assert u_of_x(p, x) == pytest.approx(factored, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("x, shown", [(1e200, r"1e\+200"), (math.nan, "nan"),
+                                          ([2.0, 1e200, 3.0], r"1e\+200")],
+                             ids=["overflow", "nan", "array"])
+    def test_u_refuses_non_finite_by_x(self, x, shown):
+        # no numpy overflow warning escapes first: the suite turns it into an error
+        with pytest.raises(ParameterError,
+                           match=rf"^U\(x\) is not a finite float64 at x = {shown}$"):
+            u_of_x(PotentialParams(A=-300.0, B=5.0, C=3.0), x)
 
     def test_exponential_decay_rate(self):
         # V(r) e^{2 lambda r} -> (lambda^2/2)(2A - 4B + 4C), nonzero here
@@ -231,7 +242,7 @@ class TestClassifyShape:
     def test_extremum_value_overflow_refused(self):
         # B/C = 1e150 passes the ratio bound, but U at the extremum x ~ 2B/(3C) overflows
         with pytest.raises(ParameterError,
-                           match=r"^V at the extremum x = 6\.66667e\+149 overflows float64$"):
+                           match=r"^U\(x\) is not a finite float64 at x = 6\.66667e\+149$"):
             classify_shape(PotentialParams(A=0.0, B=1e150, C=1.0))
 
 
@@ -304,3 +315,45 @@ def test_extreme_shape_ratios_finite_or_refused(A, B, C):
         assert math.isfinite(point.x) and 0.0 < point.r < math.inf
         assert x_of_r(p.lam, point.r) == pytest.approx(point.x, rel=1e-12)
     assert all(math.isfinite(e.value) for e in shape.extrema)
+
+
+# 0, +-5e-324 (the smallest denormal), log-uniform magnitudes up to 1e300
+# either sign, and NaN
+RAW_FLOAT = st.one_of(
+    st.sampled_from((0.0, 5e-324, -5e-324, 1e300, -1e300, math.nan)),
+    st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-323.3, 300.0)).map(
+        lambda t: t[0] * 10.0**t[1]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(A=RAW_FLOAT, B=RAW_FLOAT, C=RAW_FLOAT, lam=RAW_FLOAT, mu=RAW_FLOAT, nu=RAW_FLOAT,
+       x=RAW_FLOAT, n=st.integers(0, 40))
+def test_public_helpers_finite_or_refused_without_warning(A, B, C, lam, mu, nu, x, n):
+    # each call returns finite values (jacobi_sequence may return +-inf or NaN
+    # rows) or raises ParameterError or SolverError, and emits no warning
+    def shape_values():
+        shape = classify_shape(PotentialParams(A, B, C, lam))
+        return [v for pt in (*shape.crossings, *shape.extrema) for v in vars(pt).values()]
+
+    calls = {
+        "u_of_x": lambda: u_of_x(PotentialParams(A, B, C), x),
+        "jacobi_sequence": lambda: jacobi_sequence(mu, nu, n, x),
+        "r_of_x": lambda: r_of_x(lam, x),
+        "x_of_r": lambda: x_of_r(lam, x),
+        "signed_log_gamma": lambda: signed_log_gamma(x),
+        "log_gamma_ratio": lambda: log_gamma_ratio(mu, nu, n),
+        "normalization_c": lambda: normalization_c(mu, nu, n),
+        "max_basis_index": lambda: float(max_basis_index(A) or 0),
+        "classify_shape": shape_values,
+    }
+    for name, call in calls.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                values = call()
+            except (ParameterError, SolverError):
+                continue
+        if name == "jacobi_sequence":
+            assert values.shape == (n + 1,) and values[0] == 1.0
+        else:
+            assert np.all(np.isfinite(values)), name

@@ -12,7 +12,6 @@ from tribound.errors import ParameterError
 from tribound.oracle import direct_matrix
 from tribound.recursion import (
     BasisParams,
-    SignedLogMagnitude,
     _log_cn_squared_gammas,
     _sinpi,
     jacobi_sequence,
@@ -34,10 +33,10 @@ def log_cn_squared_sines(mu, nu, n):
     """
     s_nu, sg_nu = _sinpi(nu)
     s_mn, sg_mn = _sinpi(mu + nu + 1.0)
-    ratio = log_gamma_ratio(mu, nu, n)
-    log_abs = (ratio.log_abs - (mu + nu + 1.0) * math.log(2.0)
+    log_ratio, sign = log_gamma_ratio(mu, nu, n)
+    log_abs = (log_ratio - (mu + nu + 1.0) * math.log(2.0)
                - math.log(s_nu) + math.log(s_mn))
-    return SignedLogMagnitude(log_abs, ratio.sign * sg_nu * sg_mn)
+    return log_abs, sign * sg_nu * sg_mn
 
 
 def hypergeometric_oracle(mu, nu, n, x):
@@ -148,6 +147,14 @@ class TestJacobiEval:
                                rf"got mu = {mu}, nu = {nu}$"):
                 jacobi_sequence(mu, nu, 2, 2.0)
 
+    def test_overflow_gives_inf_rows_without_warning(self):
+        # P_1 = -3.5e200 is finite; P_2 ~ x^2 leaves float64 and stays there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = jacobi_sequence(1.0, -10.0, 3, 1e200)
+        assert p[0] == 1.0 and p[1] == -3.5e200
+        assert np.isinf(p[2]) and not np.isfinite(p[3])
+
     def test_rejects_degenerate_denominator(self):
         cases = [
             ((1.0, -5.0, 3), "degenerate recursion denominator at n = 1"),   # 2n + mu + nu + 2 = 0
@@ -189,13 +196,13 @@ class TestJacobiEval:
 
 class TestSignedLogGamma:
     def test_gamma_one(self):
-        g = signed_log_gamma(1.0)
-        assert g.sign == 1 and g.log_abs == pytest.approx(0.0, abs=1e-15)
+        log_abs, sign = signed_log_gamma(1.0)
+        assert sign == 1 and log_abs == pytest.approx(0.0, abs=1e-15)
 
     def test_gamma_half(self):
-        g = signed_log_gamma(0.5)
-        assert g.sign == 1
-        assert g.log_abs == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
+        log_abs, sign = signed_log_gamma(0.5)
+        assert sign == 1
+        assert log_abs == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
 
     def test_negative_argument_by_downward_product(self):
         # Gamma(z) = Gamma(z + k) / prod_{i=0}^{k-1} (z + i) from a positive reference
@@ -205,14 +212,14 @@ class TestSignedLogGamma:
             for i in range(k):
                 prod *= z + i
             want = math.exp(math.lgamma(z + k)) / prod
-            g = signed_log_gamma(z)
-            assert g.sign == int(math.copysign(1, want))
-            assert g.sign * math.exp(g.log_abs) == pytest.approx(want, rel=1e-12)
+            log_abs, sign = signed_log_gamma(z)
+            assert sign == int(math.copysign(1, want))
+            assert sign * math.exp(log_abs) == pytest.approx(want, rel=1e-12)
 
     def test_sign_alternates_between_negative_integers(self):
-        assert signed_log_gamma(-0.5).sign == -1
-        assert signed_log_gamma(-1.5).sign == 1
-        assert signed_log_gamma(-2.5).sign == -1
+        assert signed_log_gamma(-0.5)[1] == -1
+        assert signed_log_gamma(-1.5)[1] == 1
+        assert signed_log_gamma(-2.5)[1] == -1
 
     @pytest.mark.parametrize("z", [0.0, -1.0, -2.0, -3.0 + 1e-13,
                                    pytest.param(math.inf, id="not-finite"),
@@ -252,10 +259,10 @@ class TestNormalization:
             mu = rng.uniform(-0.9, 3.0)
             n = int(rng.integers(0, 5))
             nu = -2.0 * n - 1.0 - mu - rng.uniform(0.5, 20.0)
-            a = _log_cn_squared_gammas(mu, nu, n)
-            b = log_cn_squared_sines(mu, nu, n)
-            assert a.sign == b.sign == 1
-            assert a.log_abs == pytest.approx(b.log_abs, abs=1e-12 * max(1.0, abs(a.log_abs)))
+            a, a_sign = _log_cn_squared_gammas(mu, nu, n)
+            b, b_sign = log_cn_squared_sines(mu, nu, n)
+            assert a_sign == b_sign == 1
+            assert a == pytest.approx(b, abs=1e-12 * max(1.0, abs(a)))
 
 
 class TestOrthogonality:
