@@ -154,15 +154,13 @@ def _d_array(mu: float, nu: float, count: int) -> np.ndarray:
 
     D_n = 2/(2n+mu+nu+2) * sqrt[ (n+1)(n+mu+1)(n+nu+1)(n+mu+nu+1)
                                  / ((2n+mu+nu+1)(2n+mu+nu+3)) ]
-    Both callers have refused |2n+mu+nu+2| ~ 0 over these n in _f_g_arrays.
+    Both callers refuse |2n+mu+nu+2| ~ 0 over these n (_f_g_arrays), and their basis
+    (mu > -1, mu + nu < -2N - 1, count <= N) makes two radicand factors > 0, four < 0.
     """
     m = np.arange(count, dtype=float)
     sm = 2.0 * m + mu + nu
     rad = ((m + 1.0) * (m + mu + 1.0) * (m + nu + 1.0) * (m + mu + nu + 1.0)
            / ((sm + 1.0) * (sm + 3.0)))
-    if np.any(rad <= 0.0):
-        bad = int(np.argmax(rad <= 0.0))
-        raise ParameterError(f"non-positive radicand in D_n at n = {bad}")
     return 2.0 / (sm + 2.0) * np.sqrt(rad)
 
 
@@ -172,10 +170,10 @@ def recursion_coeffs(basis: BasisParams) -> tuple[np.ndarray, np.ndarray]:
     Signs are literal: D_n < 0 for every valid basis because 2n+mu+nu+2 < 0.
     A basis with mu + nu = -2N - 2 exactly has a vanishing denominator in F_N
     and is rejected as degenerate (stability-rule choices keep |2n+mu+nu| >= 1).
-    A basis whose coefficients overflow float64 (|nu| of order 1e154 or more)
-    is refused by name, with no numpy warning.
+    Coefficients past float64 (|nu| of order 1e154 or more, or a D_n divisor
+    that rounds to 0) are refused by name, with no numpy warning.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         F, _ = _f_g_arrays(basis.mu, basis.nu, basis.size)
         D = _d_array(basis.mu, basis.nu, basis.size - 1)
     if not (np.isfinite(F).all() and np.isfinite(D).all()):
@@ -202,7 +200,7 @@ def h_polynomial_sequence(basis: BasisParams, B: float, C: float) -> np.ndarray:
     h = np.empty(basis.size, dtype=float)
     h[0] = 1.0
     # only indices 0..N-1 of each sequence enter the steps here
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         F, G = _f_g_arrays(basis.mu, basis.nu, basis.N)
         D = _d_array(basis.mu, basis.nu, basis.N)
         for n in range(basis.N):

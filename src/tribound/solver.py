@@ -278,8 +278,8 @@ def _refine_pair(h: np.ndarray, omega: np.ndarray, lam: float,
 
 
 def _generalized_eigen(h: np.ndarray, kernels: _Kernels) -> tuple[np.ndarray, float]:
-    """Eigenvalues (ascending) and the max relative residual of the checked pairs
-    of H f = eps omega f, with omega and its rule (tau, Lam) from the basis's kernels.
+    """Eigenvalues in eigh's order, refined in place, and the max relative residual of
+    the checked pairs of H f = eps omega f, omega and its rule from the basis's kernels.
 
     omega = Lam diag(g) Lam^T exactly, g = 1/(tau^2 - 1) > 0, so the
     whitening S = Lam diag(sqrt g) inverts in closed form and reduces
@@ -297,7 +297,7 @@ def _generalized_eigen(h: np.ndarray, kernels: _Kernels) -> tuple[np.ndarray, fl
     and its eigenvalue, returned unrefined, is discarded by bound_states.
     Every residual norm is taken of R times a power of two near 1/||H||, so
     finite norms keep their bits and only a non-finite H, reduced matrix or
-    product makes one overflow.
+    product makes one overflow, silently under the caller's np.errstate.
     """
     omega, lam = kernels.omega, kernels.Lam
     g_isqrt = np.sqrt(kernels.tau ** 2 - 1.0)   # _kernels keeps only rules with every tau > 1
@@ -327,10 +327,9 @@ def _generalized_eigen(h: np.ndarray, kernels: _Kernels) -> tuple[np.ndarray, fl
     residuals = np.linalg.norm(res_block, axis=0) / unit
     # b = ||r||_{omega^-1} / ||f||_omega, omega^-1 = Lam diag(tau^2 - 1) Lam^T, ||f||_omega
     # = ||y|| / col_norm = 1 / col_norm; a b that overflows (inf, NaN) stays a candidate
-    with np.errstate(over="ignore", invalid="ignore"):
-        res_block = lam.T @ res_block   # frees R; scaled to diag(g_isqrt) Lam^T R
-        res_block *= g_isqrt[:, None]
-        radius = np.linalg.norm(res_block, axis=0) / unit * col_norm
+    res_block = lam.T @ res_block   # frees R; scaled to diag(g_isqrt) Lam^T R
+    res_block *= g_isqrt[:, None]
+    radius = np.linalg.norm(res_block, axis=0) / unit * col_norm
     candidate = ~(eigs - radius >= BOUND_STATE_CUTOFF)
     triggered = residuals > _REFINE_TRIGGER * tol
     for k in np.nonzero(candidate & triggered)[0]:
@@ -347,7 +346,7 @@ def _generalized_eigen(h: np.ndarray, kernels: _Kernels) -> tuple[np.ndarray, fl
         raise SolverError(
             f"generalized eigenpair residual {worst:.3e} exceeds "
             f"{tol:.3e} after refinement")
-    return np.sort(eigs, kind="stable"), float(worst / max(h_norm, 1.0))
+    return eigs, float(worst / max(h_norm, 1.0))
 
 
 def bound_states(eigs: Sequence[float], basis: BasisParams,

@@ -47,15 +47,12 @@ def _series_normalizations(basis: BasisParams) -> np.ndarray:
 
     c_n^2 = (2n + mu + nu + 1) Gamma(n+1) Gamma(n+mu+nu+1)
             / (Gamma(n+mu+1) Gamma(n+nu+1)).
-    At physical (mu_k, nu_k) the squares share one common sign across n (it
-    can be negative, in which case the common imaginary unit is absorbed in
-    the overall normalization); a mixed-sign sequence signals an invalid
-    state and is rejected.
+    The squares share one sign across n (a negative one is a common imaginary
+    unit, absorbed in the overall normalization): with mu > 0 and mu + nu <
+    -2N - 1, Gamma(n+mu+nu+1) and Gamma(n+nu+1) have negative arguments and
+    flip sign together at each step, and every other factor keeps its sign.
     """
-    logs, signs = zip(*(log_gamma_ratio(basis.mu, basis.nu, n) for n in range(basis.size)))
-    if len(set(signs)) > 1:
-        raise ParameterError(
-            "series normalizations have mixed signs; state parameters invalid")
+    logs = [log_gamma_ratio(basis.mu, basis.nu, n)[0] for n in range(basis.size)]
     return np.exp(0.5 * np.array(logs))
 
 

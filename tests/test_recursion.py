@@ -112,6 +112,15 @@ class TestRecursionCoeffs:
         assert str(err.value) == ("recursion coefficients are not finite in float64 for "
                                   f"mu = 2, nu = {shown}, N = 2")
 
+    def test_divisor_rounding_to_zero_refused_by_name(self):
+        # mu + nu = -5.000000000000001 < -2N - 1 passes BasisParams, but the D_{N-1}
+        # divisor 2(N-1) + mu + nu + 3 rounds to 0.0; no divide warning escapes
+        basis = BasisParams(mu=6.3, nu=-11.3, N=2)
+        with pytest.raises(ParameterError, match="recursion coefficients are not finite"):
+            recursion_coeffs(basis)
+        with pytest.raises(ParameterError, match="recursion overflowed within one step"):
+            h_polynomial_sequence(basis, 5.0, 3.0)
+
     def test_two_g_forms_agree(self):
         mu, nu = 1.5, -503.5
         _, G = _f_g_arrays(mu, nu, 201)
