@@ -20,17 +20,9 @@ from .potential import (
     PotentialParams,
     ShapeReport,
     classify_shape,
-    max_basis_index,
     potential_value,
-    r_of_x,
-    u_of_x,
-    x_of_r,
 )
-from .recursion import (
-    BasisParams,
-    h_polynomial_sequence,
-    jacobi_sequence,
-)
+from .recursion import BasisParams
 from .solver import (
     BoundSpectrum,
     PlateauScan,
@@ -38,11 +30,7 @@ from .solver import (
     plateau_scan,
     solve_bound_states,
 )
-from .wavefunction import (
-    WavefunctionTable,
-    count_sign_changes,
-    sample_wavefunction,
-)
+from .wavefunction import WavefunctionTable, sample_wavefunction
 
 __version__ = "0.1.0"
 
@@ -59,16 +47,9 @@ __all__ = [
     "SolverError",
     "WavefunctionTable",
     "classify_shape",
-    "count_sign_changes",
     "direct_matrix",
-    "h_polynomial_sequence",
-    "jacobi_sequence",
-    "max_basis_index",
     "plateau_scan",
     "potential_value",
-    "r_of_x",
     "sample_wavefunction",
     "solve_bound_states",
-    "u_of_x",
-    "x_of_r",
 ]

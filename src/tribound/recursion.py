@@ -154,7 +154,7 @@ def _d_array(mu: float, nu: float, count: int) -> np.ndarray:
 
     D_n = 2/(2n+mu+nu+2) * sqrt[ (n+1)(n+mu+1)(n+nu+1)(n+mu+nu+1)
                                  / ((2n+mu+nu+1)(2n+mu+nu+3)) ]
-    Both callers refuse |2n+mu+nu+2| ~ 0 over these n (_f_g_arrays), and their basis
+    Its caller refuses |2n+mu+nu+2| ~ 0 over these n (_f_g_arrays), and a valid basis
     (mu > -1, mu + nu < -2N - 1, count <= N) makes two radicand factors > 0, four < 0.
     """
     m = np.arange(count, dtype=float)
@@ -164,21 +164,27 @@ def _d_array(mu: float, nu: float, count: int) -> np.ndarray:
     return 2.0 / (sm + 2.0) * np.sqrt(rad)
 
 
+def _finite_coeffs(basis: BasisParams, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F_n, G_n for n < count and D_n for n < N; a non-finite F_n or D_n (|nu| of order
+    1e154 or more, or a D_n divisor that rounds to 0) is refused by name, with no warning."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        F, G = _f_g_arrays(basis.mu, basis.nu, count)
+        D = _d_array(basis.mu, basis.nu, basis.N)
+    if not (np.isfinite(F).all() and np.isfinite(D).all()):
+        raise ParameterError(f"recursion coefficients are not finite in float64 for "
+                             f"mu = {basis.mu:.6g}, nu = {basis.nu:.6g}, N = {basis.N}")
+    return F, G, D
+
+
 def recursion_coeffs(basis: BasisParams) -> tuple[np.ndarray, np.ndarray]:
     """Recursion coefficients (F, D) of the full basis: F_n for 0..N and D_n for 0..N-1.
 
     Signs are literal: D_n < 0 for every valid basis because 2n+mu+nu+2 < 0.
     A basis with mu + nu = -2N - 2 exactly has a vanishing denominator in F_N
     and is rejected as degenerate (stability-rule choices keep |2n+mu+nu| >= 1).
-    Coefficients past float64 (|nu| of order 1e154 or more, or a D_n divisor
-    that rounds to 0) are refused by name, with no numpy warning.
+    Coefficients past float64 are refused by name (_finite_coeffs).
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        F, _ = _f_g_arrays(basis.mu, basis.nu, basis.size)
-        D = _d_array(basis.mu, basis.nu, basis.size - 1)
-    if not (np.isfinite(F).all() and np.isfinite(D).all()):
-        raise ParameterError(f"recursion coefficients are not finite in float64 for "
-                             f"mu = {basis.mu:.6g}, nu = {basis.nu:.6g}, N = {basis.N}")
+    F, _, D = _finite_coeffs(basis, basis.size)
     return F, D
 
 
@@ -191,18 +197,16 @@ def h_polynomial_sequence(basis: BasisParams, B: float, C: float) -> np.ndarray:
     Magnitudes can sweep many orders for deep states; from the first step on,
     whenever |H| passes 1e150 the whole accumulated sequence is rescaled, H_0
     with it (overall scale is irrelevant and the termwise recursion residual
-    is preserved).  A non-finite B or C, or a term that overflows float64, is
-    refused by name, with no numpy warning.
+    is preserved).  A non-finite B, C or recursion coefficient (_finite_coeffs),
+    or a term that overflows float64, is refused by name, with no numpy warning.
     """
     for name, value in (("B", B), ("C", C)):
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
+    F, G, D = _finite_coeffs(basis, basis.N)   # only n = 0..N-1 enter the steps
     h = np.empty(basis.size, dtype=float)
     h[0] = 1.0
-    # only indices 0..N-1 of each sequence enter the steps here
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        F, G = _f_g_arrays(basis.mu, basis.nu, basis.N)
-        D = _d_array(basis.mu, basis.nu, basis.N)
+    with np.errstate(over="ignore", invalid="ignore"):
         for n in range(basis.N):
             if abs(C * D[n]) < H_STEP_TOL:
                 raise ParameterError(f"degenerate recursion step: |C D_{n}| ~ 0")
@@ -316,6 +320,9 @@ def normalization_c(mu: float, nu: float, n: int) -> float:
     if not (mu + nu < -2.0 * n - 1.0):
         raise ParameterError(
             f"orthogonality requires mu + nu < -2n - 1; got {mu + nu} at n = {n}")
+    if 2.0 * n + mu + nu + 1.0 == 0.0:
+        raise ParameterError(
+            f"2n + mu + nu + 1 rounds to 0 in float64 for (mu, nu, n) = ({mu}, {nu}, {n})")
     log_cn2, sign = _log_cn_squared_gammas(mu, nu, n)
     if sign <= 0 or not math.isfinite(log_cn2):
         raise ParameterError(

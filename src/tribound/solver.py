@@ -269,11 +269,11 @@ def _refine_pair(h: np.ndarray, omega: np.ndarray, lam: float,
         norm = math.sqrt(f_new @ f_new)   # np.linalg.norm of a 1-d vector, undispatched
         if not math.isfinite(norm) or norm == 0.0:
             break
-        f = f_new / norm
-        denom = f @ omega @ f
+        f_new /= norm
+        denom = f_new @ omega @ f_new
         if denom <= 0.0 or not np.isfinite(denom):
             break
-        lam = float(f @ h @ f) / float(denom)
+        f, lam = f_new, float(f_new @ h @ f_new) / float(denom)
     return lam, f
 
 

@@ -30,16 +30,15 @@ SCIPY_INITIALIZER = {"scipy", "scipy._lib._testutils"}
 LAZY_CLI_NAMES = ("solve_bound_states", "plateau_scan", "quadrature_rule",
                   "quadrature_matrix", "direct_matrix")
 
-# The paper's method end to end and what it returns; the solver's stages
-# (quadrature_rule, assemble_system, bound_states, ...) and other helpers
-# stay importable from their modules for the CLI, the benchmark and tests.
+# The paper's method end to end, its inputs, results and errors; the solver's
+# stages (quadrature_rule, assemble_system, bound_states, ...) and the helpers
+# (jacobi_sequence, x_of_r, count_sign_changes, ...) stay importable from their
+# modules for the CLI, the benchmark and tests.
 PUBLIC_NAMES = [
     "BasisParams", "BoundSpectrum", "Crossing", "Extremum", "ParameterError",
     "PlateauScan", "PlateauStat", "PotentialParams", "ShapeReport", "SolverError",
-    "WavefunctionTable", "classify_shape", "count_sign_changes", "direct_matrix",
-    "h_polynomial_sequence", "jacobi_sequence", "max_basis_index", "plateau_scan",
-    "potential_value", "r_of_x", "sample_wavefunction", "solve_bound_states", "u_of_x",
-    "x_of_r",
+    "WavefunctionTable", "classify_shape", "direct_matrix", "plateau_scan",
+    "potential_value", "sample_wavefunction", "solve_bound_states",
 ]
 
 

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -326,6 +326,11 @@ RAW_FLOAT = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
+# mu + nu < -2n - 1 holds, but 2n + mu + nu + 1 rounds to 0.0 in normalization_c
+@example(A=-1.0, B=1.0, C=1.0, lam=1.0, mu=995.5903862285071, nu=-1072.5903862285072,
+         x=2.0, n=38)
+@example(A=-1.0, B=1.0, C=1.0, lam=1.0, mu=21.728142107616087, nu=-68.7281421076161,
+         x=2.0, n=23)
 @given(A=RAW_FLOAT, B=RAW_FLOAT, C=RAW_FLOAT, lam=RAW_FLOAT, mu=RAW_FLOAT, nu=RAW_FLOAT,
        x=RAW_FLOAT, n=st.integers(0, 40))
 def test_public_helpers_finite_or_refused_without_warning(A, B, C, lam, mu, nu, x, n):

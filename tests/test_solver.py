@@ -342,6 +342,14 @@ class TestGeneralizedSpectrum:
             lam, got = solver._refine_pair(np.diag([1.0, 2.0, 3.0]), np.eye(3), 2.0, f.copy())
         assert lam == 2.0 and np.array_equal(got, f)
 
+    def test_indefinite_step_keeps_the_pair(self):
+        # the step lands on (0, -1, 0), where f omega f = -1 <= 0: the old
+        # eigenvalue comes back with the old vector, not the new one
+        f = np.array([0.0, 1.0, 0.0])
+        lam, got = solver._refine_pair(np.diag([1.0, 2.0, 3.0]), np.diag([1.0, -1.0, 1.0]),
+                                       1.9, f.copy())
+        assert lam == 1.9 and np.array_equal(got, f)
+
 
 def one_expression_assembly(basis, p, consistent):
     """H and omega of assemble_system, each written as one expression."""
@@ -369,10 +377,11 @@ def copying_refine(h, omega, lam, f):
         norm = np.linalg.norm(f_new)
         if not np.isfinite(norm) or norm == 0.0:
             break
-        f = f_new / norm
-        denom = f @ omega @ f
+        f_new = f_new / norm
+        denom = f_new @ omega @ f_new
         if denom <= 0.0 or not np.isfinite(denom):
             break
+        f = f_new
         lam = float(f @ h @ f) / float(denom)
     return lam, f
 

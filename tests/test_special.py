@@ -253,6 +253,17 @@ class TestNormalization:
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             direct_matrix(BasisParams(0.5, -1e200, 2), lambda x: x)
 
+    def test_vanishing_t_refused_by_name(self):
+        # a valid basis whose t = 2n + mu + nu + 1 rounds to 0.0 at n = 5, though
+        # mu + nu < -2n - 1 holds; test_public_helpers_finite_or_refused_without_warning
+        # has two more such (mu, nu, n)
+        mu, nu = 1015.7865435596076, -1026.7865435596077
+        message = f"2n + mu + nu + 1 rounds to 0 in float64 for (mu, nu, n) = ({mu}, {nu}, 5)"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            normalization_c(mu, nu, 5)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            direct_matrix(BasisParams(mu, nu, 5), lambda x: x)
+
     def test_gamma_form_equals_sine_form(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
